@@ -22,6 +22,7 @@
 #include "net/parallel_network.hh"
 #include "scenario/runner.hh"
 #include "sensor/sensor.hh"
+#include "sim/trace.hh"
 
 namespace {
 
@@ -157,6 +158,32 @@ BM_ChannelPingPong(benchmark::State &state)
     state.SetLabel("kernel events/s");
 }
 BENCHMARK(BM_ChannelPingPong);
+
+void
+BM_TraceSinkEmit(benchmark::State &state)
+{
+    // The determinism fingerprint alone: a hash-only sink (what the
+    // scenario runner attaches to every node) fed through TraceScope,
+    // the path every instrumentation point takes. Half the events
+    // carry integer arguments, half an energy amount; all vary per
+    // event so no record's hash folds to a constant.
+    sim::Kernel kernel;
+    sim::TraceSink sink(false);
+    kernel.setTracer(&sink);
+    sim::TraceScope fetch(kernel, "core.fetch");
+    sim::TraceScope energy(kernel, "energy.core");
+    constexpr std::uint64_t kPairs = 1024;
+    for (auto _ : state) {
+        for (std::uint64_t i = 0; i < kPairs; ++i) {
+            fetch.emit(sim::TraceEvent::CoreFetch, i, i * 3);
+            energy.emit(sim::TraceEvent::EnergyDebit, 0, 0, 0.5 * double(i));
+        }
+    }
+    benchmark::DoNotOptimize(sink.hash());
+    state.SetItemsProcessed(static_cast<int64_t>(sink.eventCount()));
+    state.SetLabel("trace events/s");
+}
+BENCHMARK(BM_TraceSinkEmit);
 
 void
 BM_NodeNetworkScaling(benchmark::State &state)

@@ -12,6 +12,7 @@
 #include "net/parallel_network.hh"
 #include "node/node.hh"
 #include "sensor/sensor.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
@@ -95,16 +96,6 @@ class ProgramCache
     std::map<std::string, std::string> sources_;
     std::map<std::string, assembler::Program> programs_;
 };
-
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 std::string
 hex16(std::uint64_t v)
@@ -366,9 +357,9 @@ runScenario(const Scenario &sc, const RunOptions &opt)
                 for (std::size_t i = 0; i < sc.nodes; ++i)
                     if (sensors[i])
                         snap.userRng[i] = sensors[i]->rngState();
-                std::uint64_t trace = 14695981039346656037ull;
+                std::uint64_t trace = sim::kFnvOffset;
                 for (const snapshot::NodeState &n : snap.nodes)
-                    trace = fnv1a(trace, n.traceHash);
+                    trace = sim::hashWord(trace, n.traceHash);
                 for (const Checkpoint &ck : due) {
                     res.checkpoints.push_back(
                         CheckpointRow{ck.atMs, now, trace, ck.path});
@@ -385,7 +376,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     if (opt.flowsOut)
         net.finishFlows();
 
-    std::uint64_t combined = 14695981039346656037ull;
+    std::uint64_t combined = sim::kFnvOffset;
     for (std::size_t i = 0; i < sc.nodes; ++i) {
         node::SnapNode &node = net.node(i);
         NodeOutcome &o = res.outcomes[i];
@@ -400,7 +391,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
         o.energyPj = node.ctx().ledger.totalPj();
         o.dbgWords = node.core().debugOut().size();
         o.traceHash = net.nodeTraceHash(i);
-        combined = fnv1a(combined, o.traceHash);
+        combined = sim::hashWord(combined, o.traceHash);
     }
     res.combinedTraceHash = combined;
     res.air = net.stats();

@@ -146,8 +146,8 @@ struct RunResult
     /** Delivery offers still scheduled past the final barrier. */
     std::uint64_t pendingDeliveries = 0;
 
-    /** FNV-1a fold of the per-node trace hashes in id order: one
-     *  64-bit witness for the whole run. */
+    /** sim::hashWord() fold of the per-node trace hashes in id
+     *  order: one 64-bit witness for the whole run. */
     std::uint64_t combinedTraceHash = 0;
 
     /** Checkpoints taken, in barrier order (only those past the

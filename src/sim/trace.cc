@@ -1,7 +1,7 @@
 #include "sim/trace.hh"
 
+#include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <ostream>
 
@@ -11,39 +11,12 @@ namespace snaple::sim {
 
 namespace {
 
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-
-/** FNV-1a over the 8 bytes of @p v, little-endian, platform-neutral. */
-constexpr std::uint64_t
-fnvWord(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
+/** Next TraceSink serial: process-wide, from 1, never repeated. */
 std::uint64_t
-fnvString(std::string_view s)
+nextSinkSerial()
 {
-    std::uint64_t h = kFnvOffset;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-/** Bit pattern of a double, for hashing energy amounts. */
-std::uint64_t
-doubleBits(double d)
-{
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(d));
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
+    static std::atomic<std::uint64_t> last{0};
+    return ++last;
 }
 
 /** Escape a string for a JSON literal. */
@@ -167,6 +140,10 @@ traceEventCategory(TraceEvent e)
     }
 }
 
+TraceSink::TraceSink(bool record)
+    : record_(record), serial_(nextSinkSerial())
+{}
+
 std::uint16_t
 TraceSink::scope(const std::string &name)
 {
@@ -176,29 +153,15 @@ TraceSink::scope(const std::string &name)
     panicIf(scopeNames_.size() > 0xffff, "too many trace scopes");
     auto id = static_cast<std::uint16_t>(scopeNames_.size());
     scopeNames_.push_back(name);
-    scopeHashes_.push_back(fnvString(name));
+    scopeHashes_.push_back(fnv1a64(name.data(), name.size()));
     scopeIds_.emplace(name, id);
     return id;
 }
 
 void
-TraceSink::emit(Tick ts, std::uint16_t scope_id, TraceEvent type,
-                std::uint64_t a0, std::uint64_t a1, double f)
+TraceSink::store(const TraceRecord &r)
 {
-    ++count_;
-    // Canonical stream: (scope-name hash, type, timestamp, args). The
-    // scope *name* hash — not the interned id — keeps the stream hash
-    // independent of interning order.
-    std::uint64_t h = hash_;
-    h = fnvWord(h, scopeHashes_[scope_id]);
-    h = fnvWord(h, static_cast<std::uint64_t>(type));
-    h = fnvWord(h, ts);
-    h = fnvWord(h, a0);
-    h = fnvWord(h, a1);
-    h = fnvWord(h, doubleBits(f));
-    hash_ = h;
-    if (record_)
-        records_.push_back(TraceRecord{ts, a0, a1, f, scope_id, type});
+    records_.push_back(r);
 }
 
 void

@@ -7,23 +7,29 @@
  * coroutine simulator. Model components emit typed events (channel
  * handshakes, event-queue activity, pipeline-stage activity, timer
  * operations, energy debits) into a TraceSink attached to the kernel.
- * The sink maintains a running 64-bit FNV-1a hash over the canonical
- * event stream — two runs are behaviorally identical iff their hashes
- * match — and can export the recorded stream as Chrome `trace_event`
- * JSON (chrome://tracing, Perfetto) or as a VCD waveform (GTKWave).
+ * The sink maintains a running 64-bit hash over the canonical event
+ * stream, one sim::hashRecord() per event — two runs are behaviorally
+ * identical iff their hashes match — and can export the recorded
+ * stream as Chrome `trace_event` JSON (chrome://tracing, Perfetto) or
+ * as a VCD waveform (GTKWave).
  *
  * Cost model:
  *  - compiled out (-DSNAPLE_TRACE=OFF): TraceScope::emit() is an empty
  *    inline function; zero overhead.
  *  - compiled in, no sink attached (the default): one pointer load and
  *    branch per instrumentation point.
- *  - sink attached: an FNV hash update, plus one vector push_back when
- *    the sink records events (hash-only sinks skip the store).
+ *  - hash-only sink attached: inline, no call — a serial-number
+ *    compare, one scope-hash load, six independent multiply-xorshift
+ *    steps (one per field) and one more that chains the event onto
+ *    the running hash.
+ *  - recording sink: the same plus one out-of-line call that does a
+ *    vector push_back.
  */
 
 #ifndef SNAPLE_SIM_TRACE_HH
 #define SNAPLE_SIM_TRACE_HH
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -31,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hash.hh"
 #include "kernel.hh"
 #include "ticks.hh"
 
@@ -102,7 +109,7 @@ struct TraceRecord
 class TraceSink
 {
   public:
-    explicit TraceSink(bool record = true) : record_(record) {}
+    explicit TraceSink(bool record = true);
 
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
@@ -111,11 +118,24 @@ class TraceSink
     std::uint16_t scope(const std::string &name);
 
     /** Append one event (usually via TraceScope::emit). */
-    void emit(Tick ts, std::uint16_t scope_id, TraceEvent type,
-              std::uint64_t a0 = 0, std::uint64_t a1 = 0, double f = 0.0);
+    void
+    emit(Tick ts, std::uint16_t scope_id, TraceEvent type,
+         std::uint64_t a0 = 0, std::uint64_t a1 = 0, double f = 0.0)
+    {
+        ++count_;
+        // Canonical stream: (scope-name hash, type, timestamp, args).
+        // The scope *name* hash — not the interned id — keeps the
+        // stream hash independent of interning order.
+        hash_ = hashRecord(hash_, scopeHashes_[scope_id],
+                           static_cast<std::uint64_t>(type), ts, a0, a1,
+                           std::bit_cast<std::uint64_t>(f));
+        if (record_) [[unlikely]]
+            store(TraceRecord{ts, a0, a1, f, scope_id, type});
+    }
 
     /**
-     * FNV-1a hash over the canonical event stream. Identical across two
+     * Hash of the canonical event stream: each event is one
+     * hashRecord() of its six fields, in order. Identical across two
      * runs iff every traced event (type, time, scope, arguments) is
      * identical; independent of whether events were recorded.
      */
@@ -137,6 +157,9 @@ class TraceSink
         count_ = count;
     }
 
+    /** Process-unique id of this sink; never reused, never 0. */
+    std::uint64_t serial() const { return serial_; }
+
     /** True if the sink stores events (needed by the exporters). */
     bool recording() const { return record_; }
 
@@ -153,8 +176,13 @@ class TraceSink
     void writeVcd(std::ostream &os) const;
 
   private:
+    /** Recording sinks only: append @p r (kept out of line so the
+     *  inline hash-only path stays small at every emit site). */
+    void store(const TraceRecord &r);
+
     bool record_;
-    std::uint64_t hash_ = 14695981039346656037ull; ///< FNV offset basis
+    const std::uint64_t serial_;
+    std::uint64_t hash_ = kFnvOffset;
     std::uint64_t count_ = 0;
     std::vector<TraceRecord> records_;
     std::vector<std::string> scopeNames_;
@@ -166,7 +194,9 @@ class TraceSink
  * A component's lazily-bound handle into the kernel's sink.
  *
  * Holding one is free; emit() resolves the kernel's current tracer and
- * re-interns the scope name only when the sink changes.
+ * re-interns the scope name only when the sink changes. The binding is
+ * keyed on the sink's serial(), not its address: a new sink built
+ * where a destroyed one lived must not inherit the old scope id.
  */
 class TraceScope
 {
@@ -190,9 +220,9 @@ class TraceScope
         TraceSink *sink = kernel_.tracer();
         if (!sink)
             return;
-        if (sink != boundSink_) {
+        if (sink->serial() != boundSerial_) {
             id_ = sink->scope(name_);
-            boundSink_ = sink;
+            boundSerial_ = sink->serial();
         }
         sink->emit(kernel_.now(), id_, type, a0, a1, f);
     }
@@ -201,7 +231,7 @@ class TraceScope
   private:
     Kernel &kernel_;
     std::string name_;
-    TraceSink *boundSink_ = nullptr;
+    std::uint64_t boundSerial_ = 0; ///< 0: no sink bound yet
     std::uint16_t id_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "snapshot/codec.hh"
 
@@ -491,7 +492,7 @@ encodeSnapshot(const NetworkSnapshot &snap)
     for (std::uint64_t v : snap.userRng)
         w.u64(v);
     std::string bytes = w.take();
-    std::uint64_t sum = fnv1a64(bytes.data(), bytes.size());
+    std::uint64_t sum = sim::fnv1a64(bytes.data(), bytes.size());
     Writer tail;
     tail.u64(sum);
     bytes += tail.bytes();
@@ -508,7 +509,7 @@ decodeSnapshot(std::string_view bytes)
     {
         Reader tail(bytes.substr(payloadEnd));
         std::uint64_t stored = tail.u64();
-        std::uint64_t actual = fnv1a64(bytes.data(), payloadEnd);
+        std::uint64_t actual = sim::fnv1a64(bytes.data(), payloadEnd);
         sim::fatalIf(stored != actual,
                      "snapshot: checksum mismatch (corrupt file)");
     }

@@ -11,11 +11,11 @@
  * an identically built ParallelNetwork continues the run bit-exactly
  * for any jobs() count on either side.
  *
- * The on-disk form is `magic | version | payload | fnv1a64 checksum`,
- * little-endian throughout (snapshot/codec.hh). Same state encodes to
- * the same bytes — encode(decode(encode(x))) == encode(x) — which is
- * what lets golden files and the replay bisector compare snapshots
- * with memcmp.
+ * The on-disk form is `magic | version | payload | fnv1a64 checksum`
+ * (sim/hash.hh), little-endian throughout (snapshot/codec.hh). Same
+ * state encodes to the same bytes — encode(decode(encode(x))) ==
+ * encode(x) — which is what lets golden files and the replay bisector
+ * compare snapshots with memcmp.
  */
 
 #ifndef SNAPLE_SNAPSHOT_SNAPSHOT_HH
@@ -43,8 +43,12 @@ namespace snaple::snapshot {
 inline constexpr std::uint32_t kMagic = 0x53504e53u;
 /** Bump on any schema change; readers reject other versions.
  *  v2: flow tags on in-flight words and pending offers, per-node
- *  flow-tracker and energest duty-ledger state (src/obs/). */
-inline constexpr std::uint32_t kFormatVersion = 2;
+ *  flow-tracker and energest duty-ledger state (src/obs/).
+ *  v3: NodeState::traceHash is the sim::hashWord() trace hash, no
+ *  longer FNV-1a. The layout is unchanged, but a restored v2 value
+ *  would continue the ladder with a different function, so a v3
+ *  reader refuses it. */
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /** One hardware FIFO's full state (buffer plus flow counters). */
 struct FifoState

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "snapshot/codec.hh"
@@ -144,7 +145,9 @@ TEST(CodecTest, TruncatedReadThrows)
     w.str("hello");
     const std::string full = w.bytes();
     for (std::size_t len = 0; len < full.size(); ++len) {
-        Reader r(full.substr(0, len));
+        // Reader keeps a view: the prefix must outlive it.
+        const std::string prefix = full.substr(0, len);
+        Reader r(prefix);
         EXPECT_THROW(
             {
                 r.u64();
@@ -173,9 +176,9 @@ TEST(CodecTest, AbsurdLengthPrefixRejectedBeforeAllocation)
 TEST(CodecTest, ChecksumPrimitivesMatchReference)
 {
     // FNV-1a 64 test vectors (public-domain reference values).
-    EXPECT_EQ(snapshot::fnv1a64("", 0), snapshot::kFnvOffset);
-    EXPECT_EQ(snapshot::fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
-    EXPECT_EQ(snapshot::fnv1a64("foobar", 6), 0x85944171f73967e8ull);
+    EXPECT_EQ(sim::fnv1a64("", 0), sim::kFnvOffset);
+    EXPECT_EQ(sim::fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(sim::fnv1a64("foobar", 6), 0x85944171f73967e8ull);
 }
 
 } // namespace
