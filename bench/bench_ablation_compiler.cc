@@ -19,7 +19,7 @@
 #include "asm/snap_backend.hh"
 #include "cc/codegen.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "sensor/sensor.hh"
 
 namespace {
@@ -69,7 +69,7 @@ struct Result
 Result
 measure(const assembler::Program &prog)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "t";
     cfg.attachRadio = false;

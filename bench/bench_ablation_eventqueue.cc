@@ -17,7 +17,7 @@
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 
 namespace {
 
@@ -100,7 +100,7 @@ task_blink:
 double
 measure(const std::string &program)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "blink";
     cfg.attachRadio = false;

@@ -17,7 +17,7 @@
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "sensor/sensor.hh"
 
 namespace {
@@ -35,7 +35,7 @@ struct Result
 Result
 measure(const core::CoreConfig &core_cfg)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "mon";
     cfg.attachRadio = false;

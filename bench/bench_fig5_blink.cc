@@ -17,7 +17,7 @@
 #include "baseline/avr_core.hh"
 #include "baseline/tinyos.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 
 namespace {
 
@@ -33,7 +33,7 @@ struct SnapResult
 SnapResult
 runSnap(double volts)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "blink";
     cfg.attachRadio = false;

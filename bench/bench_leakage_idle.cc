@@ -17,7 +17,7 @@
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "node/power.hh"
 #include "sensor/sensor.hh"
 
@@ -36,7 +36,7 @@ PowerSplit
 measure(double volts, double events_per_sec)
 {
     unsigned period = static_cast<unsigned>(1e6 / events_per_sec);
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "mon";
     cfg.attachRadio = false;

@@ -14,7 +14,7 @@
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "node/power.hh"
 #include "sensor/sensor.hh"
 
@@ -28,7 +28,7 @@ measurePowerNw(double volts, double events_per_sec)
 {
     // Timer tick is 1 us; period in ticks.
     unsigned period = static_cast<unsigned>(1e6 / events_per_sec);
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "mon";
     cfg.attachRadio = false;
@@ -41,13 +41,13 @@ measurePowerNw(double volts, double events_per_sec)
     net.start();
     net.runFor(50 * sim::kMillisecond); // boot
     Snapshot before = Snapshot::of(n);
-    sim::Tick t0 = net.kernel().now();
+    sim::Tick t0 = net.now();
     // Simulate enough events for a stable average.
     sim::Tick window = sim::fromSec(20.0 / events_per_sec);
     net.runFor(window);
     Episode e = Episode::between(before, Snapshot::of(n));
     return node::averagePowerNw(e.processorPj,
-                                net.kernel().now() - t0);
+                                net.now() - t0);
 }
 
 } // namespace

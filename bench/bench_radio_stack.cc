@@ -18,7 +18,7 @@
 #include "baseline/tinyos.hh"
 #include "common.hh"
 #include "net/crc.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 
 namespace {
 
@@ -33,7 +33,7 @@ const std::vector<std::uint8_t> kMsg = {0x10, 0x32, 0x54, 0x76, 0x98,
 double
 runSnap()
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "stack";
     cfg.core.stopOnHalt = false;

@@ -16,7 +16,7 @@
 #include "baseline/avr_core.hh"
 #include "baseline/tinyos.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "sensor/sensor.hh"
 
 namespace {
@@ -27,7 +27,7 @@ using namespace snaple::bench;
 double
 runSnap()
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "sense";
     cfg.attachRadio = false;

@@ -18,7 +18,6 @@
 #include "baseline/avr_core.hh"
 #include "baseline/tinyos.hh"
 #include "core/machine.hh"
-#include "net/network.hh"
 #include "net/parallel_network.hh"
 #include "scenario/runner.hh"
 #include "sensor/sensor.hh"
@@ -188,9 +187,10 @@ BENCHMARK(BM_TraceSinkEmit);
 void
 BM_NodeNetworkScaling(benchmark::State &state)
 {
-    // Full-system scaling: one sender, a line of relays, one sink.
-    // Events/s should stay roughly flat as nodes are added — the heap
-    // is logarithmic in pending events, and everything else is O(1).
+    // Full-system scaling: one sender, a line of relays, one sink, at
+    // --jobs 1. Events/s should stay roughly flat as nodes are added —
+    // each shard's heap holds only its own node's events, and the
+    // barrier exchange is linear in the node count.
     const int nodes = static_cast<int>(state.range(0));
     auto snd = assembler::assembleSnap(
         apps::senderNodeProgram(1, nodes, {0xCAFE}, 5));
@@ -201,7 +201,7 @@ BM_NodeNetworkScaling(benchmark::State &state)
             assembler::assembleSnap(apps::relayNodeProgram(n)));
     std::uint64_t events = 0;
     for (auto _ : state) {
-        net::Network net;
+        net::ParallelNetwork net;
         node::NodeConfig c;
         c.core.stopOnHalt = false;
         c.name = "n1";
@@ -215,7 +215,7 @@ BM_NodeNetworkScaling(benchmark::State &state)
         net.setLineTopology();
         net.start();
         net.runFor(200 * sim::kMillisecond);
-        events += net.kernel().eventsDispatched();
+        events += net.eventsDispatched();
     }
     state.SetItemsProcessed(static_cast<int64_t>(events));
     state.SetLabel("kernel events/s");
@@ -370,7 +370,7 @@ on_rx:
 void
 BM_FieldScaling(benchmark::State &state)
 {
-    // The spatial FieldMedium at sensor-network scale: N nodes on a
+    // The spatial field channel at sensor-network scale: N nodes on a
     // 20 m grid (default 30 m cells, ~46 m sensitivity range), every
     // 16th node beaconing every 10 ms from a seed-staggered offset.
     // Cell sharding bounds each flight's work to its neighborhood, so
@@ -522,7 +522,7 @@ BM_FourNodeAodvNetwork(benchmark::State &state)
     auto sink = assembler::assembleSnap(apps::sinkNodeProgram(4));
     std::uint64_t events = 0;
     for (auto _ : state) {
-        net::Network net;
+        net::ParallelNetwork net;
         node::NodeConfig c;
         c.core.stopOnHalt = false;
         c.name = "n1";
@@ -536,7 +536,7 @@ BM_FourNodeAodvNetwork(benchmark::State &state)
         net.setLineTopology();
         net.start();
         net.runFor(500 * sim::kMillisecond);
-        events += net.kernel().eventsDispatched();
+        events += net.eventsDispatched();
     }
     state.SetItemsProcessed(static_cast<int64_t>(events));
     state.SetLabel("kernel events/s");

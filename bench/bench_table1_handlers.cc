@@ -19,7 +19,7 @@
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "common.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "sensor/sensor.hh"
 
 namespace {
@@ -69,16 +69,16 @@ inject(node::SnapNode &n, const std::vector<std::uint16_t> &frame)
  * must not be mistaken for the end of the episode).
  */
 void
-runEpisode(sim::Kernel &kernel, node::SnapNode &n,
+runEpisode(net::ParallelNetwork &net, node::SnapNode &n,
            const Snapshot &before, bool has_mac = true)
 {
-    const sim::Tick deadline = kernel.now() + 2 * sim::kSecond;
-    while (kernel.now() < deadline &&
+    const sim::Tick deadline = net.now() + 2 * sim::kSecond;
+    while (net.now() < deadline &&
            n.core().stats().instructions == before.instructions)
-        kernel.runFor(sim::kMillisecond);
+        net.runFor(sim::kMillisecond);
     std::uint64_t last = n.core().stats().instructions;
-    while (kernel.now() < deadline) {
-        kernel.runFor(2 * sim::kMillisecond);
+    while (net.now() < deadline) {
+        net.runFor(2 * sim::kMillisecond);
         std::uint64_t now_count = n.core().stats().instructions;
         bool tx_idle =
             !has_mac || n.dmem().peek(apps::layout::kTxPend) == 0;
@@ -95,7 +95,7 @@ using Runner = std::function<Episode(double volts)>;
 Episode
 measureTx(double volts)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     auto &snd = net.addNode(
         mkCfg(volts, "tx"),
         assembler::assembleSnap(apps::senderNodeProgram(
@@ -106,14 +106,14 @@ measureTx(double volts)
     // episode is pure MAC transmission, no discovery.
     snd.dmem().poke(apps::layout::kRtBase + 2, 2);
     Snapshot before = Snapshot::of(snd);
-    runEpisode(net.kernel(), snd, before);
+    runEpisode(net, snd, before);
     return Episode::between(before, Snapshot::of(snd));
 }
 
 Episode
 measureRx(double volts)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     auto &sink = net.addNode(
         mkCfg(volts, "rx"),
         assembler::assembleSnap(apps::sinkNodeProgram(2)));
@@ -122,14 +122,14 @@ measureRx(double volts)
     Snapshot before = Snapshot::of(sink);
     inject(sink, apps::buildFrame(apps::frame::kData, 1, 1, 2, 2,
                                   {0x1111, 0x2222, 0x3333, 0x4444}));
-    runEpisode(net.kernel(), sink, before);
+    runEpisode(net, sink, before);
     return Episode::between(before, Snapshot::of(sink));
 }
 
 Episode
 measureRrep(double volts)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     auto &dst = net.addNode(
         mkCfg(volts, "dst"),
         assembler::assembleSnap(apps::relayNodeProgram(2)));
@@ -139,14 +139,14 @@ measureRrep(double volts)
     // A route request from node 1 looking for node 2 (us).
     inject(dst, apps::buildFrame(apps::frame::kRreq, 1, 1, 2,
                                  apps::frame::kBroadcast, {1}));
-    runEpisode(net.kernel(), dst, before);
+    runEpisode(net, dst, before);
     return Episode::between(before, Snapshot::of(dst));
 }
 
 Episode
 measureForward(double volts)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     auto &relay = net.addNode(
         mkCfg(volts, "relay"),
         assembler::assembleSnap(apps::relayNodeProgram(2)));
@@ -157,14 +157,14 @@ measureForward(double volts)
     // Data from node 1 to node 3, routed through us (node 2).
     inject(relay, apps::buildFrame(apps::frame::kData, 1, 1, 3, 2,
                                    {0xAAAA, 0xBBBB}));
-    runEpisode(net.kernel(), relay, before);
+    runEpisode(net, relay, before);
     return Episode::between(before, Snapshot::of(relay));
 }
 
 Episode
 measureTemperature(double volts)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     auto &n = net.addNode(
         mkCfg(volts, "temp", /*radio=*/false),
         assembler::assembleSnap(apps::temperatureProgram(2000)));
@@ -186,7 +186,7 @@ measureTemperature(double volts)
 Episode
 measureThreshold(double volts)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     auto &n = net.addNode(
         mkCfg(volts, "thr"),
         assembler::assembleSnap(apps::thresholdNodeProgram(2)));
@@ -195,7 +195,7 @@ measureThreshold(double volts)
     Snapshot before = Snapshot::of(n);
     inject(n, apps::buildFrame(apps::frame::kData, 1, 1, 2, 2,
                                {123, 456}));
-    runEpisode(net.kernel(), n, before);
+    runEpisode(net, n, before);
     return Episode::between(before, Snapshot::of(n));
 }
 

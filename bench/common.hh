@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the reproduction benches: quiescence detection,
+ * Shared helpers for the reproduction benches: activity snapshots,
  * stats/energy episode deltas, and table formatting.
  *
  * Each bench binary regenerates one table or figure of the paper and
@@ -17,7 +17,6 @@
 
 #include "energy/ledger.hh"
 #include "node/node.hh"
-#include "sim/kernel.hh"
 
 namespace snaple::bench {
 
@@ -66,28 +65,6 @@ struct Episode
         return instructions ? processorPj / double(instructions) : 0.0;
     }
 };
-
-/**
- * Run until @p node has been quiescent (asleep, no new instructions)
- * for a full @p settle window, or until @p limit elapses.
- * @return true if quiescence was reached.
- */
-inline bool
-runUntilQuiescent(sim::Kernel &kernel, const node::SnapNode &node,
-                  sim::Tick limit,
-                  sim::Tick settle = 2 * sim::kMillisecond)
-{
-    const sim::Tick deadline = kernel.now() + limit;
-    std::uint64_t last = node.core().stats().instructions;
-    while (kernel.now() < deadline) {
-        kernel.runFor(settle);
-        std::uint64_t now_count = node.core().stats().instructions;
-        if (node.core().asleep() && now_count == last)
-            return true;
-        last = now_count;
-    }
-    return false;
-}
 
 /** Print a rule line for the report tables. */
 inline void

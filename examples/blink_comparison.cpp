@@ -16,7 +16,7 @@
 #include "baseline/avr_backend.hh"
 #include "baseline/avr_core.hh"
 #include "baseline/tinyos.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 
 int
 main()
@@ -27,7 +27,7 @@ main()
     const unsigned blink_ms = 100;
 
     // --- SNAP/LE at 0.6 V ---
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "snap-blink";
     cfg.attachRadio = false;

@@ -18,7 +18,7 @@
 
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "node/power.hh"
 #include "sensor/sensor.hh"
 
@@ -80,7 +80,7 @@ main()
 {
     using namespace snaple;
 
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.core.stopOnHalt = false;
     cfg.core.volts = 0.6; // the paper's target operating point
@@ -132,7 +132,7 @@ main()
                 r2.dmem().peek(apps::layout::kStFwd),
                 r3.dmem().peek(apps::layout::kStFwd),
                 static_cast<unsigned long long>(
-                    net.medium().stats().collisions));
+                    net.stats().collisions));
 
     std::printf("%-10s %12s %12s %12s %10s\n", "node", "proc uJ",
                 "radio uJ", "duty cycle", "asleep");

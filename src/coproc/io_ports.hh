@@ -53,9 +53,10 @@ class RadioPort
     /**
      * Received signal strength of the last word the receiver accepted,
      * as the monotone half-dB encoding rssiWord = (dBm + 120) * 2
-     * clamped to [0, 65535] (so -120 dBm -> 0, -85 dBm -> 70). A
-     * medium with no signal-strength model reports 0 ("unknown");
-     * spatial media (radio::FieldMedium) fill it per receiver.
+     * clamped to [0, 65535] (so -120 dBm -> 0, -85 dBm -> 70). The
+     * single-cell channel has no signal-strength model and reports 0
+     * ("unknown"); field mode (radio::AirExchange::setField) fills it
+     * per receiver.
      */
     virtual std::uint16_t lastRssi() const { return 0; }
 

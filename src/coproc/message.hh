@@ -186,8 +186,8 @@ class MessageCoproc
     std::uint64_t blockSeq_ = 0;
     std::uint64_t cmdStamp_ = 0;
     std::uint64_t rxStamp_ = 0;
-    /** Registry-native counters — visible to metrics sampling (and
-     *  without SNAPLE_TRACE builds, unlike the TokenDrop trace). */
+    /** Registry-native counters — visible to metrics sampling even
+     *  with no trace sink attached, unlike the TokenDrop trace. */
     sim::MetricCounter *commands_;
     sim::MetricCounter *txWords_;
     sim::MetricCounter *rxWords_;

@@ -131,8 +131,8 @@ class TimerCoproc
     std::array<Timer, 3> timers_;
     /** One entry per pending expire() kernel event (incl. stale). */
     std::vector<ExpireRec> pending_;
-    /** Registry-native counters — visible to metrics sampling (and
-     *  without SNAPLE_TRACE builds, unlike the TokenDrop trace). */
+    /** Registry-native counters — visible to metrics sampling even
+     *  with no trace sink attached, unlike the TokenDrop trace. */
     sim::MetricCounter *scheduled_;
     sim::MetricCounter *expired_;
     sim::MetricCounter *canceled_;

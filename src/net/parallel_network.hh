@@ -1,16 +1,17 @@
 /**
  * @file
- * Sharded multi-node network harness (parallel).
+ * The network harness: SNAP/LE nodes on one shared radio channel.
  *
- * Same surface as net::Network, different engine: every node lives in
- * its own shard — a private sim::Kernel (the allocation-free hot path,
- * untouched and still single-threaded within the shard), a
- * radio::ShardMedium proxy, and the SnapNode itself. runFor() advances
- * all shards in conservative bounded time windows: each window, K
- * worker lanes execute disjoint subsets of shard kernels up to a
- * shared horizon, then the coordinator drains the inter-shard radio
- * mailboxes (radio::AirExchange) at the barrier and the next window
- * begins.
+ * The one harness for whole nodes: single-node paper benches,
+ * multi-hop AODV exchanges and 10k-node fields all run here (bare-core
+ * runs use core::Machine). Every node lives in its own shard — a
+ * private sim::Kernel (the allocation-free hot path, still
+ * single-threaded within the shard), a radio::ShardMedium proxy, and
+ * the SnapNode itself. runFor() advances all shards in conservative
+ * bounded time windows: each window, K worker lanes execute disjoint
+ * subsets of shard kernels up to a shared horizon, then the
+ * coordinator drains the inter-shard radio mailboxes
+ * (radio::AirExchange) at the barrier and the next window begins.
  *
  * The window size is the radio lookahead: one word airtime plus the
  * propagation delay, the minimum time in which a transmission started
@@ -20,6 +21,11 @@
  * thread or shard assignment — so per-node trace hashes are
  * bit-identical for any jobs() count, including 1. docs/SIMULATOR.md
  * ("Parallel execution and the lookahead contract") derives the rules.
+ *
+ * Air tracing is opt-in (enableAirTrace()) and ring-buffered: an
+ * always-on sniffer appending one AirWord per transmitted word would
+ * grow without bound on long runs, so the harness keeps at most the
+ * configured number of most recent words, plus a total count.
  */
 
 #ifndef SNAPLE_NET_PARALLEL_NETWORK_HH
@@ -29,9 +35,9 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "net/network.hh"
 #include "node/node.hh"
 #include "radio/air_exchange.hh"
 #include "sim/kernel.hh"
@@ -45,12 +51,71 @@ struct NodeState;
 
 namespace snaple::net {
 
+/** One sniffed on-air word. */
+struct AirWord
+{
+    sim::Tick at;
+    std::string from;
+    std::uint16_t word;
+    bool collided;
+};
+
+/**
+ * Bounded ring of the most recent AirWords. Indexing is oldest-first
+ * over the retained window; total() counts every word ever pushed.
+ */
+class AirTraceRing
+{
+  public:
+    explicit AirTraceRing(std::size_t capacity = 4096)
+        : capacity_(capacity ? capacity : 1)
+    {}
+
+    void
+    push(AirWord w)
+    {
+        if (ring_.size() < capacity_) {
+            ring_.push_back(std::move(w));
+        } else {
+            ring_[head_] = std::move(w);
+            head_ = (head_ + 1) % capacity_;
+        }
+        ++total_;
+    }
+
+    /** Words currently retained (<= capacity()). */
+    std::size_t size() const { return ring_.size(); }
+    bool empty() const { return ring_.empty(); }
+    std::size_t capacity() const { return capacity_; }
+
+    /** Words ever pushed, including those the ring has dropped. */
+    std::uint64_t total() const { return total_; }
+
+    /** Words the ring overwrote (lost to the capacity bound). */
+    std::uint64_t overwrites() const { return total_ - ring_.size(); }
+
+    /** @p i = 0 is the oldest retained word. */
+    const AirWord &
+    operator[](std::size_t i) const
+    {
+        return ring_[(head_ + i) % ring_.size()];
+    }
+
+    const AirWord &back() const { return (*this)[ring_.size() - 1]; }
+
+  private:
+    std::size_t capacity_;
+    std::size_t head_ = 0; ///< index of the oldest element when full
+    std::uint64_t total_ = 0;
+    std::vector<AirWord> ring_;
+};
+
 /** A simulated network of SNAP/LE nodes, one kernel per node. */
 class ParallelNetwork
 {
   public:
     /**
-     * @param propagation air propagation delay, as for net::Network.
+     * @param propagation air propagation delay.
      * @param jobs worker lanes for runFor(); 1 = run shards inline on
      *        the calling thread (the reference semantics — higher job
      *        counts reproduce it bit-exactly, just faster).
@@ -252,9 +317,9 @@ class ParallelNetwork
 
     /**
      * Sniff the air into a bounded ring of the @p capacity most recent
-     * words (off by default, as in net::Network). Timestamps are the
-     * sequential medium's delivery instants (start + airtime +
-     * propagation), independent of window quantization.
+     * words (off by default: sniffing every word of a long run is pure
+     * memory growth). Timestamps are the unquantised delivery instants
+     * (start + airtime + propagation), independent of the window.
      */
     void enableAirTrace(std::size_t capacity = 4096);
 

@@ -41,7 +41,7 @@ struct NodeConfig
 
     /**
      * Stable identity for seed derivation (a node address, not a
-     * registration index). Network harnesses fill it with the
+     * registration index). The network harness fills it with the
      * registration index when left at its default; set it explicitly
      * when node order may vary.
      */
@@ -223,7 +223,7 @@ class SnapNode
 
     /**
      * Hash of the node kernel's trace so far; 0 when no sink is
-     * attached (or tracing is compiled out).
+     * attached.
      */
     std::uint64_t
     traceHash() const

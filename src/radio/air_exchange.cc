@@ -47,28 +47,44 @@ AirExchange::finalizeField()
     cellOf_.resize(shards_.size());
     cells_.clear();
 
+    // Cell arithmetic runs in int32: every reach, and every cell
+    // coordinate widened by the largest reach, must stay strictly
+    // inside it, or the conversions below (and the neighborhood loops'
+    // cx + dx) would be undefined behaviour. Checked in double, which
+    // holds these integers exactly; the negated compares reject NaN.
+    constexpr double kCellMax = std::numeric_limits<std::int32_t>::max();
+    const auto reachCells = [this](double rangeM) {
+        const double cells = std::ceil(rangeM / field_->cellM);
+        sim::fatalIf(!(cells < kCellMax), "field: a radio reach of ",
+                     rangeM, " m is ", cells,
+                     " cells of cell_m ", field_->cellM,
+                     ", more than the cell grid can index");
+        return std::max<std::int32_t>(1, static_cast<std::int32_t>(cells));
+    };
+
     // A receiver farther than cellReach_ cells away (either axis) is
     // more than reach * cell_m meters out, hence beyond the
     // carrier-sense/decode range — the per-flight candidate scan never
     // has to look past the neighborhood.
-    const double range = field::rangeM(*field_, field_->sensitivityDbm);
-    cellReach_ = std::max<std::int32_t>(
-        1, static_cast<std::int32_t>(std::ceil(range / field_->cellM)));
+    cellReach_ =
+        reachCells(field::rangeM(*field_, field_->sensitivityDbm));
 
     // Same bound for interference, against the noise floor instead of
     // the decode sensitivity: a signal below the floor is ignored by
     // the capture sum, so flights from farther away can never matter.
-    const double interfRange = field::rangeM(*field_, field_->noiseDbm);
-    interfReach_ = std::max<std::int32_t>(
-        1,
-        static_cast<std::int32_t>(std::ceil(interfRange / field_->cellM)));
+    interfReach_ = reachCells(field::rangeM(*field_, field_->noiseDbm));
 
+    const double widen = std::max(cellReach_, interfReach_);
     for (std::uint32_t id = 0; id < shards_.size(); ++id) {
-        const auto cell = std::make_pair(
-            static_cast<std::int32_t>(
-                std::floor(pos_[id].first / field_->cellM)),
-            static_cast<std::int32_t>(
-                std::floor(pos_[id].second / field_->cellM)));
+        const double cx = std::floor(pos_[id].first / field_->cellM);
+        const double cy = std::floor(pos_[id].second / field_->cellM);
+        sim::fatalIf(!(std::fabs(cx) + widen < kCellMax &&
+                       std::fabs(cy) + widen < kCellMax),
+                     "field: node ", id, " at (", pos_[id].first, ", ",
+                     pos_[id].second, ") m lies outside the cell grid "
+                     "of cell_m ", field_->cellM);
+        const auto cell = std::make_pair(static_cast<std::int32_t>(cx),
+                                         static_cast<std::int32_t>(cy));
         cellOf_[id] = cell;
         cells_[cell].push_back(id); // id order within a cell
     }
@@ -373,10 +389,9 @@ AirExchange::exchangeSingleCell(sim::Tick barrier, std::size_t firstFresh)
                     m->remoteCarrierUntil(f.end);
     }
 
-    // 2. Collision marking: the sequential medium's rule — airtime
-    // intervals that overlap garble each other. Pairwise over the
-    // start-sorted list with an early break; idempotent re-marking of
-    // old pairs is harmless.
+    // 2. Collision marking: airtime intervals that overlap garble
+    // each other. Pairwise over the start-sorted list with an early
+    // break; idempotent re-marking of old pairs is harmless.
     for (std::size_t i = 0; i < pending_.size(); ++i)
         for (std::size_t j = i + 1; j < pending_.size() &&
                                     pending_[j].start < pending_[i].end;
@@ -387,11 +402,11 @@ AirExchange::exchangeSingleCell(sim::Tick barrier, std::size_t firstFresh)
 
     // 3. Finalize flights whose airtime has fully elapsed: every
     // transmission that could overlap one has started by now, so its
-    // collision status is final. Deliveries land at the sequential
-    // medium's instant (end + propagation) unless that already lies
-    // inside this window — then they are pushed to the barrier (the
-    // documented lookahead quantization). Acceptance is counted when
-    // the receiver executes the offer, not here (drainOutcomes).
+    // collision status is final. Deliveries land at end + propagation
+    // unless that already lies inside this window — then they are
+    // pushed to the barrier (the documented lookahead quantization).
+    // Acceptance is counted when the receiver executes the offer, not
+    // here (drainOutcomes).
     std::size_t kept = 0;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         const AirFlight &f = pending_[i];

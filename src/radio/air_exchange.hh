@@ -1,21 +1,20 @@
 /**
  * @file
- * The shared radio medium, split for parallel simulation.
+ * The shared radio channel: the simulator's one channel model.
  *
- * The sequential radio::Medium couples every node through one object
- * on one kernel. For the sharded network harness each node's kernel
- * runs on its own timeline, so the medium is split in two:
+ * Every node of a net::ParallelNetwork runs on its own kernel and
+ * timeline, so the channel is split in two:
  *
  *  - ShardMedium: a per-shard proxy implementing the Medium interface
- *    the transceiver model already speaks. beginTransmit() only
- *    records the word in a shard-local outbox (and raises the local
- *    carrier); busy() answers CSMA sense from local state.
+ *    the transceiver model speaks. beginTransmit() only records the
+ *    word in a shard-local outbox (and raises the local carrier);
+ *    busyFor() answers CSMA sense from local state.
  *  - AirExchange: the coordinator. At every conservative sync window
  *    barrier — when all shard kernels are paused at the same tick —
  *    it drains the outboxes in deterministic (start tick, source id,
- *    sequence) order, resolves collisions with the same airtime-
- *    overlap rule as the sequential medium, and injects carrier and
- *    delivery events into the destination shards' kernels.
+ *    sequence) order, resolves collisions (overlapping airtimes
+ *    garble each other), and injects carrier and delivery events into
+ *    the destination shards' kernels.
  *
  * The lookahead contract this implements (docs/SIMULATOR.md has the
  * derivation):
@@ -29,16 +28,16 @@
  * is what makes per-node traces bit-identical for any --jobs=K.
  *
  * Field mode (setField + per-node positions) swaps the single-cell
- * channel rules for radio::FieldMedium's spatial ones — log-distance
- * path loss, per-receiver RSSI, capture-threshold resolution — and
- * shards the air by spatial cells: each node is binned into a
- * cell_m-sized grid cell, and a flight's carrier, delivery and
- * interference work touches only nodes in cells within the radio
- * range of its transmitter. That is the node-count unlock: barrier
- * cost per flight is bounded by the cell neighborhood, not the
- * network size. Every field rule is still a pure function of barrier
- * ticks, node ids and (fixed) positions, so jobs-independence holds
- * unchanged.
+ * channel rules for the spatial ones of radio/field_medium.hh —
+ * log-distance path loss, per-receiver RSSI, capture-threshold
+ * resolution — and shards the air by spatial cells: each node is
+ * binned into a cell_m-sized grid cell, and a flight's carrier,
+ * delivery and interference work touches only nodes in cells within
+ * the radio range of its transmitter. That is the node-count unlock:
+ * barrier cost per flight is bounded by the cell neighborhood, not
+ * the network size. Every field rule is still a pure function of
+ * barrier ticks, node ids and (fixed) positions, so jobs-independence
+ * holds unchanged.
  *
  * Delivery acceptance in both modes is counted when the receiver
  * takes the word, not when the exchange offers it: the injected
@@ -64,9 +63,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/flow.hh"
 #include "radio/field_medium.hh"
 #include "radio/medium.hh"
 #include "sim/kernel.hh"
+#include "sim/metrics.hh"
 #include "sim/ticks.hh"
 
 namespace snaple::radio {
@@ -100,8 +101,8 @@ class AirExchange
         std::function<bool(std::size_t src, std::size_t dst)>;
 
     /** Observer of every resolved flight (air tracing). @p deliverAt
-     *  is start + airtime + propagation, the sequential medium's
-     *  delivery instant. */
+     *  is start + airtime + propagation, the delivery instant before
+     *  quantisation to the barrier grid. */
     using Sniffer =
         std::function<void(const AirFlight &f, sim::Tick deliverAt)>;
 
@@ -351,16 +352,15 @@ class AirExchange
 };
 
 /**
- * Per-shard stand-in for the shared medium. Implements the virtual
- * Medium interface the Transceiver uses; everything cross-shard goes
- * through the AirExchange at window barriers.
+ * One shard's end of the shared channel. Implements the Medium
+ * interface the Transceiver uses; everything cross-shard goes through
+ * the AirExchange at window barriers.
  */
 class ShardMedium : public Medium
 {
   public:
     ShardMedium(sim::Kernel &kernel, AirExchange &exchange)
-        : Medium(kernel, exchange.propagation()), kernel_(kernel),
-          exchange_(exchange)
+        : kernel_(kernel)
     {
         exchange.addShard(this);
     }
@@ -382,7 +382,7 @@ class ShardMedium : public Medium
      * shards within sensing range, so this stays a local test.
      */
     bool
-    busy() const override
+    busyFor(const Transceiver *) const override
     {
         return ownActive_ > 0 || remoteCarrier_ > 0;
     }
@@ -450,15 +450,6 @@ class ShardMedium : public Medium
     const std::vector<PendingOffer> &offers() const { return offers_; }
     ///@}
 
-    /** Global air statistics, shared through the exchange. */
-    Stats stats() const override { return exchange_.stats(); }
-
-    const sim::MetricsRegistry &
-    metrics() const override
-    {
-        return exchange_.metrics();
-    }
-
   private:
     friend class AirExchange;
 
@@ -520,7 +511,6 @@ class ShardMedium : public Medium
                   const obs::FlowTag &tag);
 
     sim::Kernel &kernel_;
-    AirExchange &exchange_;
     Transceiver *local_ = nullptr;
     std::uint32_t nodeId_ = 0; ///< assigned by AirExchange::addShard
     std::uint32_t txSeq_ = 0;

@@ -1,20 +1,22 @@
 /**
  * @file
- * Spatial radio medium: 2D node positions, log-distance path loss,
- * per-receiver RSSI and capture-threshold collision resolution.
+ * Spatial channel parameters and math: 2D node positions, log-distance
+ * path loss, per-receiver RSSI and capture-threshold collision
+ * resolution.
  *
  * The paper's motes are scattered across a physical field, not wired
  * to one serial bus: whether a word is heard — and whether overlapping
  * words garble each other — depends on where transmitter and receiver
- * stand. FieldMedium models the standard log-distance channel:
+ * stand. radio::AirExchange's field mode (setField) models the
+ * standard log-distance channel with these helpers:
  *
  *     PL(d) = pl0_db + 10 * exponent * log10(max(d, ref_m) / ref_m)
  *     RSSI(src -> dst) = tx_dbm - PL(distance(src, dst))
  *
  * A receiver is *in range* of a transmission when its RSSI clears the
- * receiver sensitivity; carrier sense (busyFor) uses the same
- * threshold. Overlapping transmissions are resolved per receiver by
- * the capture rule: the word is decoded iff its received power clears
+ * receiver sensitivity; carrier sense uses the same threshold.
+ * Overlapping transmissions are resolved per receiver by the capture
+ * rule: the word is decoded iff its received power clears
  * the sum of the noise floor and every overlapping transmission's
  * received power by the capture margin,
  *
@@ -31,7 +33,7 @@
  * resolves as exactly one of "air.words_delivered", "air.collisions"
  * (garbled at that receiver), "air.drops_mode" or "air.drops_fifo" —
  * note "air.collisions" is per receiver here, unlike the single-cell
- * Medium where it is per flight. Out-of-range receivers are not
+ * channel where it is per flight. Out-of-range receivers are not
  * counted (distance is topology, not a fault).
  */
 
@@ -40,9 +42,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
-
-#include "radio/medium.hh"
 
 namespace snaple::radio {
 
@@ -123,79 +122,6 @@ rangeM(const FieldConfig &cfg, double floorDbm)
 }
 
 } // namespace field
-
-/**
- * The sequential spatial medium (one kernel). The parallel harness
- * implements the same channel model cell-sharded in radio::AirExchange
- * (setField); this class is the reference semantics and the unit-test
- * surface for the path-loss/capture rules.
- */
-class FieldMedium : public Medium
-{
-  public:
-    explicit FieldMedium(sim::Kernel &kernel, const FieldConfig &cfg = {},
-                         sim::Tick propagation = 1 * sim::kMicrosecond)
-        : Medium(kernel, propagation), cfg_(cfg),
-          rxInRange_(&registry_.counter("air.rx_in_range"))
-    {}
-
-    /** Attach at the field origin; position with setPosition(). */
-    void
-    attach(Transceiver *t) override
-    {
-        const std::size_t before = nodes_.size();
-        Medium::attach(t);
-        if (nodes_.size() != before)
-            positions_.push_back({0.0, 0.0});
-    }
-
-    /** Place @p t at (@p xM, @p yM) meters. */
-    void setPosition(const Transceiver *t, double xM, double yM);
-
-    /** Receiver-side signal strength of @p src heard at @p dst. */
-    double rssiDbm(const Transceiver *src, const Transceiver *dst) const;
-
-    bool busy() const override { return active_ > 0; }
-
-    /** CSMA sense at @p rx's position: its own transmission, or any
-     *  on-air word whose RSSI at @p rx clears the sensitivity. */
-    bool busyFor(const Transceiver *rx) const override;
-
-    void beginTransmit(Transceiver *src, std::uint16_t word,
-                       sim::Tick airtime) override;
-
-    const FieldConfig &config() const { return cfg_; }
-
-    /** (flight, in-range receiver) opportunities ("air.rx_in_range"). */
-    std::uint64_t rxInRange() const { return rxInRange_->value(); }
-
-  private:
-    /**
-     * One on-air word. Interferers are recorded by source transceiver
-     * (positions are fixed), not by flight slot: an overlapping flight
-     * may resolve — and its slot be recycled — before this one does.
-     */
-    struct Flight
-    {
-        Transceiver *src;
-        std::uint16_t word;
-        sim::Tick start;
-        sim::Tick end;
-        std::vector<const Transceiver *> interferers;
-        obs::FlowTag tag; ///< side-band flow metadata (src/obs/flow.hh)
-    };
-
-    std::size_t indexOf(const Transceiver *t) const;
-    void resolve(std::size_t id);
-
-    FieldConfig cfg_;
-    std::vector<std::pair<double, double>> positions_; ///< by attach order
-    std::vector<Flight> flights_;          ///< slots, recycled by id
-    std::vector<std::size_t> freeFlights_; ///< retired slot ids
-    std::vector<std::size_t> activeFlights_;
-    unsigned active_ = 0;
-    sim::MetricCounter *rxInRange_;
-};
 
 } // namespace snaple::radio
 

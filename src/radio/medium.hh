@@ -1,33 +1,29 @@
 /**
  * @file
- * Shared radio medium.
+ * The radio channel as the transceiver sees it.
  *
  * The paper's nodes use an RFM TR1000-class transceiver on a single
- * shared channel. The medium broadcasts each transmitted word to every
- * attached transceiver after a propagation delay; transmissions that
- * overlap in time collide, and collided words are not delivered
- * (the MAC layer's CSMA and ACKs exist to cope with exactly this).
+ * shared channel. One channel model implements it:
+ * radio::AirExchange, with a radio::ShardMedium per node as the
+ * transceiver-facing end (radio/air_exchange.hh). Medium is the
+ * stateless interface between the two: a transceiver attaches, senses
+ * the carrier and puts words on the air; everything else — collision
+ * resolution, delivery, accounting — happens in the exchange.
  *
  * Delivery accounting distinguishes *offered* words from *accepted*
  * ones: "air.words_delivered" counts only words the receiver actually
- * took (radio in Rx mode, RX FIFO not full); words the medium offered
+ * took (radio in Rx mode, RX FIFO not full); words the channel offered
  * but the transceiver dropped count in "air.drops_mode" /
  * "air.drops_fifo". Per receiver the channel arithmetic closes:
  * every clean offered word is exactly one of delivered / drops_mode /
- * drops_fifo (plus the fault-drop counters in the parallel harness).
+ * drops_fifo, a fault drop, or an offer still pending.
  */
 
 #ifndef SNAPLE_RADIO_MEDIUM_HH
 #define SNAPLE_RADIO_MEDIUM_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "obs/flow.hh"
-#include "sim/kernel.hh"
-#include "sim/metrics.hh"
 #include "sim/ticks.hh"
 
 namespace snaple::radio {
@@ -42,7 +38,12 @@ enum class DeliverStatus
     DroppedFifo, ///< RX FIFO was full
 };
 
-/** One shared broadcast channel. */
+/**
+ * Transceiver-facing channel interface. Virtual so the transceiver
+ * model does not depend on the exchange; the calls happen at radio
+ * word rate — microseconds apart, never on the event hot path — so
+ * the indirect call costs nothing measurable.
+ */
 class Medium
 {
   public:
@@ -56,138 +57,20 @@ class Medium
         std::uint64_t dropsFifo = 0;  ///< offered, RX FIFO full
     };
 
-    /** Observer invoked for every word put on the air (sniffing). */
-    using Sniffer = std::function<void(const Transceiver *src,
-                                       std::uint16_t word,
-                                       bool collided)>;
-
-    /**
-     * Connectivity predicate: deliver from @p src to @p dst only when
-     * it returns true. Lets tests and examples build line/grid
-     * topologies (every real deployment is partially connected, which
-     * is what makes AODV forwarding do anything).
-     */
-    using LinkFilter = std::function<bool(const Transceiver *src,
-                                          const Transceiver *dst)>;
-
-    explicit Medium(sim::Kernel &kernel,
-                    sim::Tick propagation = 1 * sim::kMicrosecond)
-        : kernel_(kernel), propagation_(propagation),
-          wordsSent_(&registry_.counter("air.words_sent")),
-          wordsDelivered_(&registry_.counter("air.words_delivered")),
-          collisions_(&registry_.counter("air.collisions")),
-          dropsMode_(&registry_.counter("air.drops_mode")),
-          dropsFifo_(&registry_.counter("air.drops_fifo"))
-    {}
-
+    Medium() = default;
     Medium(const Medium &) = delete;
     Medium &operator=(const Medium &) = delete;
     virtual ~Medium() = default;
 
-    /**
-     * Register a transceiver. Idempotent: attaching the same
-     * transceiver twice is ignored (a double registration would
-     * deliver — and charge RX energy for — every word twice).
-     */
-    virtual void
-    attach(Transceiver *t)
-    {
-        if (std::find(nodes_.begin(), nodes_.end(), t) != nodes_.end())
-            return;
-        nodes_.push_back(t);
-    }
+    /** Register the transceiver that transmits and receives here. */
+    virtual void attach(Transceiver *t) = 0;
 
-    void setSniffer(Sniffer s) { sniffer_ = std::move(s); }
-    void setLinkFilter(LinkFilter f) { linkFilter_ = std::move(f); }
+    /** CSMA sense from @p rx's point of view (own word included). */
+    virtual bool busyFor(const Transceiver *rx) const = 0;
 
-    /** True if any transmission is currently on the air (CSMA sense). */
-    virtual bool busy() const { return active_ > 0; }
-
-    /**
-     * Carrier sense from @p rx's point of view. On this single-cell
-     * medium every receiver hears every transmitter, so it equals
-     * busy(); spatial media (FieldMedium) answer per position.
-     */
-    virtual bool
-    busyFor(const Transceiver *rx) const
-    {
-        (void)rx;
-        return busy();
-    }
-
-    /**
-     * Called by a transceiver: put @p word on the air for @p airtime.
-     * Handles collision detection and eventual delivery.
-     *
-     * Virtual (with attach and busy) so the sharded parallel harness
-     * can substitute a per-shard proxy (radio/air_exchange.hh) without
-     * the transceiver model knowing; these calls happen at radio word
-     * rate — microseconds apart, never on the event hot path — so the
-     * indirect call costs nothing measurable.
-     */
+    /** Put @p word from @p src on the air for @p airtime. */
     virtual void beginTransmit(Transceiver *src, std::uint16_t word,
-                               sim::Tick airtime);
-
-    /** Counters live in metrics(); this assembles a snapshot. */
-    virtual Stats
-    stats() const
-    {
-        return Stats{wordsSent_->value(), wordsDelivered_->value(),
-                     collisions_->value(), dropsMode_->value(),
-                     dropsFifo_->value()};
-    }
-
-    /** Channel-scoped metrics registry (the "air.*" counters). */
-    virtual const sim::MetricsRegistry &metrics() const
-    {
-        return registry_;
-    }
-
-    /**
-     * Flight slots ever allocated. Bounded by the peak number of words
-     * simultaneously in the air, not by the total transmitted: slots
-     * are recycled through a free list once delivery resolves (tested
-     * by the storage-bound regression test).
-     */
-    std::size_t flightSlotsAllocated() const { return flights_.size(); }
-
-  protected:
-    // Shared with subclasses (FieldMedium keeps its own flight
-    // bookkeeping but reuses the channel registry, attachment list and
-    // observer hooks).
-    sim::Kernel &kernel_;
-    sim::Tick propagation_;
-    std::vector<Transceiver *> nodes_;
-    /** Channel-scoped registry: a medium is not owned by any node. */
-    sim::MetricsRegistry registry_;
-    sim::MetricCounter *wordsSent_;
-    sim::MetricCounter *wordsDelivered_;
-    sim::MetricCounter *collisions_;
-    sim::MetricCounter *dropsMode_;
-    sim::MetricCounter *dropsFifo_;
-    Sniffer sniffer_;
-    LinkFilter linkFilter_;
-
-    /** Count one offered-word outcome from Transceiver::deliver. */
-    void countDeliverOutcome(DeliverStatus status);
-
-  private:
-    struct Flight
-    {
-        Transceiver *src;
-        std::uint16_t word;
-        bool collided = false;
-        obs::FlowTag tag; ///< side-band flow metadata (src/obs/flow.hh)
-    };
-
-    std::size_t allocFlight(Transceiver *src, std::uint16_t word);
-    void endTransmit(std::size_t id);
-    void deliver(std::size_t id);
-
-    std::vector<Flight> flights_;          ///< slots, recycled by id
-    std::vector<std::size_t> freeFlights_; ///< retired slot ids
-    std::vector<std::size_t> activeFlights_;
-    unsigned active_ = 0;
+                               sim::Tick airtime) = 0;
 };
 
 } // namespace snaple::radio

@@ -157,13 +157,12 @@ class Transceiver : public coproc::RadioPort
 
     sim::Fifo<std::uint16_t> &rxWords() override { return rxFifo_; }
 
-    /** CSMA sense, from this receiver's position when the medium is
-     *  spatial (out-of-range transmissions are inaudible). */
+    /** CSMA sense, from this receiver's position in field mode
+     *  (out-of-range transmissions are inaudible). */
     bool channelBusy() const override { return medium_.busyFor(this); }
 
     /** RSSI of the last accepted word (io_ports.hh: the half-dB
-     *  encoding); 0 until a word arrives on a signal-strength-aware
-     *  medium. */
+     *  encoding); 0 until a word arrives in field mode. */
     std::uint16_t lastRssi() const override { return lastRssi_; }
 
     /** Explicit-flow toggle (msgcmd::kFlow), see io_ports.hh. */

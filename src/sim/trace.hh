@@ -14,10 +14,8 @@
  * as a VCD waveform (GTKWave).
  *
  * Cost model:
- *  - compiled out (-DSNAPLE_TRACE=OFF): TraceScope::emit() is an empty
- *    inline function; zero overhead.
- *  - compiled in, no sink attached (the default): one pointer load and
- *    branch per instrumentation point.
+ *  - no sink attached (the default): one pointer load and branch per
+ *    instrumentation point.
  *  - hash-only sink attached: inline, no call — a serial-number
  *    compare, one scope-hash load, six independent multiply-xorshift
  *    steps (one per field) and one more that chains the event onto
@@ -207,12 +205,6 @@ class TraceScope
 
     const std::string &name() const { return name_; }
 
-#ifdef SNAPLE_TRACE_DISABLED
-    void
-    emit(TraceEvent, std::uint64_t = 0, std::uint64_t = 0,
-         double = 0.0) const
-    {}
-#else
     void
     emit(TraceEvent type, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
          double f = 0.0)
@@ -226,7 +218,6 @@ class TraceScope
         }
         sink->emit(kernel_.now(), id_, type, a0, a1, f);
     }
-#endif
 
   private:
     Kernel &kernel_;

@@ -14,7 +14,7 @@
 #include "baseline/avr_core.hh"
 #include "baseline/tinyos.hh"
 #include "net/crc.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "net/secded.hh"
 #include "sim/rng.hh"
 
@@ -22,7 +22,7 @@ namespace {
 
 using namespace snaple;
 using assembler::assembleSnap;
-using net::Network;
+using net::ParallelNetwork;
 using node::NodeConfig;
 
 NodeConfig
@@ -46,7 +46,7 @@ TEST_P(StackEquivalence, SnapAvrAndHostAgreeOnRandomMessages)
         b = static_cast<std::uint8_t>(rng.next());
 
     // SNAP: words on the air.
-    Network net;
+    ParallelNetwork net;
     auto &tx = net.addNode(cfgFor("tx"),
                            assembleSnap(apps::radioStackProgram(msg)));
     net.enableAirTrace();
@@ -88,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StackEquivalence,
 
 TEST(AppsScaleTest, FiveHopLineDelivery)
 {
-    Network net;
+    ParallelNetwork net;
     auto &a = net.addNode(cfgFor("n1"),
                           assembleSnap(apps::senderNodeProgram(
                               1, 6, {0xBEEF}, /*delay_ms=*/5)));
@@ -116,7 +116,7 @@ class MacFuzz : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(MacFuzz, RandomNoiseNeverDeliversAndNeverWedges)
 {
     sim::Rng rng(GetParam() * 2654435761ull);
-    Network net;
+    ParallelNetwork net;
     auto &sink =
         net.addNode(cfgFor("s"), assembleSnap(apps::sinkNodeProgram(2)));
     net.start();

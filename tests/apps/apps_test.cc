@@ -11,7 +11,7 @@
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "net/crc.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "net/secded.hh"
 #include "sensor/sensor.hh"
 
@@ -22,7 +22,7 @@ using apps::layout::kStDeliv;
 using apps::layout::kStFwd;
 using apps::layout::kStRtOk;
 using assembler::assembleSnap;
-using net::Network;
+using net::ParallelNetwork;
 using node::NodeConfig;
 
 NodeConfig
@@ -64,7 +64,7 @@ TEST(AppsAsmTest, CodeSizesFitTheFootprintClaim)
 
 TEST(AppsMacTest, OneHopDataDelivery)
 {
-    Network net;
+    ParallelNetwork net;
     auto &snd = net.addNode(cfgFor("a"),
                             assembleSnap(apps::senderNodeProgram(
                                 1, 2, {111, 222, 333})));
@@ -78,13 +78,13 @@ TEST(AppsMacTest, OneHopDataDelivery)
               (std::vector<std::uint16_t>{111, 222, 333}));
     EXPECT_EQ(sink.dmem().peek(kStDeliv), 1u);
     EXPECT_EQ(snd.dmem().peek(kStRtOk), 1u); // RREP reached the origin
-    EXPECT_EQ(net.medium().stats().collisions, 0u);
+    EXPECT_EQ(net.stats().collisions, 0u);
 }
 
 TEST(AppsMacTest, ChecksumRejectsCorruptedFrames)
 {
     // Drive the MAC receiver directly with a corrupted frame.
-    Network net;
+    ParallelNetwork net;
     auto &sink =
         net.addNode(cfgFor("b"), assembleSnap(apps::sinkNodeProgram(2)));
     net.start();
@@ -108,7 +108,7 @@ TEST(AppsAodvTest, ThreeHopDiscoveryAndForwarding)
 {
     // Line topology 1 - 2 - 3 - 4: node 1 discovers a route to node 4
     // and the data is relayed by 2 and 3.
-    Network net;
+    ParallelNetwork net;
     auto &a = net.addNode(cfgFor("n1"),
                           assembleSnap(apps::senderNodeProgram(
                               1, 4, {0xCAFE}, /*delay_ms=*/5)));
@@ -136,7 +136,7 @@ TEST(AppsAodvTest, ThreeHopDiscoveryAndForwarding)
 
 TEST(AppsAodvTest, NodesSleepBetweenNetworkEvents)
 {
-    Network net;
+    ParallelNetwork net;
     net.addNode(cfgFor("n1"), assembleSnap(apps::senderNodeProgram(
                                   1, 3, {7}, /*delay_ms=*/5)));
     auto &relay =
@@ -153,7 +153,7 @@ TEST(AppsAodvTest, NodesSleepBetweenNetworkEvents)
 
 TEST(AppsTableTest, TemperatureAppAveragesAndLogs)
 {
-    Network net;
+    ParallelNetwork net;
     auto &n = net.addNode(cfgFor("t", /*radio=*/false),
                           assembleSnap(apps::temperatureProgram(1000)));
     sensor::ScriptedSensor sens({100, 200, 300, 400});
@@ -175,7 +175,7 @@ TEST(AppsTableTest, TemperatureAppAveragesAndLogs)
 
 TEST(AppsTableTest, ThresholdAppLogsLargerField)
 {
-    Network net;
+    ParallelNetwork net;
     auto &snd = net.addNode(cfgFor("a"),
                             assembleSnap(apps::senderNodeProgram(
                                 1, 2, {123, 456}, /*delay_ms=*/5)));
@@ -191,7 +191,7 @@ TEST(AppsTableTest, ThresholdAppLogsLargerField)
 
 TEST(AppsTableTest, BlinkTogglesLed)
 {
-    Network net;
+    ParallelNetwork net;
     auto &n = net.addNode(cfgFor("blink", /*radio=*/false),
                           assembleSnap(apps::blinkProgram(1000)));
     net.start();
@@ -205,7 +205,7 @@ TEST(AppsTableTest, BlinkTogglesLed)
 
 TEST(AppsTableTest, SenseDisplaysAverageHighBits)
 {
-    Network net;
+    ParallelNetwork net;
     auto &n = net.addNode(cfgFor("sense", /*radio=*/false),
                           assembleSnap(apps::senseProgram(1000)));
     sensor::ScriptedSensor sens({1000, 1000, 1000, 1000, 1000, 1000,
@@ -223,7 +223,7 @@ TEST(AppsTableTest, SenseDisplaysAverageHighBits)
 TEST(AppsStackTest, RadioStackMatchesHostCodecs)
 {
     const std::vector<std::uint8_t> msg = {0x12, 0xA5, 0xFF, 0x00, 0x7E};
-    Network net;
+    ParallelNetwork net;
     auto &tx = net.addNode(cfgFor("tx"),
                            assembleSnap(apps::radioStackProgram(msg)));
     net.enableAirTrace();

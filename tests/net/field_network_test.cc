@@ -6,8 +6,9 @@
  * invisible (trace hashes and every air counter bit-identical for any
  * --jobs), a receiver sitting exactly on a cell boundary still hears
  * its neighbors, the per-opportunity accounting identity closes at
- * every barrier, and idle-listening energy is flushed to the ledger
- * at metrics-sampling barriers without any end-of-run help.
+ * every barrier, idle-listening energy is flushed to the ledger at
+ * metrics-sampling barriers without any end-of-run help, and geometry
+ * the int32 cell grid cannot index is rejected at start().
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "node/node.hh"
 #include "radio/field_medium.hh"
 #include "radio/transceiver.hh"
+#include "sim/logging.hh"
 #include "sim/ticks.hh"
 
 namespace {
@@ -31,13 +33,6 @@ using namespace snaple;
 using assembler::assembleSnap;
 using net::ParallelNetwork;
 using node::NodeConfig;
-
-#ifdef SNAPLE_TRACE_DISABLED
-#define SKIP_WITHOUT_TRACING() \
-    GTEST_SKIP() << "tracing compiled out (SNAPLE_TRACE=OFF)"
-#else
-#define SKIP_WITHOUT_TRACING() (void)0
-#endif
 
 /** Beacon with an injectable period so co-located transmitters drift
  *  in and out of overlap instead of colliding forever. */
@@ -153,7 +148,6 @@ runFieldNet(unsigned jobs, sim::Tick duration = 200 * sim::kMillisecond)
 
 TEST(FieldNetworkTest, TraceHashesAndAirCountersMatchAcrossJobs)
 {
-    SKIP_WITHOUT_TRACING();
     FieldRun j1 = runFieldNet(1);
     FieldRun j2 = runFieldNet(2);
     FieldRun j4 = runFieldNet(4);
@@ -256,6 +250,44 @@ TEST(FieldNetworkTest, ListenEnergyFlushedAtMetricsSampleBarriers)
     EXPECT_GE(radioPj, nw * 1e-9 * 0.019 * 1e12);
     EXPECT_LE(radioPj, nw * 1e-9 * 0.025 * 1e12);
     EXPECT_FALSE(metrics.str().empty());
+}
+
+TEST(FieldNetworkTest, GeometryOutsideTheCellGridIsFatal)
+{
+    // Regression: finalizeField() converted floor(x / cell_m) and the
+    // radio reaches to int32 unchecked, so a .scn position of 1e12 m
+    // was undefined behaviour that ran and exited 0. Each case must
+    // fail cleanly at start(), naming the culprit.
+    struct Case
+    {
+        double cellM, x;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {30.0, 1e12, "node 1"},        // cell ~3.3e10 on its own
+        {1.0, -2147483600.0, "node 1"}, // 47 cells inside int32, but
+                                        // the ~167-cell reach is not
+        {1e-12, 0.0, "radio reach"},   // the reach itself overflows
+    };
+    for (const Case &c : cases) {
+        radio::FieldConfig fc;
+        fc.cellM = c.cellM;
+        ParallelNetwork net;
+        net.addNode(cfgFor("l0"), assembleSnap(kListener));
+        net.addNode(cfgFor("l1"), assembleSnap(kListener));
+        net.setField(fc);
+        net.setNodePosition(0, 0, 0);
+        net.setNodePosition(1, c.x, 7);
+        std::string err;
+        try {
+            net.start();
+        } catch (const sim::FatalError &e) {
+            err = e.what();
+        }
+        EXPECT_NE(err.find(c.needle), std::string::npos)
+            << "cell_m " << c.cellM << ", x " << c.x << ": '" << err
+            << "'";
+    }
 }
 
 } // namespace

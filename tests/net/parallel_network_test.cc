@@ -28,13 +28,6 @@ using assembler::assembleSnap;
 using net::ParallelNetwork;
 using node::NodeConfig;
 
-#ifdef SNAPLE_TRACE_DISABLED
-#define SKIP_WITHOUT_TRACING() \
-    GTEST_SKIP() << "tracing compiled out (SNAPLE_TRACE=OFF)"
-#else
-#define SKIP_WITHOUT_TRACING() (void)0
-#endif
-
 NodeConfig
 cfgFor(const std::string &name)
 {
@@ -94,7 +87,6 @@ runParallelMac(unsigned jobs)
 
 TEST(ParallelNetworkTest, TraceHashesAreIdenticalAcrossJobCounts)
 {
-    SKIP_WITHOUT_TRACING();
     ParallelRun j1 = runParallelMac(1);
     ParallelRun j2 = runParallelMac(2);
     ParallelRun j4 = runParallelMac(4);
@@ -125,7 +117,6 @@ TEST(ParallelNetworkTest, TraceHashesAreIdenticalAcrossJobCounts)
 
 TEST(ParallelNetworkTest, BaseSeedChangesEveryNodeTrace)
 {
-    SKIP_WITHOUT_TRACING();
     ParallelRun a = runParallelMac(2);
 
     // Same harness, different base seed: every node's CSMA backoff
@@ -229,7 +220,7 @@ TEST(ParallelNetworkTest, OverlappingCrossShardTransmissionsCollide)
     net.start();
 
     // Overlapping airtimes [10, 30) and [20, 40): both words garbled,
-    // neither delivered — exactly the sequential medium's rule, even
+    // neither delivered — the single-cell overlap rule, even
     // though the transmitters live in different shards and cannot
     // sense each other mid-window.
     net.shardKernel(0).schedule(10 * sim::kMicrosecond, [&net] {

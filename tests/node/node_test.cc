@@ -7,14 +7,14 @@
 #include <gtest/gtest.h>
 
 #include "asm/snap_backend.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "sensor/sensor.hh"
 
 namespace {
 
 using namespace snaple;
 using assembler::assembleSnap;
-using net::Network;
+using net::ParallelNetwork;
 using node::NodeConfig;
 
 const char *kTxProgram = R"(
@@ -58,7 +58,7 @@ on_rx:
 
 TEST(NodeTest, WordByWordRadioTransferBetweenTwoNodes)
 {
-    Network net;
+    ParallelNetwork net;
     NodeConfig txc;
     txc.name = "tx";
     txc.core.stopOnHalt = false;
@@ -75,7 +75,7 @@ TEST(NodeTest, WordByWordRadioTransferBetweenTwoNodes)
               (std::vector<std::uint16_t>{0x1000, 0x1001, 0x1002}));
     EXPECT_EQ(tx.transceiver()->stats().txWords, 3u);
     EXPECT_EQ(rx.transceiver()->stats().rxWords, 3u);
-    EXPECT_EQ(net.medium().stats().collisions, 0u);
+    EXPECT_EQ(net.stats().collisions, 0u);
     // Both cores end up asleep, not halted.
     EXPECT_TRUE(tx.core().asleep());
     EXPECT_TRUE(rx.core().asleep());
@@ -87,7 +87,7 @@ TEST(NodeTest, WordByWordRadioTransferBetweenTwoNodes)
 
 TEST(NodeTest, TxRdyEventsPaceTheTransmitter)
 {
-    Network net;
+    ParallelNetwork net;
     NodeConfig txc;
     txc.name = "tx";
     txc.core.stopOnHalt = false;
@@ -103,7 +103,7 @@ TEST(NodeTest, TxRdyEventsPaceTheTransmitter)
 
 TEST(NodeTest, SensorQueryRoundTrip)
 {
-    Network net;
+    ParallelNetwork net;
     NodeConfig cfg;
     cfg.name = "s";
     cfg.attachRadio = false;
@@ -133,7 +133,7 @@ TEST(NodeTest, SensorQueryRoundTrip)
 
 TEST(NodeTest, SensorInterruptRaisesEvent)
 {
-    Network net;
+    ParallelNetwork net;
     NodeConfig cfg;
     cfg.name = "s";
     cfg.attachRadio = false;
@@ -164,7 +164,7 @@ TEST(NodeTest, PeriodicSensingViaTimerCoprocessor)
 {
     // The classic data-gathering loop: timer event -> query sensor ->
     // data event -> log reading -> re-arm timer.
-    Network net;
+    ParallelNetwork net;
     NodeConfig cfg;
     cfg.name = "s";
     cfg.attachRadio = false;
@@ -207,7 +207,7 @@ TEST(NodeTest, PeriodicSensingViaTimerCoprocessor)
 
 TEST(NodeTest, RadioCommandWithoutRadioIsFatal)
 {
-    Network net;
+    ParallelNetwork net;
     NodeConfig cfg;
     cfg.attachRadio = false;
     cfg.core.stopOnHalt = false;
@@ -224,7 +224,7 @@ TEST(NodeTest, ProcessorEnergyDwarfedByRadioEnergy)
     // The motivation in section 1: with conventional radios,
     // communication dominates — which is exactly why the paper targets
     // self-powered links and then optimizes computation.
-    Network net;
+    ParallelNetwork net;
     NodeConfig txc;
     txc.name = "tx";
     txc.core.stopOnHalt = false;

@@ -8,7 +8,7 @@
 
 #include "core/machine.hh"
 #include "mem/sram.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "node/power.hh"
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
@@ -87,7 +87,7 @@ TEST(SramTest, OversizedImageRejected)
 TEST(SelfPoweredRadioTest, NoRadioEnergyCharged)
 {
     auto run_tx = [](bool self_powered) {
-        net::Network net;
+        net::ParallelNetwork net;
         node::NodeConfig cfg;
         cfg.name = "tx";
         cfg.core.stopOnHalt = false;

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/snap_backend.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "obs/flow.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
@@ -108,7 +108,7 @@ fin:
 
 TEST(FlowStreamTest, ExplicitFlowCommandRoundTripsAndPinsSpans)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig cfg;
     cfg.name = "a";
     cfg.nodeId = 4;
@@ -180,7 +180,7 @@ on_rx:
 
 TEST(FlowStreamTest, ForwardedWordsLinkAcrossTheAir)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig a;
     a.name = "a";
     a.nodeId = 0;
@@ -217,7 +217,7 @@ TEST(FlowStreamTest, ForwardedWordsLinkAcrossTheAir)
 
 TEST(FlowStreamTest, EnergestMatchesHandComputedRadioAccounting)
 {
-    net::Network net;
+    net::ParallelNetwork net;
     node::NodeConfig a;
     a.name = "tx";
     a.nodeId = 0;
@@ -231,7 +231,7 @@ TEST(FlowStreamTest, EnergestMatchesHandComputedRadioAccounting)
     net.start();
     const sim::Tick dur = 10 * sim::kMillisecond;
     net.runFor(dur);
-    const sim::Tick now = net.kernel().now();
+    const sim::Tick now = net.now();
     const sim::Tick airtime = tx.transceiver()->wordAirtime();
 
     // Attributed tx energy is exactly words x per-word cost.

@@ -1,7 +1,8 @@
 /**
  * @file
- * Spatial FieldMedium tests: path-loss/RSSI arithmetic, carrier sense
- * by position, capture-threshold collision resolution (including
+ * Spatial field-mode channel tests (radio/field_medium.hh math on
+ * AirExchange::setField): path-loss/RSSI arithmetic, carrier sense by
+ * position, capture-threshold collision resolution (including
  * exactly-at-threshold and three-way overlap), and the per-receiver
  * channel accounting (rx_in_range == delivered + collisions + drops).
  */
@@ -10,84 +11,44 @@
 
 #include <gtest/gtest.h>
 
-#include "core/context.hh"
+#include "host_radios.hh"
 #include "radio/field_medium.hh"
-#include "radio/transceiver.hh"
 
 namespace {
 
 using namespace snaple;
 using coproc::RadioMode;
 using radio::FieldConfig;
-using radio::FieldMedium;
 using radio::Transceiver;
+using test::HostRadios;
+using test::popWord;
 
-struct FieldRig
+/** Host radios in field mode; place each with at(x, y). */
+struct FieldRig : HostRadios
 {
-    sim::Kernel kernel;
     FieldConfig cfg;
-    FieldMedium medium;
 
-    explicit FieldRig(const FieldConfig &c = {})
-        : cfg(c), medium(kernel, c)
-    {}
-
-    struct Node
+    explicit FieldRig(const FieldConfig &c = {}) : cfg(c)
     {
-        core::NodeContext ctx;
-        Transceiver t;
-
-        Node(sim::Kernel &k, FieldMedium &m, double x, double y)
-            : ctx(k), t(ctx, m)
-        {
-            m.setPosition(&t, x, y);
-        }
-    };
-
-    std::vector<std::unique_ptr<Node>> nodes;
-
-    Transceiver &
-    add(double x, double y)
-    {
-        nodes.push_back(
-            std::make_unique<Node>(kernel, medium, x, y));
-        return nodes.back()->t;
+        net.setField(c);
     }
 };
-
-/** Non-blocking pop for test assertions (plain context). */
-std::optional<std::uint16_t>
-popWord(sim::Fifo<std::uint16_t> &f)
-{
-    auto aw = f.recv();
-    if (!aw.await_ready())
-        return std::nullopt;
-    return aw.slot;
-}
-
-sim::Co<void>
-txOne(Transceiver &t, std::uint16_t w)
-{
-    sim::Tick end = t.transmitStart(w);
-    co_await t.kernel().delay(end - t.kernel().now());
-}
 
 TEST(FieldMediumTest, RssiFollowsLogDistancePathLoss)
 {
     FieldRig r;
-    Transceiver &a = r.add(0, 0);
-    Transceiver &b = r.add(10, 0);
+    r.at(0, 0);
+    r.at(10, 0);
     // PL(10m) = 40 + 10*2.7*log10(10) = 67 dB; RSSI = 0 - 67.
-    EXPECT_NEAR(r.medium.rssiDbm(&a, &b), -67.0, 1e-9);
+    EXPECT_NEAR(r.net.rssiDbm(0, 1), -67.0, 1e-9);
     // Symmetric, and distance-only (3-4-5 triangle = 5 m).
-    Transceiver &c = r.add(13, 4);
-    EXPECT_NEAR(r.medium.rssiDbm(&b, &c), r.medium.rssiDbm(&c, &b),
-                1e-12);
-    EXPECT_NEAR(r.medium.rssiDbm(&b, &c),
-                -(40.0 + 27.0 * std::log10(5.0)), 1e-9);
+    r.at(13, 4);
+    EXPECT_NEAR(r.net.rssiDbm(1, 2), r.net.rssiDbm(2, 1), 1e-12);
+    EXPECT_NEAR(r.net.rssiDbm(1, 2), -(40.0 + 27.0 * std::log10(5.0)),
+                1e-9);
     // Inside the reference distance the loss clamps to pl0.
-    Transceiver &d = r.add(10.5, 0);
-    EXPECT_NEAR(r.medium.rssiDbm(&b, &d), -40.0, 1e-9);
+    r.at(10.5, 0);
+    EXPECT_NEAR(r.net.rssiDbm(1, 3), -40.0, 1e-9);
 }
 
 TEST(FieldMediumTest, RssiWordUsesHalfDbStepsAboveMinus120)
@@ -103,29 +64,31 @@ TEST(FieldMediumTest, DeliveryStopsAtSensitivityRange)
     FieldRig r;
     const double range =
         radio::field::rangeM(r.cfg, r.cfg.sensitivityDbm);
-    Transceiver &a = r.add(0, 0);
-    Transceiver &nearRx = r.add(range * 0.99, 0);
-    Transceiver &farRx = r.add(range * 1.01, 0);
+    r.at(0, 0);
+    Transceiver &nearRx = r.at(range * 0.99, 0);
+    Transceiver &farRx = r.at(range * 1.01, 0);
+    r.start();
     nearRx.setMode(RadioMode::Rx);
     farRx.setMode(RadioMode::Rx);
-    r.kernel.spawn(txOne(a, 0xAB));
-    r.kernel.runFor(3 * sim::kMillisecond);
+    r.transmit(0, {0xAB});
+    r.net.runFor(3 * sim::kMillisecond);
     EXPECT_EQ(nearRx.rxWords().size(), 1u);
     EXPECT_EQ(farRx.rxWords().size(), 0u);
     // The out-of-range receiver is not an opportunity: distance is
     // topology, not a fault.
-    EXPECT_EQ(r.medium.rxInRange(), 1u);
-    EXPECT_EQ(r.medium.stats().wordsDelivered, 1u);
+    EXPECT_EQ(r.net.airRxInRange(), 1u);
+    EXPECT_EQ(r.net.stats().wordsDelivered, 1u);
 }
 
 TEST(FieldMediumTest, ReceiverReadsRssiOfAcceptedWord)
 {
     FieldRig r;
-    Transceiver &a = r.add(0, 0);
-    Transceiver &b = r.add(10, 0);
+    r.at(0, 0);
+    Transceiver &b = r.at(10, 0);
+    r.start();
     b.setMode(RadioMode::Rx);
-    r.kernel.spawn(txOne(a, 0x77));
-    r.kernel.runFor(3 * sim::kMillisecond);
+    r.transmit(0, {0x77});
+    r.net.runFor(3 * sim::kMillisecond);
     ASSERT_EQ(b.rxWords().size(), 1u);
     // RSSI -67 dBm -> (-67 + 120) * 2 = 106.
     EXPECT_EQ(b.lastRssi(), 106u);
@@ -133,19 +96,22 @@ TEST(FieldMediumTest, ReceiverReadsRssiOfAcceptedWord)
 
 TEST(FieldMediumTest, CarrierSenseIsPositional)
 {
+    // Every runFor() ends on a barrier, so by the lookahead rule a
+    // word on the air at 100 us is visible there — but only to
+    // receivers within sensing range.
     FieldRig r;
     const double range =
         radio::field::rangeM(r.cfg, r.cfg.sensitivityDbm);
-    Transceiver &a = r.add(0, 0);
-    Transceiver &nearRx = r.add(range * 0.5, 0);
-    Transceiver &farRx = r.add(range * 1.5, 0);
-    r.kernel.spawn(txOne(a, 0x1));
-    r.kernel.runFor(100 * sim::kMicrosecond);
-    EXPECT_TRUE(r.medium.busy()); // something is on the air...
+    Transceiver &a = r.at(0, 0);
+    Transceiver &nearRx = r.at(range * 0.5, 0);
+    Transceiver &farRx = r.at(range * 1.5, 0);
+    r.start();
+    r.transmit(0, {0x1});
+    r.net.runFor(100 * sim::kMicrosecond);
     EXPECT_TRUE(nearRx.channelBusy());
-    EXPECT_FALSE(farRx.channelBusy()); // ...but inaudibly far away
+    EXPECT_FALSE(farRx.channelBusy()); // inaudibly far away
     EXPECT_TRUE(a.channelBusy());      // own word counts
-    r.kernel.runFor(2 * sim::kMillisecond);
+    r.net.runFor(2 * sim::kMillisecond);
     EXPECT_FALSE(nearRx.channelBusy());
 }
 
@@ -155,13 +121,14 @@ TEST(FieldMediumTest, StrongFrameCapturesOverlappingWeakOne)
     // interference by far more than the 10 dB margin, so A survives
     // the overlap at this receiver while B is garbled.
     FieldRig r;
-    Transceiver &a = r.add(0, 0);
-    Transceiver &b = r.add(31, 0);
-    Transceiver &rx = r.add(1, 0);
+    r.at(0, 0);
+    r.at(31, 0);
+    Transceiver &rx = r.at(1, 0);
+    r.start();
     rx.setMode(RadioMode::Rx);
-    r.kernel.spawn(txOne(a, 0xAAAA));
-    r.kernel.spawn(txOne(b, 0xBBBB));
-    r.kernel.runFor(5 * sim::kMillisecond);
+    r.transmit(0, {0xAAAA});
+    r.transmit(1, {0xBBBB});
+    r.net.runFor(5 * sim::kMillisecond);
     ASSERT_EQ(rx.rxWords().size(), 1u);
     const std::optional<std::uint16_t> got = popWord(rx.rxWords());
     ASSERT_TRUE(got.has_value());
@@ -169,9 +136,9 @@ TEST(FieldMediumTest, StrongFrameCapturesOverlappingWeakOne)
     // Four opportunities: each word is in range of both the other
     // transmitter and rx. Only A-at-rx captures; the transmitters
     // swamp the incoming word with their own signal.
-    EXPECT_EQ(r.medium.rxInRange(), 4u);
-    EXPECT_EQ(r.medium.stats().wordsDelivered, 1u);
-    EXPECT_EQ(r.medium.stats().collisions, 3u);
+    EXPECT_EQ(r.net.airRxInRange(), 4u);
+    EXPECT_EQ(r.net.stats().wordsDelivered, 1u);
+    EXPECT_EQ(r.net.stats().collisions, 3u);
 }
 
 TEST(FieldMediumTest, CaptureExactlyAtThresholdDecodes)
@@ -187,14 +154,19 @@ TEST(FieldMediumTest, CaptureExactlyAtThresholdDecodes)
     cfg.captureDb = 0.0;
     cfg.noiseDbm = -1000.0;     // ~1e-100 mW: below one ulp of -67 dBm
     cfg.sensitivityDbm = -85.0; // unchanged
+    // The noise range is ~3.6e35 m; a cell that spans it keeps the
+    // interference reach at one cell (finalizeField rejects reaches
+    // the int32 cell grid cannot index).
+    cfg.cellM = 1e36;
     FieldRig r(cfg);
-    Transceiver &a = r.add(-10, 0);
-    Transceiver &b = r.add(10, 0);
-    Transceiver &rx = r.add(0, 0);
+    r.at(-10, 0);
+    r.at(10, 0);
+    Transceiver &rx = r.at(0, 0);
+    r.start();
     rx.setMode(RadioMode::Rx);
-    r.kernel.spawn(txOne(a, 0xCAFE));
-    r.kernel.spawn(txOne(b, 0xD00D));
-    r.kernel.runFor(5 * sim::kMillisecond);
+    r.transmit(0, {0xCAFE});
+    r.transmit(1, {0xD00D});
+    r.net.runFor(5 * sim::kMillisecond);
     EXPECT_EQ(rx.rxWords().size(), 2u);
 }
 
@@ -205,9 +177,9 @@ TEST(FieldMediumTest, ThreeWayOverlapSumsInterference)
     FieldConfig cfg;
     cfg.captureDb = 3.0;
     FieldRig r(cfg);
-    Transceiver &a = r.add(0, 0);
+    r.at(0, 0); // A
     // rx at 2 m from A: sig = -(40 + 27*log10(2)) ~ -48.1 dBm.
-    Transceiver &rx = r.add(2, 0);
+    Transceiver &rx = r.at(2, 0);
     // Each interferer at ~8 m from rx: ~-64.4 dBm received. One alone:
     // margin ~16 dB > 3 dB -> captured. Both: interference doubles
     // (+3 dB), plus the margin, leaves ~10 dB -> still captured. So
@@ -216,23 +188,24 @@ TEST(FieldMediumTest, ThreeWayOverlapSumsInterference)
     // still > 3. Closer still: at 3 m each ~-52.9; two sum to -49.9,
     // margin 1.8 dB < 3 -> garbled. The pair (one at 3 m captures,
     // two at 3 m garble) pins the summation.
-    Transceiver &b = r.add(2 + 3, 0);
-    Transceiver &c = r.add(2 - 3, 0);
+    r.at(2 + 3, 0); // B
+    r.at(2 - 3, 0); // C
+    r.start();
     rx.setMode(RadioMode::Rx);
 
     // Round 1: A vs B only — captured.
-    r.kernel.spawn(txOne(a, 0x0A0A));
-    r.kernel.spawn(txOne(b, 0x0B0B));
-    r.kernel.runFor(5 * sim::kMillisecond);
+    r.transmit(0, {0x0A0A});
+    r.transmit(2, {0x0B0B});
+    r.net.runFor(5 * sim::kMillisecond);
     const std::optional<std::uint16_t> got = popWord(rx.rxWords());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, 0x0A0A);
 
     // Round 2: A vs B and C — the summed interference garbles A.
-    r.kernel.spawn(txOne(a, 0x1A1A));
-    r.kernel.spawn(txOne(b, 0x1B1B));
-    r.kernel.spawn(txOne(c, 0x1C1C));
-    r.kernel.runFor(5 * sim::kMillisecond);
+    r.transmit(0, {0x1A1A});
+    r.transmit(2, {0x1B1B});
+    r.transmit(3, {0x1C1C});
+    r.net.runFor(5 * sim::kMillisecond);
     EXPECT_EQ(rx.rxWords().size(), 0u);
 }
 
@@ -241,15 +214,16 @@ TEST(FieldMediumTest, SubNoiseSignalsNeitherDeliverNorInterfere)
     FieldRig r;
     const double noiseRange =
         radio::field::rangeM(r.cfg, r.cfg.noiseDbm);
-    Transceiver &a = r.add(0, 0);
-    Transceiver &rx = r.add(1, 0);
+    r.at(0, 0);
+    Transceiver &rx = r.at(1, 0);
     // An interferer so far out its signal at rx is below the noise
     // floor: it must not tip the capture check.
-    Transceiver &far = r.add(noiseRange * 1.5, 0);
+    r.at(noiseRange * 1.5, 0);
+    r.start();
     rx.setMode(RadioMode::Rx);
-    r.kernel.spawn(txOne(a, 0x5555));
-    r.kernel.spawn(txOne(far, 0x6666));
-    r.kernel.runFor(5 * sim::kMillisecond);
+    r.transmit(0, {0x5555});
+    r.transmit(2, {0x6666});
+    r.net.runFor(5 * sim::kMillisecond);
     const std::optional<std::uint16_t> got = popWord(rx.rxWords());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, 0x5555);
@@ -261,38 +235,40 @@ TEST(FieldMediumTest, AccountingReconcilesPerOpportunity)
     // mix a capture loss (overlap), a wrong-mode receiver and a clean
     // delivery, and check the opportunity arithmetic closes.
     FieldRig r;
-    Transceiver &a = r.add(0, 0);
-    Transceiver &b = r.add(20, 0);
-    Transceiver &rxMid = r.add(10, 0);  // overlap garbles here
-    Transceiver &rxIdle = r.add(1, 0);  // in range, wrong mode
-    Transceiver &rxGood = r.add(2, 0);  // accepts A's word
+    r.at(0, 0);                       // A
+    r.at(20, 0);                      // B
+    Transceiver &rxMid = r.at(10, 0); // overlap garbles here
+    r.at(1, 0);                       // in range, wrong mode (Idle)
+    Transceiver &rxGood = r.at(2, 0); // accepts A's word
+    r.start();
     rxMid.setMode(RadioMode::Rx);
     rxGood.setMode(RadioMode::Rx);
-    (void)rxIdle;
-    r.kernel.spawn(txOne(a, 0xA1));
-    r.kernel.spawn(txOne(b, 0xB2));
-    r.kernel.runFor(5 * sim::kMillisecond);
+    r.transmit(0, {0xA1});
+    r.transmit(1, {0xB2});
+    r.net.runFor(5 * sim::kMillisecond);
 
-    const radio::Medium::Stats s = r.medium.stats();
-    EXPECT_EQ(r.medium.rxInRange(),
+    const radio::Medium::Stats s = r.net.stats();
+    EXPECT_EQ(r.net.airRxInRange(),
               s.wordsDelivered + s.collisions + s.dropsMode +
                   s.dropsFifo);
+    EXPECT_EQ(r.net.airPendingDeliveries(), 0u);
     EXPECT_GT(s.collisions, 0u);  // rxMid garbled at least once
-    EXPECT_GT(s.dropsMode, 0u);   // rxIdle missed in Idle mode
+    EXPECT_GT(s.dropsMode, 0u);   // the Idle receiver missed words
     EXPECT_GT(s.wordsDelivered, 0u);
 }
 
 TEST(FieldMediumTest, DuplicateAttachKeepsOnePosition)
 {
     FieldRig r;
-    Transceiver &a = r.add(0, 0);
-    Transceiver &b = r.add(10, 0);
-    r.medium.attach(&b); // idempotent: no second position slot either
+    r.at(0, 0);
+    Transceiver &b = r.at(10, 0);
+    r.net.shardMedium(1).attach(&b); // idempotent: one receiver, one spot
+    r.start();
     b.setMode(RadioMode::Rx);
-    r.kernel.spawn(txOne(a, 0x42));
-    r.kernel.runFor(3 * sim::kMillisecond);
+    r.transmit(0, {0x42});
+    r.net.runFor(3 * sim::kMillisecond);
     EXPECT_EQ(b.rxWords().size(), 1u);
-    EXPECT_NEAR(r.medium.rssiDbm(&a, &b), -67.0, 1e-9);
+    EXPECT_NEAR(r.net.rssiDbm(0, 1), -67.0, 1e-9);
 }
 
 } // namespace

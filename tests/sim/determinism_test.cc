@@ -17,7 +17,8 @@
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "core/machine.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
+#include "sim/hash.hh"
 #include "sim/trace.hh"
 
 namespace {
@@ -52,15 +53,14 @@ runBlink(double volts)
  * A two-node MAC/AODV exchange. The guest programs seed their LFSRs
  * with the node address during boot, so to control the CSMA backoff
  * stream we let boot finish (1 ms; the first TX is timer-scheduled at
- * 5 ms) and then overwrite both LFSRs from the host seed.
+ * 5 ms) and then overwrite both LFSRs from the host seed. Each node
+ * has its own sink; the result folds both per-node hashes in
+ * registration order.
  */
 TraceResult
 runMacExchange(std::uint16_t seed)
 {
-    net::Network net;
-    sim::TraceSink sink(/*record=*/false);
-    net.kernel().setTracer(&sink);
-
+    net::ParallelNetwork net;
     node::NodeConfig ca, cb;
     ca.name = "a";
     cb.name = "b";
@@ -68,6 +68,7 @@ runMacExchange(std::uint16_t seed)
     auto &snd = net.addNode(
         ca, assembleSnap(apps::senderNodeProgram(1, 2, {111, 222, 333})));
     auto &rcv = net.addNode(cb, assembleSnap(apps::sinkNodeProgram(2)));
+    net.enableTracing(/*record=*/false);
     net.start();
 
     net.runFor(1 * sim::kMillisecond); // past the guests' `seed` at boot
@@ -77,22 +78,18 @@ runMacExchange(std::uint16_t seed)
 
     EXPECT_EQ(rcv.dmem().peek(apps::layout::kStDeliv), 1u)
         << "MAC exchange did not complete with seed " << seed;
-    // SnapNode::traceHash surfaces the shared kernel sink's hash.
-    EXPECT_EQ(snd.traceHash(), sink.hash());
-    EXPECT_EQ(rcv.traceHash(), sink.hash());
-    return {sink.hash(), sink.eventCount(), 0};
+    // SnapNode::traceHash surfaces the node's own shard sink.
+    EXPECT_EQ(snd.traceHash(), net.nodeTraceHash(0));
+    EXPECT_EQ(rcv.traceHash(), net.nodeTraceHash(1));
+    return {sim::hashRecord(sim::kFnvOffset, net.nodeTraceHash(0),
+                            net.nodeTraceHash(1)),
+            net.nodeTracer(0)->eventCount() +
+                net.nodeTracer(1)->eventCount(),
+            0};
 }
-
-#ifdef SNAPLE_TRACE_DISABLED
-#define SKIP_WITHOUT_TRACING() \
-    GTEST_SKIP() << "tracing compiled out (SNAPLE_TRACE=OFF)"
-#else
-#define SKIP_WITHOUT_TRACING() (void)0
-#endif
 
 TEST(DeterminismTest, BlinkTraceHashIsReproducible)
 {
-    SKIP_WITHOUT_TRACING();
     TraceResult a = runBlink(0.6);
     TraceResult b = runBlink(0.6);
     EXPECT_GT(a.events, 0u);
@@ -103,7 +100,6 @@ TEST(DeterminismTest, BlinkTraceHashIsReproducible)
 
 TEST(DeterminismTest, BlinkTraceHashSeesTimingChanges)
 {
-    SKIP_WITHOUT_TRACING();
     // Not an RNG effect, but the same property from the other side:
     // a voltage change shifts every timestamp, so the hash must move.
     TraceResult slow = runBlink(0.6);
@@ -113,7 +109,6 @@ TEST(DeterminismTest, BlinkTraceHashSeesTimingChanges)
 
 TEST(DeterminismTest, MacTraceHashIsReproducibleForEqualSeeds)
 {
-    SKIP_WITHOUT_TRACING();
     TraceResult a = runMacExchange(0x1234);
     TraceResult b = runMacExchange(0x1234);
     EXPECT_GT(a.events, 0u);
@@ -123,7 +118,6 @@ TEST(DeterminismTest, MacTraceHashIsReproducibleForEqualSeeds)
 
 TEST(DeterminismTest, MacTraceHashDivergesAcrossSeeds)
 {
-    SKIP_WITHOUT_TRACING();
     // Different seeds change the guests' CSMA backoff draws, which
     // move every subsequent timer and radio event.
     TraceResult a = runMacExchange(0x1234);

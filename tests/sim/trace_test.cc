@@ -238,9 +238,6 @@ TEST(TraceSinkTest, RecordFreeModeHashesWithoutStoring)
 
 TEST(TraceSinkTest, UnattachedKernelTracesNothing)
 {
-#ifdef SNAPLE_TRACE_DISABLED
-    GTEST_SKIP() << "tracing compiled out (SNAPLE_TRACE=OFF)";
-#endif
     // No sink on the kernel: scopes emit into the void, and the
     // simulation result is byte-identical to a traced run.
     auto run = [](sim::TraceSink *sink) {
@@ -274,9 +271,6 @@ TEST(TraceSinkTest, EventNamesAndCategoriesAreTotal)
 
 TEST(TraceSinkTest, ScopeRebindsToANewSinkAtARecycledAddress)
 {
-#ifdef SNAPLE_TRACE_DISABLED
-    GTEST_SKIP() << "tracing compiled out (SNAPLE_TRACE=OFF)";
-#endif
     // A scope bound to one sink must re-intern when a different sink
     // is built at the same address; otherwise it would emit a stale
     // scope id into the new sink's empty scope table.
@@ -409,9 +403,6 @@ class TraceExportTest : public ::testing::Test
     void
     SetUp() override
     {
-#ifdef SNAPLE_TRACE_DISABLED
-        GTEST_SKIP() << "tracing compiled out (SNAPLE_TRACE=OFF)";
-#endif
         kernel_.setTracer(&sink_);
         machine_ = std::make_unique<core::Machine>(kernel_);
         machine_->load(assembleSnap(apps::blinkProgram()));
