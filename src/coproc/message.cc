@@ -77,9 +77,8 @@ MessageCoproc::armWait(CmdPhase ph, sim::Tick end, std::uint8_t arg)
 {
     waitEnd_ = end;
     waitArg_ = arg;
-    ctx_.kernel.schedule(end, [this] { gate_.open(); });
-    waitSeq_ = ctx_.kernel.lastScheduledSeq();
     phase_ = ph;
+    scheduleWait();
     // A QueryWait is the ADC conversion running: the sensor is the
     // busy component until queryFinish() samples it.
     if (energest_ && ph == CmdPhase::QueryWait)
@@ -343,11 +342,11 @@ MessageCoproc::startRestored()
 }
 
 void
-MessageCoproc::rearmWait()
+MessageCoproc::scheduleWait()
 {
     sim::panicIf(phase_ != CmdPhase::TxWait &&
                      phase_ != CmdPhase::QueryWait,
-                 "rearmWait outside a gated wait");
+                 "scheduleWait outside a gated wait");
     ctx_.kernel.schedule(waitEnd_, [this] { gate_.open(); });
     waitSeq_ = ctx_.kernel.lastScheduledSeq();
 }

@@ -75,6 +75,8 @@ class MessageCoproc
         std::uint64_t cmdStamp = 0;
         std::uint64_t rxStamp = 0;
         std::uint64_t blockSeq = 0;
+
+        bool operator==(const SavedState &) const = default;
     };
 
     /** Snapshot view of the registry-native counters ("msg.*"). */
@@ -148,9 +150,10 @@ class MessageCoproc
      * order — and hence wake-up order — is reproduced.
      */
     void startRestored();
-    /** Re-schedule the saved gate-open event (restore re-arm phase,
-     *  called in recorded-seq order across the whole node). */
-    void rearmWait();
+    /** Schedule the gate-open event at the wait's end tick: entering
+     *  a gated wait, and re-arming a saved one on restore (called in
+     *  recorded-seq order across the whole node). */
+    void scheduleWait();
     ///@}
 
   private:

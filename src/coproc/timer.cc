@@ -66,24 +66,17 @@ TimerCoproc::arm(unsigned n, std::uint32_t ticks24)
     t.armed = true;
     accrueTimerDuty();
     scheduled_->inc();
-    const std::uint64_t this_generation = t.generation;
     // A zero duration expires after one tick, not immediately: the
     // register decrements through zero.
     const std::uint64_t dur = (ticks24 == 0) ? 1 : ticks24;
     trace_.emit(sim::TraceEvent::TimerSched, n, dur);
-    const sim::Tick deadline =
-        ctx_.kernel.now() + dur * ctx_.cfg.timerTick;
-    ctx_.kernel.schedule(deadline, [this, n, this_generation] {
-        expire(n, this_generation);
-    });
-    pending_.push_back(ExpireRec{static_cast<std::uint8_t>(n),
-                                 this_generation, deadline,
-                                 ctx_.kernel.lastScheduledSeq()});
+    scheduleExpire(static_cast<std::uint8_t>(n), t.generation,
+                   ctx_.kernel.now() + dur * ctx_.cfg.timerTick);
 }
 
 void
-TimerCoproc::rearmExpire(std::uint8_t n, std::uint64_t generation,
-                         sim::Tick deadline)
+TimerCoproc::scheduleExpire(std::uint8_t n, std::uint64_t generation,
+                            sim::Tick deadline)
 {
     ctx_.kernel.schedule(deadline, [this, n, generation] {
         expire(n, generation);

@@ -42,6 +42,8 @@ class TimerCoproc
         bool armed = false;
         std::uint8_t stagedHi = 0;   ///< from schedhi, used by schedlo
         std::uint64_t generation = 0;///< invalidates stale expirations
+
+        bool operator==(const Timer &) const = default;
     };
 
     /**
@@ -61,6 +63,8 @@ class TimerCoproc
         std::uint64_t generation = 0;
         sim::Tick deadline = 0;
         std::uint64_t seq = 0;
+
+        bool operator==(const ExpireRec &) const = default;
     };
     /** Snapshot view of the registry-native counters ("timer.*"). */
     struct Stats
@@ -107,9 +111,10 @@ class TimerCoproc
     {
         timers_ = t;
     }
-    /** Re-schedule one saved expire event (restore re-arm phase). */
-    void rearmExpire(std::uint8_t n, std::uint64_t generation,
-                     sim::Tick deadline);
+    /** Schedule one mirrored expire event: arming a timer, and
+     *  re-arming a saved one on restore. */
+    void scheduleExpire(std::uint8_t n, std::uint64_t generation,
+                        sim::Tick deadline);
     ///@}
 
   private:

@@ -75,6 +75,8 @@ class SnapCore
                        ? double(instructions) / double(activations)
                        : 0.0;
         }
+
+        bool operator==(const HandlerStats &) const = default;
     };
 
     /** Core statistics, the raw material for every experiment. */
@@ -101,6 +103,8 @@ class SnapCore
          *  `done`); slot NodeContext::kBootSlot is boot code. */
         std::array<sim::Tick, NodeContext::kHandlerSlots>
             handlerTicks{};
+
+        bool operator==(const Stats &) const = default;
     };
 
     /** One wake/sleep interval, for activity timelines. */
@@ -109,6 +113,8 @@ class SnapCore
         sim::Tick wake = 0;
         sim::Tick sleep = 0;
         std::uint8_t firstEvent = 0xff; ///< event that caused the wake
+
+        bool operator==(const ActivitySpan &) const = default;
     };
 
     SnapCore(NodeContext &ctx, mem::Sram &imem, mem::Sram &dmem,
@@ -232,6 +238,8 @@ class SnapCore
         std::vector<std::uint16_t> debugOut;
         std::vector<ActivitySpan> timeline;
         Stats stats;
+
+        bool operator==(const SavedState &) const = default;
     };
     /** Serialize; fatal unless halted or asleep, or if profiling.
      *  @p frozen waives the parked requirement for shards that will

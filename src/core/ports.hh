@@ -34,6 +34,8 @@ struct EventToken
     {
         return static_cast<isa::EventNum>(num);
     }
+
+    bool operator==(const EventToken &) const = default;
 };
 
 /** A command from the core's timer-interface unit to the coprocessor. */

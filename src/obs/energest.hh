@@ -67,6 +67,8 @@ class Energest
         std::array<sim::Tick, kNumComps> ticks{};
         std::array<double, kNumComps> pj{};
         std::uint8_t onMask = 0;
+
+        bool operator==(const SavedState &) const = default;
     };
 
     /** Flip component @p c at @p now; redundant sets are no-ops. */

@@ -52,6 +52,8 @@ struct FlowTag
     std::uint32_t src = 0;    ///< node that transmitted this word
     std::uint16_t hop = 0;    ///< hops from the origin (origin tx = 0)
     bool valid = false;
+
+    bool operator==(const FlowTag &) const = default;
 };
 
 /** One node's participation in a flow: latch-to-transmit. */
@@ -89,6 +91,8 @@ class FlowTracker
         sim::Tick ctxAt = 0;
         std::uint8_t explicitOpen = 0;
         std::uint32_t explicitId = 0;
+
+        bool operator==(const SavedState &) const = default;
     };
 
     explicit FlowTracker(std::uint32_t node) : node_(node) {}

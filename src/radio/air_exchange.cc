@@ -166,51 +166,24 @@ ShardMedium::beginTransmit(Transceiver *src, std::uint16_t word,
     outbox_.push_back(
         PendingTx{now, airtime, word, txSeq_++, local_->lastTxTag()});
     ++ownActive_;
-    const sim::Tick end = now + airtime;
-    kernel_.schedule(end, [this, end] {
-        dropEnd(ownEnds_, end);
-        --ownActive_;
-    });
-    ownEnds_.push_back(CarrierEnd{end, kernel_.lastScheduledSeq()});
+    ownEnds_.push_back(CarrierEnd{now + airtime, 0});
+    scheduleOwnEnd(ownEnds_.size() - 1);
 }
 
 void
-ShardMedium::runOffer(std::uint16_t word, std::uint16_t rssi,
-                      const obs::FlowTag &tag)
+ShardMedium::remoteCarrierUntil(sim::Tick end)
 {
-    // Shard context: count the receiver's verdict locally; the
-    // coordinator folds it into the air registry at the next
-    // barrier (registry counters are not thread-safe).
-    switch (local_->deliver(word, rssi, tag)) {
-      case DeliverStatus::Accepted:
-        ++outcomes_.accepted;
-        break;
-      case DeliverStatus::DroppedMode:
-        ++outcomes_.dropsMode;
-        break;
-      case DeliverStatus::DroppedFifo:
-        ++outcomes_.dropsFifo;
-        break;
-    }
+    ++remoteCarrier_;
+    remoteEnds_.push_back(CarrierEnd{end, 0});
+    scheduleRemoteEnd(remoteEnds_.size() - 1);
 }
 
 void
 ShardMedium::injectDelivery(sim::Tick at, std::uint16_t word,
                             std::uint16_t rssi, const obs::FlowTag &tag)
 {
-    kernel_.schedule(at, [this, at, word, rssi, tag] {
-        // Same-tick offers fire in schedule order, so the first
-        // mirror entry with this instant is the firing one.
-        for (auto it = offers_.begin(); it != offers_.end(); ++it)
-            if (it->at == at) {
-                offers_.erase(it);
-                runOffer(word, rssi, tag);
-                return;
-            }
-        sim::panic("delivery offer with no mirror entry");
-    });
-    offers_.push_back(
-        PendingOffer{at, word, rssi, kernel_.lastScheduledSeq(), tag});
+    offers_.push_back(PendingOffer{at, word, rssi, 0, tag});
+    scheduleOffer(offers_.size() - 1);
 }
 
 ShardMedium::SavedState
@@ -246,40 +219,52 @@ ShardMedium::restoreState(const SavedState &s)
 }
 
 void
-ShardMedium::rearmOwnEnd(std::size_t i)
+ShardMedium::scheduleEnd(std::vector<CarrierEnd> &mirror,
+                         unsigned &active, std::size_t i)
 {
-    const sim::Tick end = ownEnds_.at(i).end;
-    kernel_.schedule(end, [this, end] {
-        dropEnd(ownEnds_, end);
-        --ownActive_;
+    const sim::Tick end = mirror.at(i).end;
+    kernel_.schedule(end, [&mirror, &active, end] {
+        // Same-tick ends fire in schedule order, so the first mirror
+        // entry with this instant is the firing one.
+        for (auto it = mirror.begin(); it != mirror.end(); ++it)
+            if (it->end == end) {
+                mirror.erase(it);
+                --active;
+                return;
+            }
+        sim::panic("carrier-end event with no mirror entry");
     });
-    ownEnds_[i].seq = kernel_.lastScheduledSeq();
+    mirror[i].seq = kernel_.lastScheduledSeq();
 }
 
 void
-ShardMedium::rearmRemoteEnd(std::size_t i)
-{
-    const sim::Tick end = remoteEnds_.at(i).end;
-    kernel_.schedule(end, [this, end] {
-        dropEnd(remoteEnds_, end);
-        --remoteCarrier_;
-    });
-    remoteEnds_[i].seq = kernel_.lastScheduledSeq();
-}
-
-void
-ShardMedium::rearmOffer(std::size_t i)
+ShardMedium::scheduleOffer(std::size_t i)
 {
     const PendingOffer o = offers_.at(i);
     kernel_.schedule(o.at, [this, at = o.at, word = o.word,
                             rssi = o.rssi, tag = o.tag] {
-        for (auto it = offers_.begin(); it != offers_.end(); ++it)
-            if (it->at == at) {
-                offers_.erase(it);
-                runOffer(word, rssi, tag);
-                return;
-            }
-        sim::panic("re-armed delivery offer with no mirror entry");
+        // Same-tick offers fire in schedule order, so the first
+        // mirror entry with this instant is the firing one.
+        auto it = offers_.begin();
+        while (it != offers_.end() && it->at != at)
+            ++it;
+        sim::panicIf(it == offers_.end(),
+                     "delivery offer with no mirror entry");
+        offers_.erase(it);
+        // Shard context: count the receiver's verdict locally; the
+        // coordinator folds it into the air registry at the next
+        // barrier (registry counters are not thread-safe).
+        switch (local_->deliver(word, rssi, tag)) {
+          case DeliverStatus::Accepted:
+            ++outcomes_.accepted;
+            break;
+          case DeliverStatus::DroppedMode:
+            ++outcomes_.dropsMode;
+            break;
+          case DeliverStatus::DroppedFifo:
+            ++outcomes_.dropsFifo;
+            break;
+        }
     });
     offers_[i].seq = kernel_.lastScheduledSeq();
 }

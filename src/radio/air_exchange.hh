@@ -87,6 +87,8 @@ struct AirFlight
      *  unresolved flight might still overlap it (interference). */
     bool resolved = false;
     obs::FlowTag tag; ///< side-band flow metadata (src/obs/flow.hh)
+
+    bool operator==(const AirFlight &) const = default;
 };
 
 /**
@@ -278,6 +280,8 @@ class AirExchange
         std::vector<std::pair<std::uint32_t, std::uint32_t>> downLinks;
         std::uint64_t offersOutstanding = 0;
         std::vector<sim::MetricsRegistry::SavedInstrument> metrics;
+
+        bool operator==(const SavedState &) const = default;
     };
     SavedState saveState() const;
     void restoreState(const SavedState &s);
@@ -405,6 +409,8 @@ class ShardMedium : public Medium
     {
         sim::Tick end = 0;
         std::uint64_t seq = 0;
+
+        bool operator==(const CarrierEnd &) const = default;
     };
     struct PendingOffer
     {
@@ -413,6 +419,8 @@ class ShardMedium : public Medium
         std::uint16_t rssi = 0;
         std::uint64_t seq = 0;
         obs::FlowTag tag; ///< re-delivered with the word on restore
+
+        bool operator==(const PendingOffer &) const = default;
     };
     struct SavedState
     {
@@ -420,6 +428,8 @@ class ShardMedium : public Medium
         std::vector<CarrierEnd> ownEnds;
         std::vector<CarrierEnd> remoteEnds;
         std::vector<PendingOffer> offers;
+
+        bool operator==(const SavedState &) const = default;
     };
 
     /** Kernel events this medium owns right now (checkpoint
@@ -436,11 +446,19 @@ class ShardMedium : public Medium
     /** Poke mirrors back; carrier counts are the mirror sizes. */
     void restoreState(const SavedState &s);
 
-    /** Re-schedule one mirrored event, refreshing its stored seq
-     *  (restore re-arm phase, ascending saved-seq order). */
-    void rearmOwnEnd(std::size_t i);
-    void rearmRemoteEnd(std::size_t i);
-    void rearmOffer(std::size_t i);
+    /** Schedule the kernel event of mirror entry @p i and store its
+     *  seq: the live paths call these after appending the entry, and
+     *  restore re-arms every saved entry through them (ascending
+     *  saved-seq order). */
+    void scheduleOwnEnd(std::size_t i)
+    {
+        scheduleEnd(ownEnds_, ownActive_, i);
+    }
+    void scheduleRemoteEnd(std::size_t i)
+    {
+        scheduleEnd(remoteEnds_, remoteCarrier_, i);
+    }
+    void scheduleOffer(std::size_t i);
 
     const std::vector<CarrierEnd> &ownEnds() const { return ownEnds_; }
     const std::vector<CarrierEnd> &remoteEnds() const
@@ -473,17 +491,7 @@ class ShardMedium : public Medium
     };
 
     /** Barrier-time injection: a remote carrier busy until @p end. */
-    void
-    remoteCarrierUntil(sim::Tick end)
-    {
-        ++remoteCarrier_;
-        kernel_.schedule(end, [this, end] {
-            dropEnd(remoteEnds_, end);
-            --remoteCarrier_;
-        });
-        remoteEnds_.push_back(
-            CarrierEnd{end, kernel_.lastScheduledSeq()});
-    }
+    void remoteCarrierUntil(sim::Tick end);
 
     /** Barrier-time injection: a word arriving at @p at with
      *  receiver-side signal strength @p rssi (0 = unknown) and its
@@ -491,24 +499,10 @@ class ShardMedium : public Medium
     void injectDelivery(sim::Tick at, std::uint16_t word,
                         std::uint16_t rssi, const obs::FlowTag &tag);
 
-    /** Erase the mirror of a carrier-end event as it fires. Same-tick
-     *  events fire in schedule order, so the first matching entry is
-     *  the firing one. */
-    static void
-    dropEnd(std::vector<CarrierEnd> &v, sim::Tick end)
-    {
-        for (auto it = v.begin(); it != v.end(); ++it)
-            if (it->end == end) {
-                v.erase(it);
-                return;
-            }
-        sim::panic("carrier-end event with no mirror entry");
-    }
-
-    /** The delivery callback body, shared by the live and re-armed
-     *  paths. */
-    void runOffer(std::uint16_t word, std::uint16_t rssi,
-                  const obs::FlowTag &tag);
+    /** The one carrier-end event: when it fires it erases its
+     *  mirror entry and lowers @p active. */
+    void scheduleEnd(std::vector<CarrierEnd> &mirror, unsigned &active,
+                     std::size_t i);
 
     sim::Kernel &kernel_;
     Transceiver *local_ = nullptr;

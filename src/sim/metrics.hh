@@ -305,6 +305,8 @@ class MetricsRegistry
         std::uint64_t histMax = 0;
         std::array<std::uint64_t, MetricHistogram::kNumBuckets>
             buckets{};
+
+        bool operator==(const SavedInstrument &) const = default;
     };
 
     /** Every instrument's current value, in canonical name order. */

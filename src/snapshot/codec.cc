@@ -95,15 +95,4 @@ Reader::str()
     return s;
 }
 
-std::vector<std::uint16_t>
-Reader::u16vec()
-{
-    std::uint64_t n = count(2);
-    std::vector<std::uint16_t> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(u16());
-    return v;
-}
-
 } // namespace snaple::snapshot

@@ -5,9 +5,10 @@
  * The format must be identical across platforms and runs: fields are
  * written in a fixed declaration order, integers as explicit-width
  * little-endian bytes, doubles as their IEEE-754 bit patterns.
- * Containers are length-prefixed. Reader is fully bounds-checked and
- * throws sim::FatalError on any truncation or overrun — corrupt input
- * can reject, never crash (tests/snapshot runs it under ASan/UBSan).
+ * Strings are length-prefixed, and so are the containers snapshot.cc
+ * walks. Reader is fully bounds-checked and throws sim::FatalError on
+ * any truncation or overrun — corrupt input can reject, never crash
+ * (tests/snapshot runs it under ASan/UBSan).
  */
 
 #ifndef SNAPLE_SNAPSHOT_CODEC_HH
@@ -17,7 +18,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace snaple::snapshot {
 
@@ -56,14 +56,6 @@ class Writer
 
     void str(std::string_view s);
 
-    void
-    u16vec(const std::vector<std::uint16_t> &v)
-    {
-        u64(v.size());
-        for (std::uint16_t w : v)
-            u16(w);
-    }
-
     const std::string &bytes() const { return buf_; }
     std::string take() { return std::move(buf_); }
 
@@ -84,7 +76,6 @@ class Reader
     bool b();
     double f64();
     std::string str();
-    std::vector<std::uint16_t> u16vec();
 
     /** Remaining unread bytes (0 at a clean end of payload). */
     std::size_t remaining() const { return data_.size() - pos_; }
@@ -92,7 +83,7 @@ class Reader
     /**
      * A sanity ceiling for length prefixes: any count must fit in the
      * bytes actually present, with at least @p elemBytes per element.
-     * Rejects absurd counts before a vector reserve can OOM.
+     * Rejects absurd counts before an allocation can OOM.
      */
     std::uint64_t count(std::size_t elemBytes);
 

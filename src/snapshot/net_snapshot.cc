@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <type_traits>
 
 #include "net/parallel_network.hh"
 #include "radio/transceiver.hh"
@@ -27,23 +28,21 @@ namespace snaple::net {
 
 namespace {
 
-snapshot::FifoState
-captureFifo(const sim::Fifo<std::uint16_t> &f)
+template <class T>
+snapshot::FifoState<T>
+captureFifo(const sim::Fifo<T> &f)
 {
-    snapshot::FifoState st;
-    const std::deque<std::uint16_t> &buf = f.bufferState();
-    st.words.assign(buf.begin(), buf.end());
-    st.accepted = f.accepted();
-    st.dropped = f.dropped();
-    return st;
+    const std::deque<T> &buf = f.bufferState();
+    return {std::vector<T>(buf.begin(), buf.end()), f.accepted(),
+            f.dropped()};
 }
 
+template <class T>
 void
-restoreFifo(sim::Fifo<std::uint16_t> &f, const snapshot::FifoState &st)
+restoreFifo(sim::Fifo<T> &f, const snapshot::FifoState<T> &st)
 {
-    f.restoreState(
-        std::deque<std::uint16_t>(st.words.begin(), st.words.end()),
-        st.accepted, st.dropped);
+    f.restoreState(std::deque<T>(st.buffer.begin(), st.buffer.end()),
+                   st.accepted, st.dropped);
 }
 
 std::vector<std::uint16_t>
@@ -53,6 +52,46 @@ captureSram(mem::Sram &m)
     for (std::size_t a = 0; a < words.size(); ++a)
         words[a] = m.peek(static_cast<std::uint16_t>(a));
     return words;
+}
+
+/** Which schedule call re-arms a mirrored deadline. */
+enum class Rearm : std::uint8_t { Timer, MsgGate, OwnEnd, RemoteEnd, Offer };
+
+/** One mirrored kernel deadline of a saved node: where its saved
+ *  kernel seq lives, and how to re-arm entry @p idx of its kind. */
+template <class Seq>
+struct Deadline
+{
+    Seq *seq;
+    Rearm kind;
+    std::size_t idx;
+};
+
+/**
+ * The one list of a node's mirrored deadlines — every kernel event a
+ * checkpoint may leave pending — sorted by saved seq. @p msgGated
+ * says whether the message gate's event is still pending.
+ */
+template <class NS>
+auto
+mirroredDeadlines(NS &ns, bool msgGated)
+{
+    using D = Deadline<std::remove_reference_t<decltype((ns.msg.waitSeq))>>;
+    std::vector<D> d;
+    for (std::size_t i = 0; i < ns.timerExpires.size(); ++i)
+        d.push_back({&ns.timerExpires[i].seq, Rearm::Timer, i});
+    if (msgGated)
+        d.push_back({&ns.msg.waitSeq, Rearm::MsgGate, 0});
+    for (std::size_t i = 0; i < ns.medium.ownEnds.size(); ++i)
+        d.push_back({&ns.medium.ownEnds[i].seq, Rearm::OwnEnd, i});
+    for (std::size_t i = 0; i < ns.medium.remoteEnds.size(); ++i)
+        d.push_back({&ns.medium.remoteEnds[i].seq, Rearm::RemoteEnd, i});
+    for (std::size_t i = 0; i < ns.medium.offers.size(); ++i)
+        d.push_back({&ns.medium.offers[i].seq, Rearm::Offer, i});
+    std::stable_sort(d.begin(), d.end(), [](const D &a, const D &b) {
+        return *a.seq < *b.seq;
+    });
+    return d;
 }
 
 /**
@@ -66,25 +105,11 @@ captureSram(mem::Sram &m)
 void
 canonicalizeSeqs(snapshot::NodeState &ns, bool msgGated)
 {
-    std::vector<std::uint64_t *> slots;
-    for (auto &e : ns.timerExpires)
-        slots.push_back(&e.seq);
-    if (msgGated)
-        slots.push_back(&ns.msg.waitSeq);
-    else
+    if (!msgGated)
         ns.msg.waitSeq = 0; // stale once the gate closed
-    for (auto &e : ns.medium.ownEnds)
-        slots.push_back(&e.seq);
-    for (auto &e : ns.medium.remoteEnds)
-        slots.push_back(&e.seq);
-    for (auto &e : ns.medium.offers)
-        slots.push_back(&e.seq);
-    std::sort(slots.begin(), slots.end(),
-              [](const std::uint64_t *a, const std::uint64_t *b) {
-                  return *a < *b;
-              });
-    for (std::size_t rank = 0; rank < slots.size(); ++rank)
-        *slots[rank] = rank;
+    const auto order = mirroredDeadlines(ns, msgGated);
+    for (std::size_t rank = 0; rank < order.size(); ++rank)
+        *order[rank].seq = rank;
 }
 
 } // namespace
@@ -137,10 +162,7 @@ ParallelNetwork::captureShard(Shard &s) const
     ns.core = n.core().saveState(s.halted);
     ns.imem = captureSram(n.imem());
     ns.dmem = captureSram(n.dmem());
-    for (const core::EventToken &t : n.eventQueue().bufferState())
-        ns.evq.tokens.push_back(snapshot::EventTokenRec{t.num, t.at});
-    ns.evq.accepted = n.eventQueue().accepted();
-    ns.evq.dropped = n.eventQueue().dropped();
+    ns.evq = captureFifo(n.eventQueue());
     ns.msgIn = captureFifo(n.msgInFifo());
     ns.msgOut = captureFifo(n.msgOutFifo());
     ns.timers = n.timer().timerState();
@@ -208,11 +230,7 @@ ParallelNetwork::restoreShard(Shard &s, const snapshot::NodeState &ns,
     node::SnapNode &n = s.node;
     n.imem().load(ns.imem);
     n.dmem().load(ns.dmem);
-    std::deque<core::EventToken> toks;
-    for (const snapshot::EventTokenRec &t : ns.evq.tokens)
-        toks.push_back(core::EventToken{t.num, t.at});
-    n.eventQueue().restoreState(std::move(toks), ns.evq.accepted,
-                                ns.evq.dropped);
+    restoreFifo(n.eventQueue(), ns.evq);
     restoreFifo(n.msgInFifo(), ns.msgIn);
     restoreFifo(n.msgOutFifo(), ns.msgOut);
     n.core().restoreState(ns.core);
@@ -252,45 +270,25 @@ ParallelNetwork::restoreShard(Shard &s, const snapshot::NodeState &ns,
         // Re-schedule the mirrored deadlines in the order the
         // original kernel scheduled them (ascending saved seq), so
         // fresh monotonic seqs reproduce same-tick dispatch order.
-        struct Rearm
-        {
-            std::uint64_t seq;
-            std::uint8_t kind; // 0 timer, 1 msg gate, 2/3/4 medium
-            std::size_t idx;
-        };
-        std::vector<Rearm> order;
-        for (std::size_t i = 0; i < ns.timerExpires.size(); ++i)
-            order.push_back({ns.timerExpires[i].seq, 0, i});
-        if (n.msgCoproc().pendingKernelEvents() != 0)
-            order.push_back({ns.msg.waitSeq, 1, 0});
-        for (std::size_t i = 0; i < ns.medium.ownEnds.size(); ++i)
-            order.push_back({ns.medium.ownEnds[i].seq, 2, i});
-        for (std::size_t i = 0; i < ns.medium.remoteEnds.size(); ++i)
-            order.push_back({ns.medium.remoteEnds[i].seq, 3, i});
-        for (std::size_t i = 0; i < ns.medium.offers.size(); ++i)
-            order.push_back({ns.medium.offers[i].seq, 4, i});
-        std::sort(order.begin(), order.end(),
-                  [](const Rearm &a, const Rearm &b) {
-                      return a.seq < b.seq;
-                  });
-        for (const Rearm &r : order) {
-            switch (r.kind) {
-            case 0: {
-                const auto &e = ns.timerExpires[r.idx];
-                n.timer().rearmExpire(e.n, e.generation, e.deadline);
+        const bool msgGated = n.msgCoproc().pendingKernelEvents() != 0;
+        for (const auto &d : mirroredDeadlines(ns, msgGated)) {
+            switch (d.kind) {
+            case Rearm::Timer: {
+                const auto &e = ns.timerExpires[d.idx];
+                n.timer().scheduleExpire(e.n, e.generation, e.deadline);
                 break;
             }
-            case 1:
-                n.msgCoproc().rearmWait();
+            case Rearm::MsgGate:
+                n.msgCoproc().scheduleWait();
                 break;
-            case 2:
-                s.medium.rearmOwnEnd(r.idx);
+            case Rearm::OwnEnd:
+                s.medium.scheduleOwnEnd(d.idx);
                 break;
-            case 3:
-                s.medium.rearmRemoteEnd(r.idx);
+            case Rearm::RemoteEnd:
+                s.medium.scheduleRemoteEnd(d.idx);
                 break;
-            default:
-                s.medium.rearmOffer(r.idx);
+            case Rearm::Offer:
+                s.medium.scheduleOffer(d.idx);
                 break;
             }
         }

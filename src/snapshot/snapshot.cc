@@ -1,7 +1,9 @@
 #include "snapshot/snapshot.hh"
 
+#include <concepts>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/hash.hh"
 #include "sim/logging.hh"
@@ -11,464 +13,285 @@ namespace snaple::snapshot {
 
 namespace {
 
-// Every put/get pair below walks the same fields in the same order;
-// fixed-size arrays travel without length prefixes (their sizes are
-// schema constants — any change bumps kFormatVersion).
+// Each record has one io() field list, walked by both archives below:
+// Out encodes, In decodes. The list is the wire order. std::array
+// travels without a prefix (its size is a schema constant — any change
+// bumps kFormatVersion), std::vector as a u64 count then its elements,
+// std::pair as its two fields.
 
+template <class Ar, class... T>
+void fields(Ar &ar, T &...xs);
+
+template <class T>
+std::size_t encodedSize();
+
+template <class T>
+concept Scalar = std::is_arithmetic_v<T> || std::same_as<T, std::string>;
+
+/** Encoding archive. The walk never writes through its references. */
+struct Out
+{
+    Writer &w;
+
+    void val(std::uint8_t v) { w.u8(v); }
+    void val(std::uint16_t v) { w.u16(v); }
+    void val(std::uint32_t v) { w.u32(v); }
+    void val(std::uint64_t v) { w.u64(v); }
+    void val(bool v) { w.b(v); }
+    void val(double v) { w.f64(v); }
+    void val(const std::string &v) { w.str(v); }
+
+    template <class T>
+    void
+    vec(std::vector<T> &v)
+    {
+        w.u64(v.size());
+        for (T &e : v)
+            fields(*this, e);
+    }
+};
+
+/** Decoding archive. */
+struct In
+{
+    Reader &r;
+
+    void val(std::uint8_t &v) { v = r.u8(); }
+    void val(std::uint16_t &v) { v = r.u16(); }
+    void val(std::uint32_t &v) { v = r.u32(); }
+    void val(std::uint64_t &v) { v = r.u64(); }
+    void val(bool &v) { v = r.b(); }
+    void val(double &v) { v = r.f64(); }
+    void val(std::string &v) { v = r.str(); }
+
+    /** The count must fit the bytes left at one default element's
+     *  encoded size apiece, before anything is allocated. */
+    template <class T>
+    void
+    vec(std::vector<T> &v)
+    {
+        v.resize(static_cast<std::size_t>(r.count(encodedSize<T>())));
+        for (T &e : v)
+            fields(*this, e);
+    }
+};
+
+template <class Ar, Scalar T>
 void
-putInstruments(Writer &w,
-               const std::vector<sim::MetricsRegistry::SavedInstrument> &v)
+field(Ar &ar, T &v)
 {
-    w.u64(v.size());
-    for (const auto &m : v) {
-        w.str(m.name);
-        w.u8(m.kind);
-        w.u64(m.counter);
-        w.f64(m.gaugeV);
-        w.u8(m.gaugeMerge);
-        w.u32(m.gaugeMergedN);
-        w.u64(m.histCount);
-        w.u64(m.histSum);
-        w.u64(m.histMin);
-        w.u64(m.histMax);
-        for (std::uint64_t b : m.buckets)
-            w.u64(b);
-    }
+    ar.val(v);
 }
 
-std::vector<sim::MetricsRegistry::SavedInstrument>
-getInstruments(Reader &r)
-{
-    std::uint64_t n = r.count(1);
-    std::vector<sim::MetricsRegistry::SavedInstrument> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        sim::MetricsRegistry::SavedInstrument m;
-        m.name = r.str();
-        m.kind = r.u8();
-        m.counter = r.u64();
-        m.gaugeV = r.f64();
-        m.gaugeMerge = r.u8();
-        m.gaugeMergedN = r.u32();
-        m.histCount = r.u64();
-        m.histSum = r.u64();
-        m.histMin = r.u64();
-        m.histMax = r.u64();
-        for (std::uint64_t &b : m.buckets)
-            b = r.u64();
-        v.push_back(std::move(m));
-    }
-    return v;
-}
-
+template <class Ar, class T, std::size_t N>
 void
-putTag(Writer &w, const obs::FlowTag &t)
+field(Ar &ar, std::array<T, N> &a)
 {
-    w.u32(t.origin);
-    w.u32(t.id);
-    w.u32(t.src);
-    w.u16(t.hop);
-    w.b(t.valid);
+    for (T &e : a)
+        fields(ar, e);
 }
 
-obs::FlowTag
-getTag(Reader &r)
-{
-    obs::FlowTag t;
-    t.origin = r.u32();
-    t.id = r.u32();
-    t.src = r.u32();
-    t.hop = r.u16();
-    t.valid = r.b();
-    return t;
-}
-
+template <class Ar, class T>
 void
-putFifo(Writer &w, const FifoState &f)
+field(Ar &ar, std::vector<T> &v)
 {
-    w.u16vec(f.words);
-    w.u64(f.accepted);
-    w.u64(f.dropped);
+    ar.vec(v);
 }
 
-FifoState
-getFifo(Reader &r)
-{
-    FifoState f;
-    f.words = r.u16vec();
-    f.accepted = r.u64();
-    f.dropped = r.u64();
-    return f;
-}
-
+template <class Ar, class A, class B>
 void
-putCore(Writer &w, const core::SnapCore::SavedState &c)
+field(Ar &ar, std::pair<A, B> &p)
 {
-    for (std::uint16_t v : c.regs)
-        w.u16(v);
-    w.b(c.carry);
-    w.u16(c.lfsr);
-    for (std::uint16_t v : c.handlerTable)
-        w.u16(v);
-    w.b(c.halted);
-    w.b(c.asleep);
-    w.u8(c.currentEvent);
-    w.u8(c.fidelity);
-    w.u8(c.pendingFidelity);
-    w.u16(c.fastPc);
-    w.b(c.recordTimeline);
-    w.u16vec(c.debugOut);
-    w.u64(c.timeline.size());
-    for (const auto &span : c.timeline) {
-        w.u64(span.wake);
-        w.u64(span.sleep);
-        w.u8(span.firstEvent);
-    }
-    const auto &st = c.stats;
-    w.u64(st.instructions);
-    for (std::uint64_t v : st.perClass)
-        w.u64(v);
-    for (sim::Tick v : st.perClassTicks)
-        w.u64(v);
-    for (double v : st.perClassPj)
-        w.f64(v);
-    w.u64(st.wordsFetched);
-    w.u64(st.handlers);
-    w.u64(st.sleeps);
-    w.u64(st.wakeups);
-    w.u64(st.activeTime);
-    w.u64(st.lastWake);
-    w.u64(st.lastSleepStart);
-    for (const auto &h : st.perEvent) {
-        w.u64(h.activations);
-        w.u64(h.instructions);
-    }
-    for (sim::Tick v : st.handlerTicks)
-        w.u64(v);
+    fields(ar, p.first, p.second);
 }
 
-core::SnapCore::SavedState
-getCore(Reader &r)
-{
-    core::SnapCore::SavedState c;
-    for (std::uint16_t &v : c.regs)
-        v = r.u16();
-    c.carry = r.b();
-    c.lfsr = r.u16();
-    for (std::uint16_t &v : c.handlerTable)
-        v = r.u16();
-    c.halted = r.b();
-    c.asleep = r.b();
-    c.currentEvent = r.u8();
-    c.fidelity = r.u8();
-    c.pendingFidelity = r.u8();
-    c.fastPc = r.u16();
-    c.recordTimeline = r.b();
-    c.debugOut = r.u16vec();
-    std::uint64_t spans = r.count(17);
-    c.timeline.reserve(static_cast<std::size_t>(spans));
-    for (std::uint64_t i = 0; i < spans; ++i) {
-        core::SnapCore::ActivitySpan span;
-        span.wake = r.u64();
-        span.sleep = r.u64();
-        span.firstEvent = r.u8();
-        c.timeline.push_back(span);
-    }
-    auto &st = c.stats;
-    st.instructions = r.u64();
-    for (std::uint64_t &v : st.perClass)
-        v = r.u64();
-    for (sim::Tick &v : st.perClassTicks)
-        v = r.u64();
-    for (double &v : st.perClassPj)
-        v = r.f64();
-    st.wordsFetched = r.u64();
-    st.handlers = r.u64();
-    st.sleeps = r.u64();
-    st.wakeups = r.u64();
-    st.activeTime = r.u64();
-    st.lastWake = r.u64();
-    st.lastSleepStart = r.u64();
-    for (auto &h : st.perEvent) {
-        h.activations = r.u64();
-        h.instructions = r.u64();
-    }
-    for (sim::Tick &v : st.handlerTicks)
-        v = r.u64();
-    return c;
-}
-
+/** A record: its io() list, found through the archive's namespace. */
+template <class Ar, class T>
 void
-putMedium(Writer &w, const radio::ShardMedium::SavedState &m)
+field(Ar &ar, T &rec)
 {
-    w.u32(m.txSeq);
-    w.u64(m.ownEnds.size());
-    for (const auto &e : m.ownEnds) {
-        w.u64(e.end);
-        w.u64(e.seq);
-    }
-    w.u64(m.remoteEnds.size());
-    for (const auto &e : m.remoteEnds) {
-        w.u64(e.end);
-        w.u64(e.seq);
-    }
-    w.u64(m.offers.size());
-    for (const auto &o : m.offers) {
-        w.u64(o.at);
-        w.u16(o.word);
-        w.u16(o.rssi);
-        w.u64(o.seq);
-        putTag(w, o.tag);
-    }
+    io(ar, rec);
 }
 
-radio::ShardMedium::SavedState
-getMedium(Reader &r)
-{
-    radio::ShardMedium::SavedState m;
-    m.txSeq = r.u32();
-    std::uint64_t n = r.count(16);
-    m.ownEnds.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        radio::ShardMedium::CarrierEnd e;
-        e.end = r.u64();
-        e.seq = r.u64();
-        m.ownEnds.push_back(e);
-    }
-    n = r.count(16);
-    m.remoteEnds.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        radio::ShardMedium::CarrierEnd e;
-        e.end = r.u64();
-        e.seq = r.u64();
-        m.remoteEnds.push_back(e);
-    }
-    n = r.count(20);
-    m.offers.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        radio::ShardMedium::PendingOffer o;
-        o.at = r.u64();
-        o.word = r.u16();
-        o.rssi = r.u16();
-        o.seq = r.u64();
-        o.tag = getTag(r);
-        m.offers.push_back(o);
-    }
-    return m;
-}
-
+template <class Ar, class... T>
 void
-putAir(Writer &w, const radio::AirExchange::SavedState &a)
+fields(Ar &ar, T &...xs)
 {
-    w.u64(a.pending.size());
-    for (const auto &f : a.pending) {
-        w.u64(f.start);
-        w.u64(f.end);
-        w.u32(f.srcNode);
-        w.u32(f.seq);
-        w.u16(f.word);
-        w.b(f.collided);
-        w.b(f.resolved);
-        putTag(w, f.tag);
-    }
-    w.u64(a.down.size());
-    for (std::uint8_t d : a.down)
-        w.u8(d);
-    w.u64(a.downLinks.size());
-    for (const auto &[lo, hi] : a.downLinks) {
-        w.u32(lo);
-        w.u32(hi);
-    }
-    w.u64(a.offersOutstanding);
-    putInstruments(w, a.metrics);
+    (field(ar, xs), ...);
 }
 
-radio::AirExchange::SavedState
-getAir(Reader &r)
+/** Bytes one default-constructed T encodes to: the smallest any T
+ *  can be, hence In::vec's per-element length floor. */
+template <class T>
+std::size_t
+encodedSize()
 {
-    radio::AirExchange::SavedState a;
-    std::uint64_t n = r.count(28);
-    a.pending.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        radio::AirFlight f{};
-        f.start = r.u64();
-        f.end = r.u64();
-        f.srcNode = r.u32();
-        f.seq = r.u32();
-        f.word = r.u16();
-        f.collided = r.b();
-        f.resolved = r.b();
-        f.tag = getTag(r);
-        a.pending.push_back(f);
-    }
-    n = r.count(1);
-    a.down.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        a.down.push_back(r.u8());
-    n = r.count(8);
-    a.downLinks.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint32_t lo = r.u32();
-        std::uint32_t hi = r.u32();
-        a.downLinks.emplace_back(lo, hi);
-    }
-    a.offersOutstanding = r.u64();
-    a.metrics = getInstruments(r);
-    return a;
-}
-
-void
-putNode(Writer &w, const NodeState &n)
-{
-    w.b(n.halted);
-    w.b(n.dead);
-    w.u64(n.deathAt);
-    w.u64(n.kernelNow);
-    w.u64(n.kernelDispatched);
-    w.u64(n.traceHash);
-    w.u64(n.traceCount);
-    putCore(w, n.core);
-    w.u16vec(n.imem);
-    w.u16vec(n.dmem);
-    w.u64(n.evq.tokens.size());
-    for (const auto &t : n.evq.tokens) {
-        w.u8(t.num);
-        w.u64(t.at);
-    }
-    w.u64(n.evq.accepted);
-    w.u64(n.evq.dropped);
-    putFifo(w, n.msgIn);
-    putFifo(w, n.msgOut);
-    for (const auto &t : n.timers) {
-        w.b(t.armed);
-        w.u8(t.stagedHi);
-        w.u64(t.generation);
-    }
-    w.u64(n.timerExpires.size());
-    for (const auto &e : n.timerExpires) {
-        w.u8(e.n);
-        w.u64(e.generation);
-        w.u64(e.deadline);
-        w.u64(e.seq);
-    }
-    w.u8(n.msg.cmdPhase);
-    w.u8(n.msg.rxPhase);
-    w.u16(n.msg.pendingWord);
-    w.u16(n.msg.rxWord);
-    w.u64(n.msg.waitEnd);
-    w.u64(n.msg.waitSeq);
-    w.u8(n.msg.waitArg);
-    w.u64(n.msg.cmdStamp);
-    w.u64(n.msg.rxStamp);
-    w.u64(n.msg.blockSeq);
-    w.b(n.hasRadio);
-    w.u8(n.radioMode);
-    w.u16(n.radioLastRssi);
-    w.u64(n.radioListenAccruedTo);
-    putFifo(w, n.radioRx);
-    putMedium(w, n.medium);
-    for (double v : n.ledgerPj)
-        w.f64(v);
-    w.u64(n.leakAccruedTo);
-    w.f64(n.chargedPj);
-    for (double v : n.handlerPj)
-        w.f64(v);
-    w.u32(n.flow.nextId);
-    w.u8(n.flow.ctxValid);
-    w.u32(n.flow.ctxOrigin);
-    w.u32(n.flow.ctxId);
-    w.u32(n.flow.ctxSrc);
-    w.u16(n.flow.ctxHop);
-    w.u64(n.flow.ctxAt);
-    w.u8(n.flow.explicitOpen);
-    w.u32(n.flow.explicitId);
-    for (sim::Tick v : n.energest.ticks)
-        w.u64(v);
-    for (double v : n.energest.pj)
-        w.f64(v);
-    w.u8(n.energest.onMask);
-    putInstruments(w, n.metrics);
-}
-
-NodeState
-getNode(Reader &r)
-{
-    NodeState n;
-    n.halted = r.b();
-    n.dead = r.b();
-    n.deathAt = r.u64();
-    n.kernelNow = r.u64();
-    n.kernelDispatched = r.u64();
-    n.traceHash = r.u64();
-    n.traceCount = r.u64();
-    n.core = getCore(r);
-    n.imem = r.u16vec();
-    n.dmem = r.u16vec();
-    std::uint64_t tokens = r.count(9);
-    n.evq.tokens.reserve(static_cast<std::size_t>(tokens));
-    for (std::uint64_t i = 0; i < tokens; ++i) {
-        EventTokenRec t;
-        t.num = r.u8();
-        t.at = r.u64();
-        n.evq.tokens.push_back(t);
-    }
-    n.evq.accepted = r.u64();
-    n.evq.dropped = r.u64();
-    n.msgIn = getFifo(r);
-    n.msgOut = getFifo(r);
-    for (auto &t : n.timers) {
-        t.armed = r.b();
-        t.stagedHi = r.u8();
-        t.generation = r.u64();
-    }
-    std::uint64_t expires = r.count(25);
-    n.timerExpires.reserve(static_cast<std::size_t>(expires));
-    for (std::uint64_t i = 0; i < expires; ++i) {
-        coproc::TimerCoproc::ExpireRec e;
-        e.n = r.u8();
-        e.generation = r.u64();
-        e.deadline = r.u64();
-        e.seq = r.u64();
-        n.timerExpires.push_back(e);
-    }
-    n.msg.cmdPhase = r.u8();
-    n.msg.rxPhase = r.u8();
-    n.msg.pendingWord = r.u16();
-    n.msg.rxWord = r.u16();
-    n.msg.waitEnd = r.u64();
-    n.msg.waitSeq = r.u64();
-    n.msg.waitArg = r.u8();
-    n.msg.cmdStamp = r.u64();
-    n.msg.rxStamp = r.u64();
-    n.msg.blockSeq = r.u64();
-    n.hasRadio = r.b();
-    n.radioMode = r.u8();
-    n.radioLastRssi = r.u16();
-    n.radioListenAccruedTo = r.u64();
-    n.radioRx = getFifo(r);
-    n.medium = getMedium(r);
-    for (double &v : n.ledgerPj)
-        v = r.f64();
-    n.leakAccruedTo = r.u64();
-    n.chargedPj = r.f64();
-    for (double &v : n.handlerPj)
-        v = r.f64();
-    n.flow.nextId = r.u32();
-    n.flow.ctxValid = r.u8();
-    n.flow.ctxOrigin = r.u32();
-    n.flow.ctxId = r.u32();
-    n.flow.ctxSrc = r.u32();
-    n.flow.ctxHop = r.u16();
-    n.flow.ctxAt = r.u64();
-    n.flow.explicitOpen = r.u8();
-    n.flow.explicitId = r.u32();
-    for (sim::Tick &v : n.energest.ticks)
-        v = r.u64();
-    for (double &v : n.energest.pj)
-        v = r.f64();
-    n.energest.onMask = r.u8();
-    n.metrics = getInstruments(r);
+    static const std::size_t n = [] {
+        T x{};
+        Writer w;
+        Out out{w};
+        fields(out, x);
+        return w.bytes().size();
+    }();
     return n;
+}
+
+template <class Ar>
+void
+io(Ar &ar, sim::MetricsRegistry::SavedInstrument &m)
+{
+    fields(ar, m.name, m.kind, m.counter, m.gaugeV, m.gaugeMerge,
+           m.gaugeMergedN, m.histCount, m.histSum, m.histMin, m.histMax,
+           m.buckets);
+}
+
+template <class Ar>
+void
+io(Ar &ar, obs::FlowTag &t)
+{
+    fields(ar, t.origin, t.id, t.src, t.hop, t.valid);
+}
+
+template <class Ar, class T>
+void
+io(Ar &ar, FifoState<T> &f)
+{
+    fields(ar, f.buffer, f.accepted, f.dropped);
+}
+
+template <class Ar>
+void
+io(Ar &ar, core::EventToken &t)
+{
+    fields(ar, t.num, t.at);
+}
+
+template <class Ar>
+void
+io(Ar &ar, core::SnapCore::ActivitySpan &s)
+{
+    fields(ar, s.wake, s.sleep, s.firstEvent);
+}
+
+template <class Ar>
+void
+io(Ar &ar, core::SnapCore::HandlerStats &h)
+{
+    fields(ar, h.activations, h.instructions);
+}
+
+template <class Ar>
+void
+io(Ar &ar, core::SnapCore::Stats &s)
+{
+    fields(ar, s.instructions, s.perClass, s.perClassTicks, s.perClassPj,
+           s.wordsFetched, s.handlers, s.sleeps, s.wakeups, s.activeTime,
+           s.lastWake, s.lastSleepStart, s.perEvent, s.handlerTicks);
+}
+
+template <class Ar>
+void
+io(Ar &ar, core::SnapCore::SavedState &c)
+{
+    fields(ar, c.regs, c.carry, c.lfsr, c.handlerTable, c.halted,
+           c.asleep, c.currentEvent, c.fidelity, c.pendingFidelity,
+           c.fastPc, c.recordTimeline, c.debugOut, c.timeline, c.stats);
+}
+
+template <class Ar>
+void
+io(Ar &ar, radio::ShardMedium::CarrierEnd &e)
+{
+    fields(ar, e.end, e.seq);
+}
+
+template <class Ar>
+void
+io(Ar &ar, radio::ShardMedium::PendingOffer &o)
+{
+    fields(ar, o.at, o.word, o.rssi, o.seq, o.tag);
+}
+
+template <class Ar>
+void
+io(Ar &ar, radio::ShardMedium::SavedState &m)
+{
+    fields(ar, m.txSeq, m.ownEnds, m.remoteEnds, m.offers);
+}
+
+template <class Ar>
+void
+io(Ar &ar, radio::AirFlight &f)
+{
+    fields(ar, f.start, f.end, f.srcNode, f.seq, f.word, f.collided,
+           f.resolved, f.tag);
+}
+
+template <class Ar>
+void
+io(Ar &ar, radio::AirExchange::SavedState &a)
+{
+    fields(ar, a.pending, a.down, a.downLinks, a.offersOutstanding,
+           a.metrics);
+}
+
+template <class Ar>
+void
+io(Ar &ar, coproc::TimerCoproc::Timer &t)
+{
+    fields(ar, t.armed, t.stagedHi, t.generation);
+}
+
+template <class Ar>
+void
+io(Ar &ar, coproc::TimerCoproc::ExpireRec &e)
+{
+    fields(ar, e.n, e.generation, e.deadline, e.seq);
+}
+
+template <class Ar>
+void
+io(Ar &ar, coproc::MessageCoproc::SavedState &m)
+{
+    fields(ar, m.cmdPhase, m.rxPhase, m.pendingWord, m.rxWord, m.waitEnd,
+           m.waitSeq, m.waitArg, m.cmdStamp, m.rxStamp, m.blockSeq);
+}
+
+template <class Ar>
+void
+io(Ar &ar, obs::FlowTracker::SavedState &f)
+{
+    fields(ar, f.nextId, f.ctxValid, f.ctxOrigin, f.ctxId, f.ctxSrc,
+           f.ctxHop, f.ctxAt, f.explicitOpen, f.explicitId);
+}
+
+template <class Ar>
+void
+io(Ar &ar, obs::Energest::SavedState &e)
+{
+    fields(ar, e.ticks, e.pj, e.onMask);
+}
+
+template <class Ar>
+void
+io(Ar &ar, NodeState &n)
+{
+    fields(ar, n.halted, n.dead, n.deathAt, n.kernelNow,
+           n.kernelDispatched, n.traceHash, n.traceCount, n.core, n.imem,
+           n.dmem, n.evq, n.msgIn, n.msgOut, n.timers, n.timerExpires,
+           n.msg, n.hasRadio, n.radioMode, n.radioLastRssi,
+           n.radioListenAccruedTo, n.radioRx, n.medium, n.ledgerPj,
+           n.leakAccruedTo, n.chargedPj, n.handlerPj, n.flow, n.energest,
+           n.metrics);
+}
+
+/** The payload after the magic and version words. */
+template <class Ar>
+void
+io(Ar &ar, NetworkSnapshot &s)
+{
+    fields(ar, s.snapTick, s.window, s.air, s.metricsNext,
+           s.metricsLastAt, s.metricsMetaWritten, s.nodes, s.userRng);
 }
 
 } // namespace
@@ -479,18 +302,8 @@ encodeSnapshot(const NetworkSnapshot &snap)
     Writer w;
     w.u32(kMagic);
     w.u32(kFormatVersion);
-    w.u64(snap.snapTick);
-    w.u64(snap.window);
-    putAir(w, snap.air);
-    w.u64(snap.metricsNext);
-    w.u64(snap.metricsLastAt);
-    w.b(snap.metricsMetaWritten);
-    w.u64(snap.nodes.size());
-    for (const NodeState &n : snap.nodes)
-        putNode(w, n);
-    w.u64(snap.userRng.size());
-    for (std::uint64_t v : snap.userRng)
-        w.u64(v);
+    Out out{w};
+    fields(out, const_cast<NetworkSnapshot &>(snap));
     std::string bytes = w.take();
     std::uint64_t sum = sim::fnv1a64(bytes.data(), bytes.size());
     Writer tail;
@@ -521,20 +334,8 @@ decodeSnapshot(std::string_view bytes)
                  "snapshot: unsupported format version ", version,
                  " (this build reads version ", kFormatVersion, ")");
     NetworkSnapshot snap;
-    snap.snapTick = r.u64();
-    snap.window = r.u64();
-    snap.air = getAir(r);
-    snap.metricsNext = r.u64();
-    snap.metricsLastAt = r.u64();
-    snap.metricsMetaWritten = r.b();
-    std::uint64_t nodes = r.count(1);
-    snap.nodes.reserve(static_cast<std::size_t>(nodes));
-    for (std::uint64_t i = 0; i < nodes; ++i)
-        snap.nodes.push_back(getNode(r));
-    std::uint64_t rngs = r.count(8);
-    snap.userRng.reserve(static_cast<std::size_t>(rngs));
-    for (std::uint64_t i = 0; i < rngs; ++i)
-        snap.userRng.push_back(r.u64());
+    In in{r};
+    fields(in, snap);
     sim::fatalIf(r.remaining() != 0,
                  "snapshot: ", r.remaining(),
                  " trailing bytes after the payload");

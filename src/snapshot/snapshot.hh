@@ -50,27 +50,16 @@ inline constexpr std::uint32_t kMagic = 0x53504e53u;
  *  reader refuses it. */
 inline constexpr std::uint32_t kFormatVersion = 3;
 
-/** One hardware FIFO's full state (buffer plus flow counters). */
+/** One hardware FIFO's full state (sim::Fifo buffer plus flow
+ *  counters): the event queue and the word FIFOs. */
+template <class T>
 struct FifoState
 {
-    std::vector<std::uint16_t> words;
+    std::vector<T> buffer;
     std::uint64_t accepted = 0;
     std::uint64_t dropped = 0;
-};
 
-/** One buffered event-queue token (core::EventToken). */
-struct EventTokenRec
-{
-    std::uint8_t num = 0;
-    sim::Tick at = 0;
-};
-
-/** The hardware event queue's full state. */
-struct EvqState
-{
-    std::vector<EventTokenRec> tokens;
-    std::uint64_t accepted = 0;
-    std::uint64_t dropped = 0;
+    bool operator==(const FifoState &) const = default;
 };
 
 /** Everything live in one shard. */
@@ -89,9 +78,9 @@ struct NodeState
     core::SnapCore::SavedState core;
     std::vector<std::uint16_t> imem;
     std::vector<std::uint16_t> dmem;
-    EvqState evq;
-    FifoState msgIn;
-    FifoState msgOut;
+    FifoState<core::EventToken> evq;
+    FifoState<std::uint16_t> msgIn;
+    FifoState<std::uint16_t> msgOut;
 
     std::array<coproc::TimerCoproc::Timer, 3> timers{};
     std::vector<coproc::TimerCoproc::ExpireRec> timerExpires;
@@ -101,7 +90,7 @@ struct NodeState
     std::uint8_t radioMode = 0;
     std::uint16_t radioLastRssi = 0;
     sim::Tick radioListenAccruedTo = 0;
-    FifoState radioRx;
+    FifoState<std::uint16_t> radioRx;
     radio::ShardMedium::SavedState medium;
 
     std::array<double, energy::kNumCats> ledgerPj{};
@@ -116,6 +105,8 @@ struct NodeState
     obs::Energest::SavedState energest;
 
     std::vector<sim::MetricsRegistry::SavedInstrument> metrics;
+
+    bool operator==(const NodeState &) const = default;
 };
 
 /** The whole network at one eligible barrier. */
@@ -139,6 +130,8 @@ struct NetworkSnapshot
      * runner fills and applies this around checkpoint()/restore().
      */
     std::vector<std::uint64_t> userRng;
+
+    bool operator==(const NetworkSnapshot &) const = default;
 };
 
 /** Encode to the framed, checksummed byte form. */

@@ -1,0 +1,75 @@
+/**
+ * @file
+ * Wire-format pin: the encoded bytes of shipped scenarios checkpointed
+ * at 400 ms must keep the exact length and sim::fnv1a64 recorded
+ * here. Every other snapshot test compares bytes within one build;
+ * this one notices a format change between builds. A deliberate
+ * schema change bumps snapshot::kFormatVersion and re-records these
+ * constants in the same change (docs/CHECKPOINT.md).
+ */
+
+#include <cstdint>
+#include <ostream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
+#include "sim/hash.hh"
+#include "snapshot/snapshot.hh"
+
+namespace {
+
+using namespace snaple;
+
+struct Pin
+{
+    const char *scenario;
+    std::size_t bytes;
+    std::uint64_t fnv;
+};
+
+void
+PrintTo(const Pin &p, std::ostream *os)
+{
+    *os << p.scenario;
+}
+
+class SnapshotFormat : public ::testing::TestWithParam<Pin>
+{};
+
+TEST_P(SnapshotFormat, EncodingAt400MsMatchesThePin)
+{
+    const Pin pin = GetParam();
+    const std::string root = SNAPLE_SOURCE_DIR;
+    const scenario::Scenario sc = scenario::loadScenario(
+        root + "/examples/scenarios/" + pin.scenario + ".scn");
+
+    std::string enc;
+    scenario::RunOptions opt;
+    opt.checkpoints.push_back(scenario::Checkpoint{400, ""});
+    opt.onCheckpoint = [&](const snapshot::NetworkSnapshot &snap,
+                           const scenario::Checkpoint &ck) {
+        if (ck.atMs == 400)
+            enc = snapshot::encodeSnapshot(snap);
+    };
+    scenario::runScenario(sc, opt);
+
+    ASSERT_FALSE(enc.empty()) << "no checkpoint at 400 ms";
+    EXPECT_EQ(snapshot::kFormatVersion, 3u);
+    EXPECT_EQ(enc.size(), pin.bytes);
+    EXPECT_EQ(sim::fnv1a64(enc.data(), enc.size()), pin.fnv)
+        << std::hex << "actual 0x" << sim::fnv1a64(enc.data(), enc.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    V3, SnapshotFormat,
+    ::testing::Values(Pin{"trickle", 187050, 0xa2bf4bab49c5226dull},
+                      Pin{"rssi_cluster", 232409, 0xb60cfab97bc68d5aull},
+                      Pin{"trickle_fast", 141514, 0x1f70b673161c328eull}),
+    [](const ::testing::TestParamInfo<Pin> &info) {
+        return std::string(info.param.scenario);
+    });
+
+} // namespace

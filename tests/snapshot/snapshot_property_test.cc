@@ -7,6 +7,7 @@
  * recomputed checksum is refused as unsupported.
  */
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -25,6 +26,26 @@ using namespace snaple;
 using snapshot::NetworkSnapshot;
 using snapshot::NodeState;
 
+/** Every element of @p a from @p gen. */
+template <class T, std::size_t N, class Gen>
+void
+fill(std::array<T, N> &a, Gen gen)
+{
+    for (T &e : a)
+        e = gen();
+}
+
+/** Zero to @p max - 1 elements from @p gen. */
+template <class T, class Gen>
+std::vector<T>
+some(sim::Rng &rng, int max, Gen gen)
+{
+    std::vector<T> v;
+    for (int i = 0, n = int(rng.next() % std::uint64_t(max)); i < n; ++i)
+        v.push_back(gen());
+    return v;
+}
+
 sim::MetricsRegistry::SavedInstrument
 fuzzInstrument(sim::Rng &rng, int i)
 {
@@ -39,94 +60,137 @@ fuzzInstrument(sim::Rng &rng, int i)
     m.histSum = rng.next();
     m.histMin = rng.next();
     m.histMax = rng.next();
-    for (std::uint64_t &b : m.buckets)
-        b = rng.next();
+    fill(m.buckets, [&] { return rng.next(); });
     return m;
 }
 
+obs::FlowTag
+fuzzTag(sim::Rng &rng)
+{
+    return obs::FlowTag{std::uint32_t(rng.next()),
+                        std::uint32_t(rng.next()),
+                        std::uint32_t(rng.next()), rng.uniform16(),
+                        rng.chance(0.5)};
+}
+
+snapshot::FifoState<std::uint16_t>
+fuzzFifo(sim::Rng &rng)
+{
+    snapshot::FifoState<std::uint16_t> f;
+    f.buffer = some<std::uint16_t>(rng, 5, [&] { return rng.uniform16(); });
+    f.accepted = rng.next();
+    f.dropped = rng.next();
+    return f;
+}
+
+/** A NodeState with every field set — a field dropped from the
+ *  encode and decode walks alike then fails the whole-record
+ *  comparison in DecodedFieldsSurviveExactly. */
 NodeState
 fuzzNode(sim::Rng &rng)
 {
+    const auto u64 = [&] { return rng.next(); };
+    const auto u16 = [&] { return rng.uniform16(); };
+    const auto tick = [&] { return rng.next() % (1u << 30); };
+    const auto pj = [&] { return rng.uniform01() * 1e12; };
+
     NodeState ns;
     ns.halted = rng.chance(0.3);
     ns.dead = ns.halted && rng.chance(0.5);
-    ns.deathAt = rng.next() % (1u << 30);
-    ns.kernelNow = rng.next() % (1u << 30);
-    ns.kernelDispatched = rng.next();
-    ns.traceHash = rng.next();
-    ns.traceCount = rng.next();
+    ns.deathAt = tick();
+    ns.kernelNow = tick();
+    ns.kernelDispatched = u64();
+    ns.traceHash = u64();
+    ns.traceCount = u64();
 
-    for (std::uint16_t &r : ns.core.regs)
-        r = rng.uniform16();
-    ns.core.carry = rng.chance(0.5);
-    ns.core.lfsr = rng.uniform16();
-    for (std::uint16_t &h : ns.core.handlerTable)
-        h = rng.uniform16();
-    ns.core.halted = ns.halted;
-    ns.core.asleep = !ns.halted;
-    ns.core.currentEvent = std::uint8_t(rng.next());
-    ns.core.fastPc = rng.uniform16();
-    for (int i = 0, n = int(rng.next() % 9); i < n; ++i)
-        ns.core.debugOut.push_back(rng.uniform16());
-    ns.core.stats.instructions = rng.next();
-    ns.core.stats.sleeps = rng.next();
-    ns.core.stats.activeTime = rng.next() % (1u << 30);
+    auto &c = ns.core;
+    fill(c.regs, u16);
+    c.carry = rng.chance(0.5);
+    c.lfsr = u16();
+    fill(c.handlerTable, u16);
+    c.halted = ns.halted;
+    c.asleep = !ns.halted;
+    c.currentEvent = std::uint8_t(rng.next());
+    c.fidelity = std::uint8_t(rng.next() % 2);
+    c.pendingFidelity = std::uint8_t(rng.next() % 2);
+    c.fastPc = u16();
+    c.recordTimeline = rng.chance(0.5);
+    c.debugOut = some<std::uint16_t>(rng, 9, u16);
+    c.timeline = some<core::SnapCore::ActivitySpan>(rng, 4, [&] {
+        return core::SnapCore::ActivitySpan{tick(), tick(),
+                                            std::uint8_t(rng.next())};
+    });
+    auto &st = c.stats;
+    st.instructions = u64();
+    fill(st.perClass, u64);
+    fill(st.perClassTicks, tick);
+    fill(st.perClassPj, pj);
+    st.wordsFetched = u64();
+    st.handlers = u64();
+    st.sleeps = u64();
+    st.wakeups = u64();
+    st.activeTime = tick();
+    st.lastWake = tick();
+    st.lastSleepStart = tick();
+    fill(st.perEvent, [&] {
+        return core::SnapCore::HandlerStats{u64(), u64()};
+    });
+    fill(st.handlerTicks, tick);
 
     for (int i = 0, n = 16 + int(rng.next() % 64); i < n; ++i) {
-        ns.imem.push_back(rng.uniform16());
-        ns.dmem.push_back(rng.uniform16());
+        ns.imem.push_back(u16());
+        ns.dmem.push_back(u16());
     }
-    for (int i = 0, n = int(rng.next() % 5); i < n; ++i)
-        ns.evq.tokens.push_back(snapshot::EventTokenRec{
-            std::uint8_t(rng.next() % 7), rng.next() % (1u << 30)});
-    ns.evq.accepted = rng.next();
-    ns.evq.dropped = rng.next();
-    for (int i = 0, n = int(rng.next() % 5); i < n; ++i) {
-        ns.msgIn.words.push_back(rng.uniform16());
-        ns.msgOut.words.push_back(rng.uniform16());
-        ns.radioRx.words.push_back(rng.uniform16());
-    }
-    ns.msgIn.accepted = rng.next();
-    ns.msgOut.dropped = rng.next();
+    ns.evq.buffer = some<core::EventToken>(rng, 5, [&] {
+        return core::EventToken{std::uint8_t(rng.next() % 7), tick()};
+    });
+    ns.evq.accepted = u64();
+    ns.evq.dropped = u64();
+    ns.msgIn = fuzzFifo(rng);
+    ns.msgOut = fuzzFifo(rng);
 
-    for (auto &t : ns.timers) {
-        t.armed = rng.chance(0.5);
-        t.stagedHi = std::uint8_t(rng.next());
-        t.generation = rng.next();
-    }
-    for (int i = 0, n = int(rng.next() % 4); i < n; ++i)
-        ns.timerExpires.push_back(coproc::TimerCoproc::ExpireRec{
-            std::uint8_t(rng.next() % 3), rng.next(),
-            rng.next() % (1u << 30), rng.next()});
-    ns.msg.cmdPhase = std::uint8_t(rng.next() % 3);
-    ns.msg.rxPhase = std::uint8_t(rng.next() % 2);
-    ns.msg.pendingWord = rng.uniform16();
-    ns.msg.waitEnd = rng.next() % (1u << 30);
-    ns.msg.waitSeq = rng.next();
+    fill(ns.timers, [&] {
+        return coproc::TimerCoproc::Timer{
+            rng.chance(0.5), std::uint8_t(rng.next()), u64()};
+    });
+    ns.timerExpires = some<coproc::TimerCoproc::ExpireRec>(rng, 4, [&] {
+        return coproc::TimerCoproc::ExpireRec{
+            std::uint8_t(rng.next() % 3), u64(), tick(), u64()};
+    });
+    ns.msg = coproc::MessageCoproc::SavedState{
+        std::uint8_t(rng.next() % 3), std::uint8_t(rng.next() % 2),
+        u16(), u16(), tick(), u64(), std::uint8_t(rng.next()), u64(),
+        u64(), u64()};
 
     ns.hasRadio = rng.chance(0.8);
-    if (ns.hasRadio) {
-        ns.radioMode = std::uint8_t(rng.next() % 3);
-        ns.radioLastRssi = rng.uniform16();
-        ns.radioListenAccruedTo = rng.next() % (1u << 30);
-        ns.medium.txSeq = std::uint32_t(rng.next());
-        for (int i = 0, n = int(rng.next() % 3); i < n; ++i) {
-            ns.medium.ownEnds.push_back(
-                {rng.next() % (1u << 30), rng.next()});
-            ns.medium.remoteEnds.push_back(
-                {rng.next() % (1u << 30), rng.next()});
-            ns.medium.offers.push_back({rng.next() % (1u << 30),
-                                        rng.uniform16(),
-                                        rng.uniform16(), rng.next()});
-        }
-    }
+    ns.radioMode = std::uint8_t(rng.next() % 3);
+    ns.radioLastRssi = u16();
+    ns.radioListenAccruedTo = tick();
+    ns.radioRx = fuzzFifo(rng);
+    ns.medium.txSeq = std::uint32_t(rng.next());
+    const auto end = [&] {
+        return radio::ShardMedium::CarrierEnd{tick(), u64()};
+    };
+    ns.medium.ownEnds = some<radio::ShardMedium::CarrierEnd>(rng, 3, end);
+    ns.medium.remoteEnds =
+        some<radio::ShardMedium::CarrierEnd>(rng, 3, end);
+    ns.medium.offers = some<radio::ShardMedium::PendingOffer>(rng, 3, [&] {
+        return radio::ShardMedium::PendingOffer{tick(), u16(), u16(),
+                                                u64(), fuzzTag(rng)};
+    });
 
-    for (double &pj : ns.ledgerPj)
-        pj = rng.uniform01() * 1e12;
-    ns.leakAccruedTo = rng.next() % (1u << 30);
-    ns.chargedPj = rng.uniform01() * 1e12;
-    for (double &pj : ns.handlerPj)
-        pj = rng.uniform01() * 1e9;
+    fill(ns.ledgerPj, pj);
+    ns.leakAccruedTo = tick();
+    ns.chargedPj = pj();
+    fill(ns.handlerPj, pj);
+    ns.flow = obs::FlowTracker::SavedState{
+        std::uint32_t(rng.next()), std::uint8_t(rng.next() % 2),
+        std::uint32_t(rng.next()), std::uint32_t(rng.next()),
+        std::uint32_t(rng.next()), u16(), tick(),
+        std::uint8_t(rng.next() % 2), std::uint32_t(rng.next())};
+    fill(ns.energest.ticks, tick);
+    fill(ns.energest.pj, pj);
+    ns.energest.onMask = std::uint8_t(rng.next());
     for (int i = 0, n = int(rng.next() % 6); i < n; ++i)
         ns.metrics.push_back(fuzzInstrument(rng, i));
     return ns;
@@ -138,7 +202,7 @@ fuzzSnapshot(sim::Rng &rng)
     NetworkSnapshot snap;
     snap.snapTick = rng.next() % (1u << 30);
     snap.window = 1 + rng.next() % (1u << 20);
-    for (int i = 0, n = int(rng.next() % 4); i < n; ++i) {
+    snap.air.pending = some<radio::AirFlight>(rng, 4, [&] {
         radio::AirFlight f{};
         f.start = rng.next() % (1u << 30);
         f.end = f.start + 1 + rng.next() % 1000;
@@ -147,8 +211,9 @@ fuzzSnapshot(sim::Rng &rng)
         f.word = rng.uniform16();
         f.collided = rng.chance(0.3);
         f.resolved = rng.chance(0.3);
-        snap.air.pending.push_back(f);
-    }
+        f.tag = fuzzTag(rng);
+        return f;
+    });
     for (int i = 0, n = int(rng.next() % 3); i < n; ++i) {
         snap.air.down.push_back(std::uint8_t(rng.next() % 2));
         snap.air.downLinks.emplace_back(std::uint32_t(rng.next() % 8),
@@ -182,32 +247,18 @@ TEST(SnapshotProperty, SerializeParseIsAByteFixedPoint)
 
 TEST(SnapshotProperty, DecodedFieldsSurviveExactly)
 {
+    // Whole-record equality over fuzzers that set every field: a
+    // field the walk loses, or decodes into the wrong slot, differs.
     sim::Rng rng(0xfee1);
-    const NetworkSnapshot snap = fuzzSnapshot(rng);
-    const NetworkSnapshot dec =
-        snapshot::decodeSnapshot(snapshot::encodeSnapshot(snap));
-    ASSERT_EQ(dec.nodes.size(), snap.nodes.size());
-    EXPECT_EQ(dec.snapTick, snap.snapTick);
-    EXPECT_EQ(dec.window, snap.window);
-    EXPECT_EQ(dec.userRng, snap.userRng);
-    EXPECT_EQ(dec.metricsMetaWritten, snap.metricsMetaWritten);
-    for (std::size_t i = 0; i < snap.nodes.size(); ++i) {
-        const NodeState &a = snap.nodes[i];
-        const NodeState &b = dec.nodes[i];
-        EXPECT_EQ(b.kernelNow, a.kernelNow);
-        EXPECT_EQ(b.traceHash, a.traceHash);
-        EXPECT_EQ(b.core.regs, a.core.regs);
-        EXPECT_EQ(b.core.lfsr, a.core.lfsr);
-        EXPECT_EQ(b.imem, a.imem);
-        EXPECT_EQ(b.dmem, a.dmem);
-        EXPECT_EQ(b.ledgerPj, a.ledgerPj); // bit-exact doubles
-        EXPECT_EQ(b.msg.waitSeq, a.msg.waitSeq);
-        ASSERT_EQ(b.metrics.size(), a.metrics.size());
-        for (std::size_t m = 0; m < a.metrics.size(); ++m) {
-            EXPECT_EQ(b.metrics[m].name, a.metrics[m].name);
-            EXPECT_EQ(b.metrics[m].counter, a.metrics[m].counter);
-            EXPECT_EQ(b.metrics[m].buckets, a.metrics[m].buckets);
-        }
+    for (int iter = 0; iter < 20; ++iter) {
+        const NetworkSnapshot snap = fuzzSnapshot(rng);
+        const NetworkSnapshot dec =
+            snapshot::decodeSnapshot(snapshot::encodeSnapshot(snap));
+        ASSERT_EQ(dec.nodes.size(), snap.nodes.size());
+        for (std::size_t i = 0; i < snap.nodes.size(); ++i)
+            EXPECT_TRUE(dec.nodes[i] == snap.nodes[i])
+                << "iteration " << iter << " node " << i;
+        EXPECT_TRUE(dec == snap) << "iteration " << iter;
     }
 }
 
@@ -310,6 +361,24 @@ TEST(SnapshotProperty, V2SnapshotIsRejected)
     ASSERT_GT(enc.size(), 16u);
     ASSERT_NO_THROW(snapshot::decodeSnapshot(enc));
     expectVersionRejected(restampVersion(enc, 2), "v2 snapshot");
+}
+
+TEST(SnapshotProperty, AbsurdNodeCountIsRejectedBeforeAllocation)
+{
+    // A validly sealed snapshot whose node-count prefix claims 2^61
+    // nodes must throw from Reader::count's floor, not attempt the
+    // allocation (which would surface as bad_alloc or length_error).
+    sim::Rng rng(0xab5d);
+    NetworkSnapshot snap = fuzzSnapshot(rng);
+    snap.nodes.clear();
+    snap.userRng.clear();
+    std::string enc = snapshot::encodeSnapshot(snap);
+    // Tail: node count, userRng count, checksum — eight bytes each.
+    const std::size_t at = enc.size() - 24;
+    const std::uint64_t absurd = std::uint64_t(1) << 61;
+    for (int i = 0; i < 8; ++i)
+        enc[at + std::size_t(i)] = char((absurd >> (8 * i)) & 0xff);
+    EXPECT_THROW(snapshot::decodeSnapshot(reseal(enc)), sim::FatalError);
 }
 
 TEST(SnapshotProperty, BadMagicIsRejected)

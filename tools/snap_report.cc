@@ -61,10 +61,15 @@
 #include "isa/isa.hh"
 #include "sim/metrics.hh"
 #include "sim/ticks.hh"
+#include "jsonl.hh"
 
 namespace {
 
 using namespace snaple;
+using tools::getF64;
+using tools::getU64;
+using tools::parseU64;
+using tools::valueOffset;
 
 /** One parsed sample line; histograms keep their bucket vector. */
 struct Sample
@@ -89,20 +94,6 @@ struct ProfileLine
     double pj = 0.0;
 };
 
-/**
- * Find `"key":` in a generated-JSON line and return the offset of the
- * value, or npos. Keys never appear inside our string values' names,
- * and the writer emits no whitespace, so plain search is exact.
- */
-std::size_t
-valueOffset(const std::string &line, const char *key)
-{
-    std::string pat = "\"" + std::string(key) + "\":";
-    std::size_t at = line.find(pat);
-    return at == std::string::npos ? std::string::npos
-                                   : at + pat.size();
-}
-
 bool
 getString(const std::string &line, const char *key, std::string &out)
 {
@@ -124,28 +115,6 @@ getString(const std::string &line, const char *key, std::string &out)
     return false;
 }
 
-bool
-getNumber(const std::string &line, const char *key, double &out)
-{
-    std::size_t at = valueOffset(line, key);
-    if (at == std::string::npos)
-        return false;
-    char *end = nullptr;
-    out = std::strtod(line.c_str() + at, &end);
-    return end != line.c_str() + at;
-}
-
-bool
-getU64(const std::string &line, const char *key, std::uint64_t &out)
-{
-    std::size_t at = valueOffset(line, key);
-    if (at == std::string::npos)
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(line.c_str() + at, &end, 10);
-    return end != line.c_str() + at;
-}
-
 /** Parse `"buckets":[[b,n],...]` (possibly empty). */
 bool
 getBuckets(const std::string &line,
@@ -159,14 +128,10 @@ getBuckets(const std::string &line,
     while (i < line.size() && line[i] != ']') {
         if (line[i] != '[')
             return false;
-        char *end = nullptr;
-        const char *p = line.c_str() + i + 1;
-        std::uint64_t b = std::strtoull(p, &end, 10);
-        if (end == p || *end != ',')
-            return false;
-        p = end + 1;
-        std::uint64_t n = std::strtoull(p, &end, 10);
-        if (end == p || *end != ']')
+        const char *end = nullptr;
+        std::uint64_t b = 0, n = 0;
+        if (!parseU64(line.c_str() + i + 1, end, b) || *end != ',' ||
+            !parseU64(end + 1, end, n) || *end != ']')
             return false;
         out.emplace_back(std::size_t(b), n);
         i = std::size_t(end - line.c_str()) + 1;
@@ -198,7 +163,7 @@ struct Report
             std::string node;
             double volts;
             if (!getString(line, "node", node) ||
-                !getNumber(line, "volts", volts)) {
+                !getF64(line, "volts", volts)) {
                 *err = "meta line missing node/volts";
                 return false;
             }
@@ -218,7 +183,7 @@ struct Report
                 return false;
             }
             if (s.type == "counter" || s.type == "gauge") {
-                if (!getNumber(line, "v", s.v)) {
+                if (!getF64(line, "v", s.v)) {
                     *err = "sample line missing v";
                     return false;
                 }
@@ -248,7 +213,7 @@ struct Report
                 !getU64(line, "pc", p.pc) ||
                 !getU64(line, "count", p.count) ||
                 !getU64(line, "ticks", p.ticks) ||
-                !getNumber(line, "pj", p.pj)) {
+                !getF64(line, "pj", p.pj)) {
                 *err = "profile line missing fields";
                 return false;
             }

@@ -33,7 +33,13 @@
 #include <string>
 #include <vector>
 
+#include "jsonl.hh"
+
 namespace {
+
+using snaple::tools::getF64;
+using snaple::tools::getU64;
+using snaple::tools::valueOffset;
 
 /** One parsed span line (schema: src/obs/flow.hh writeSpanJsonl). */
 struct Span
@@ -49,16 +55,6 @@ struct Span
     double pj = 0.0;
 };
 
-std::size_t
-valueOffset(const std::string &line, const char *key)
-{
-    std::string pat = "\"";
-    pat += key;
-    pat += "\":";
-    const auto p = line.find(pat);
-    return p == std::string::npos ? std::string::npos : p + pat.size();
-}
-
 bool
 getI64(const std::string &line, const char *key, long long &out)
 {
@@ -69,27 +65,6 @@ getI64(const std::string &line, const char *key, long long &out)
     char *end = nullptr;
     out = std::strtoll(line.c_str() + at, &end, 10);
     return end != line.c_str() + at && errno == 0;
-}
-
-bool
-getU64(const std::string &line, const char *key, std::uint64_t &out)
-{
-    long long v = 0;
-    if (!getI64(line, key, v) || v < 0)
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-bool
-getF64(const std::string &line, const char *key, double &out)
-{
-    const auto at = valueOffset(line, key);
-    if (at == std::string::npos)
-        return false;
-    char *end = nullptr;
-    out = std::strtod(line.c_str() + at, &end);
-    return end != line.c_str() + at;
 }
 
 /**
