@@ -139,9 +139,9 @@ class SnapCore
      * Request a fidelity switch. Takes effect at the next handler
      * boundary (the `done` instruction's event wait): the running
      * executor unwinds and the counterpart takes over with the same
-     * architectural state. Safe to call between kernel slices — the
-     * coordinator uses it at network barrier ticks
-     * (net::ParallelNetwork::setNodeFidelity).
+     * architectural state. Safe to call between kernel slices, e.g.
+     * between net::ParallelNetwork::runFor() calls, where the request
+     * lands at a barrier tick and stays jobs-invariant.
      */
     void requestFidelity(FidelityMode m);
 

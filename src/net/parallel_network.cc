@@ -57,6 +57,7 @@ ParallelNetwork::start()
     for (auto &s : shards_)
         s->node.start();
     started_ = true;
+    setJobs(jobs_);
 }
 
 void
@@ -243,7 +244,7 @@ void
 ParallelNetwork::runWindow(sim::Tick horizon)
 {
     const unsigned lanes = jobs_;
-    if (lanes <= 1 || shards_.size() <= 1) {
+    if (lanes <= 1) {
         for (auto &s : shards_)
             stepShard(*s, horizon);
         return;
@@ -262,30 +263,24 @@ ParallelNetwork::runFor(sim::Tick t)
     sim::fatalIf(!started_, "runFor() before start()");
     const sim::Tick target = now_ + t;
     while (now_ < target) {
+        // One window rule: a window ends at the next grid point or at
+        // the target. On a quiet air it stretches to the grid point
+        // covering the earliest shard event or metrics deadline, but
+        // always past now: an event left on the barrier tick itself
+        // (a delivery quantized there) runs in the next window, as it
+        // does when the air is busy. The rule reads only shard state
+        // and the grid, never the lane count (docs/CHECKPOINT.md,
+        // "Invariance fine print").
         sim::Tick horizon = std::min(target, gridNext(now_));
-        if (exchange_.quiet() && !barrierHook_) {
-            // Nothing is (or is about to be) on the air, so windows
-            // with no shard events need no barriers: fast-forward to
-            // the grid point covering the earliest pending event. The
-            // skip depends only on shard state, never lane count, so
-            // it cannot perturb jobs-independence. A barrier hook
-            // disables the skip entirely: hooks observe (and act at)
-            // barriers, so their instants must be the full grid — not
-            // whatever subset this particular runFor() span produced —
-            // or a run split at a checkpoint would accrue battery
-            // depletion at different instants than a straight run.
-            // Metrics deadlines clamp the skip for the same reason:
-            // a sample must land at the grid point covering its
-            // deadline, not wherever the fast-forward happened to
-            // stop (docs/CHECKPOINT.md).
-            sim::Tick next = sim::kMaxTick;
+        if (horizon < target && exchange_.quiet()) {
+            sim::Tick next = metricsOut_ ? metricsNext_ : sim::kMaxTick;
             for (const auto &s : shards_)
                 if (!s->halted)
                     next = std::min(next, s->kernel.nextEventAt());
-            if (metricsOut_)
-                next = std::min(next, metricsNext_);
-            horizon = next >= target ? target
-                                     : std::min(target, gridCeil(next));
+            horizon = next >= target
+                          ? target
+                          : std::min(target,
+                                     std::max(horizon, gridCeil(next)));
         }
         runWindow(horizon);
         exchange_.exchangeAt(horizon);
@@ -297,13 +292,6 @@ ParallelNetwork::runFor(sim::Tick t)
             while (metricsNext_ <= now_)
                 metricsNext_ += metricsInterval_;
         }
-        // Fault hooks run last, with every shard paused at the
-        // barrier. The set of barriers reached depends only on shard
-        // state (the fast-forward rule above), never lane count, so
-        // hook instants — and any faults they inject — stay
-        // jobs-invariant.
-        if (barrierHook_)
-            barrierHook_(now_);
     }
 }
 

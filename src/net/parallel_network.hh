@@ -13,6 +13,14 @@
  * coordinator drains the inter-shard radio mailboxes
  * (radio::AirExchange) at the barrier and the next window begins.
  *
+ * Every window ends on the next point of the absolute barrier grid or
+ * at the runFor() target, and always moves time forward. While the air
+ * is quiet, a window stretches over grid points at which no shard has
+ * an event (and no metrics sample is due). The caller's runFor()
+ * targets are the one extension point for work at a barrier: the
+ * scenario runner applies faults, battery kills and checkpoints
+ * between runFor() calls, with every shard paused at that tick.
+ *
  * The window size is the radio lookahead: one word airtime plus the
  * propagation delay, the minimum time in which a transmission started
  * in one shard could need to be heard in another. Every cross-shard
@@ -31,8 +39,8 @@
 #ifndef SNAPLE_NET_PARALLEL_NETWORK_HH
 #define SNAPLE_NET_PARALLEL_NETWORK_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -136,7 +144,13 @@ class ParallelNetwork
      */
     void start();
 
-    /** Run for a stretch of simulated time (all shards advance). */
+    /**
+     * Run for a stretch of simulated time (all shards advance),
+     * ending at a barrier at now() + @p t. Splitting a run at grid
+     * points (multiples of window()) adds barriers but changes no
+     * observable: per-node trace hashes, ledgers, air counters and the
+     * metrics and flow streams all match the unsplit run.
+     */
     void runFor(sim::Tick t);
 
     /**
@@ -222,7 +236,7 @@ class ParallelNetwork
     /**
      * @name Fault injection (scenario engine; see docs/SCENARIOS.md)
      *
-     * All three calls are coordinator-side and must land between
+     * killNode() and setLinkUp() are coordinator-side and land between
      * runFor() segments (i.e. at a barrier, every shard paused), so
      * their effects are defined purely by the barrier tick at which
      * they are applied — jobs-invariant like every other cross-shard
@@ -252,32 +266,6 @@ class ParallelNetwork
     setLinkUp(std::size_t a, std::size_t b, bool up)
     {
         exchange_.setLinkUp(a, b, up);
-    }
-
-    /**
-     * Invoke @p hook after every window barrier (after the air
-     * exchange and any metrics sample), with the barrier tick. The
-     * scenario engine uses it for battery-depletion checks; hooks run
-     * on the coordinator with all shards paused and may call
-     * killNode()/setLinkUp().
-     */
-    void
-    setBarrierHook(std::function<void(sim::Tick)> hook)
-    {
-        barrierHook_ = std::move(hook);
-    }
-
-    /**
-     * Request a fidelity switch for node @p i (core/core.hh). A
-     * coordinator-side call like killNode(): land it between runFor()
-     * segments, so the request is registered at a barrier tick and the
-     * switch itself happens at the node's next handler boundary —
-     * both deterministic, hence jobs-invariant.
-     */
-    void
-    setNodeFidelity(std::size_t i, node::FidelityMode m)
-    {
-        shards_.at(i)->node.core().requestFidelity(m);
     }
 
     /** Unresolved flights in the exchange (fault tests: no leaks). */
@@ -426,13 +414,21 @@ class ParallelNetwork
         window_ = w;
     }
 
+    /** Worker lanes runFor() uses; after start(), at most size(). */
     unsigned jobs() const { return jobs_; }
 
-    /** Change the lane count; semantics are unaffected by design. */
+    /**
+     * Change the lane count; semantics are unaffected by design. Once
+     * started, lanes beyond the node count are dropped: they would
+     * never get a shard.
+     */
     void
     setJobs(unsigned k)
     {
         jobs_ = k ? k : 1;
+        if (started_)
+            jobs_ = static_cast<unsigned>(std::min<std::size_t>(
+                jobs_, std::max<std::size_t>(shards_.size(), 1)));
     }
 
     /** Direct access to a shard's kernel (tests, host stimulus). */
@@ -498,7 +494,6 @@ class ParallelNetwork
     radio::AirExchange exchange_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::unique_ptr<sim::WorkerPool> pool_;
-    std::function<void(sim::Tick)> barrierHook_;
     AirTraceRing trace_;
     sim::Tick now_ = 0;
     sim::Tick window_ = 0;

@@ -148,6 +148,19 @@ class SnapNode
     }
 
     /**
+     * Bring the energy ledger up to "now": radio idle listening, then
+     * leakage, both of which accrue lazily. Call before reading
+     * ctx().ledger; a repeat call at the same instant adds nothing.
+     */
+    void
+    accrueEnergy()
+    {
+        if (radio_)
+            radio_->accrueListenEnergy();
+        ctx_.accrueLeakage();
+    }
+
+    /**
      * Refresh every sampled metric in ctx().metrics to "now": core
      * counters and histograms, energy gauges (leakage and radio
      * idle-listening accrued first), coprocessor occupancies and radio

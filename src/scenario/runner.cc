@@ -230,30 +230,6 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     if (opt.flowsOut)
         net.enableFlows(*opt.flowsOut);
 
-    // Battery depletion: at every barrier, bring each metered node's
-    // ledger up to date (idle listening + leakage accrue lazily) and
-    // kill it the first time the capacity is spent. Barrier instants
-    // are jobs-invariant, so depletion kills are too. Only installed
-    // when some node is actually metered: a barrier hook pins the
-    // full window grid (no radio-quiet fast-forward), which unmetered
-    // runs shouldn't pay for.
-    const bool metered = std::any_of(
-        capacityPj.begin(), capacityPj.end(),
-        [](double c) { return c > 0; });
-    if (metered)
-        net.setBarrierHook([&](sim::Tick) {
-            for (std::size_t i = 0; i < sc.nodes; ++i) {
-                if (capacityPj[i] <= 0 || net.nodeDead(i))
-                    continue;
-                node::SnapNode &node = net.node(i);
-                if (radio::Transceiver *t = node.transceiver())
-                    t->accrueListenEnergy();
-                node.ctx().accrueLeakage();
-                if (node.ctx().ledger.totalPj() >= capacityPj[i])
-                    net.killNode(i);
-            }
-        });
-
     // Resume from a snapshot (sensors first — their RNG streams are
     // host-side state the network snapshot carries for the runner) or
     // start fresh at t=0.
@@ -284,6 +260,11 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     // its barrier's faults, and a restored run replays only the
     // schedule tail past the snapshot). Checkpoints that land on an
     // ineligible barrier slide to the next one (docs/CHECKPOINT.md).
+    //
+    // Battery depletion rides the same loop: when any node is
+    // metered, every grid point ends a segment, where each metered
+    // ledger is brought up to date and a node whose capacity is spent
+    // is killed, before that barrier's faults.
     const sim::Tick w = net.window();
     const sim::Tick duration = msToTicks(sc.durationMs);
     std::map<sim::Tick, std::vector<Fault>> faultsAt;
@@ -313,9 +294,14 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     for (const Checkpoint &ck : opt.checkpoints)
         scheduleCheckpoint(ck);
 
+    const bool metered = std::any_of(
+        capacityPj.begin(), capacityPj.end(),
+        [](double c) { return c > 0; });
     sim::Tick now = startTick;
     while (now < duration || !faultsAt.empty() || !cksAt.empty()) {
         sim::Tick next = duration;
+        if (metered)
+            next = std::min(next, (now / w + 1) * w);
         if (!faultsAt.empty())
             next = std::min(next, faultsAt.begin()->first);
         if (!cksAt.empty())
@@ -323,6 +309,14 @@ runScenario(const Scenario &sc, const RunOptions &opt)
         if (next > now) {
             net.runFor(next - now);
             now = next;
+            for (std::size_t i = 0; i < sc.nodes; ++i) {
+                if (capacityPj[i] <= 0 || net.nodeDead(i))
+                    continue;
+                node::SnapNode &node = net.node(i);
+                node.accrueEnergy();
+                if (node.ctx().ledger.totalPj() >= capacityPj[i])
+                    net.killNode(i);
+            }
         }
         if (!faultsAt.empty() && faultsAt.begin()->first <= now) {
             for (const Fault &f : faultsAt.begin()->second) {
@@ -385,9 +379,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
         o.deathAt = net.nodeDeathAt(i);
         // Bring the ledger up to the node's final instant (its death
         // barrier when dead — the frozen kernel pins now() there).
-        if (radio::Transceiver *t = node.transceiver())
-            t->accrueListenEnergy();
-        node.ctx().accrueLeakage();
+        node.accrueEnergy();
         o.energyPj = node.ctx().ledger.totalPj();
         o.dbgWords = node.core().debugOut().size();
         o.traceHash = net.nodeTraceHash(i);

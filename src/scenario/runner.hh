@@ -6,8 +6,10 @@
  * assemble each node's program with its `.equ`-injected parameters,
  * wire topology, sensors and per-node seeds, quantize the fault
  * schedule to the window barrier grid, and drive runFor() segment by
- * segment, applying faults between segments and battery-depletion
- * kills from the barrier hook. Every observable in the RunResult —
+ * segment. All work at a barrier happens between runFor() calls, in
+ * one order: battery-depletion kills (when any node is metered, every
+ * grid point ends a segment), then faults, then checkpoints. Every
+ * observable in the RunResult —
  * per-node trace hashes, air counters, energy totals, the metrics
  * stream — is byte-identical for any RunOptions::jobs, because every
  * cross-shard effect (faults included) is defined purely by barrier

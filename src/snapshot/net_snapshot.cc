@@ -334,6 +334,7 @@ ParallelNetwork::restore(const snapshot::NetworkSnapshot &snap)
     metricsLastAt_ = snap.metricsLastAt;
     metricsMetaWritten_ = snap.metricsMetaWritten;
     started_ = true;
+    setJobs(jobs_);
 }
 
 } // namespace snaple::net

@@ -6,6 +6,7 @@
  * simulation: per-node trace hashes, air statistics and delivery
  * orders must be bit-identical for any --jobs. These tests pin that
  * contract, the deterministic equal-tick cross-shard merge order, the
+ * lane cap, the invariance of a run split at every barrier, the
  * bounded air-trace ring, and the per-node seed derivation.
  */
 
@@ -13,11 +14,15 @@
 
 #include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
+#include "energy/ledger.hh"
 #include "net/parallel_network.hh"
+#include "radio/field_medium.hh"
 #include "radio/transceiver.hh"
 #include "sim/rng.hh"
 
@@ -46,6 +51,21 @@ struct ParallelRun
     std::uint16_t sinkDeliv;
 };
 
+/** Register the sender -> relay -> relay -> sink chain n0..n3. */
+void
+addMacChain(ParallelNetwork &net, std::uint64_t baseSeed)
+{
+    const std::string programs[] = {
+        apps::senderNodeProgram(1, 4, {111, 222}),
+        apps::relayNodeProgram(2), apps::relayNodeProgram(3),
+        apps::sinkNodeProgram(4)};
+    for (std::size_t i = 0; i < 4; ++i) {
+        NodeConfig c = cfgFor("n" + std::to_string(i));
+        c.baseSeed = baseSeed;
+        net.addNode(c, assembleSnap(programs[i]));
+    }
+}
+
 /**
  * A seeded 4-node sender -> relay -> relay -> sink exchange on a line
  * topology. The guests reseed their LFSRs with MY_ADDR during boot, so
@@ -56,15 +76,7 @@ ParallelRun
 runParallelMac(unsigned jobs)
 {
     ParallelNetwork net(1 * sim::kMicrosecond, jobs);
-    std::vector<NodeConfig> cfgs = {cfgFor("n0"), cfgFor("n1"),
-                                    cfgFor("n2"), cfgFor("n3")};
-    for (auto &c : cfgs)
-        c.baseSeed = 0xfeedfacedeadbeefull;
-    net.addNode(cfgs[0],
-                assembleSnap(apps::senderNodeProgram(1, 4, {111, 222})));
-    net.addNode(cfgs[1], assembleSnap(apps::relayNodeProgram(2)));
-    net.addNode(cfgs[2], assembleSnap(apps::relayNodeProgram(3)));
-    net.addNode(cfgs[3], assembleSnap(apps::sinkNodeProgram(4)));
+    addMacChain(net, 0xfeedfacedeadbeefull);
     net.setLineTopology();
     net.enableTracing(/*record=*/false);
     net.start();
@@ -122,15 +134,7 @@ TEST(ParallelNetworkTest, BaseSeedChangesEveryNodeTrace)
     // Same harness, different base seed: every node's CSMA backoff
     // stream moves, so every per-node hash must move.
     ParallelNetwork net(1 * sim::kMicrosecond, 2);
-    std::vector<NodeConfig> cfgs = {cfgFor("n0"), cfgFor("n1"),
-                                    cfgFor("n2"), cfgFor("n3")};
-    for (auto &c : cfgs)
-        c.baseSeed = 0x1234567887654321ull;
-    net.addNode(cfgs[0],
-                assembleSnap(apps::senderNodeProgram(1, 4, {111, 222})));
-    net.addNode(cfgs[1], assembleSnap(apps::relayNodeProgram(2)));
-    net.addNode(cfgs[2], assembleSnap(apps::relayNodeProgram(3)));
-    net.addNode(cfgs[3], assembleSnap(apps::sinkNodeProgram(4)));
+    addMacChain(net, 0x1234567887654321ull);
     net.setLineTopology();
     net.enableTracing(/*record=*/false);
     net.start();
@@ -239,6 +243,115 @@ TEST(ParallelNetworkTest, OverlappingCrossShardTransmissionsCollide)
     EXPECT_EQ(net.stats().collisions, 2u);
     EXPECT_EQ(net.stats().wordsDelivered, 0u);
     EXPECT_TRUE(rx.core().debugOut().empty());
+}
+
+TEST(ParallelNetworkTest, JobsNeverExceedNodes)
+{
+    // A lane beyond the node count would never get a shard, only a
+    // thread: start() drops it, and so does a later setJobs().
+    ParallelNetwork net(1 * sim::kMicrosecond, 8);
+    net.addNode(cfgFor("a"), assembleSnap(kIdleProgram));
+    net.addNode(cfgFor("b"), assembleSnap(kIdleProgram));
+    EXPECT_EQ(net.jobs(), 8u);
+    net.start();
+    EXPECT_EQ(net.jobs(), 2u);
+    net.setJobs(16);
+    EXPECT_EQ(net.jobs(), 2u);
+    net.setJobs(1);
+    EXPECT_EQ(net.jobs(), 1u);
+}
+
+/** Everything observable from one stepped or straight run. */
+struct SteppedRun
+{
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::vector<double>> ledgers;
+    radio::Medium::Stats air;
+    std::uint64_t rxInRange = 0, pendingRx = 0;
+    std::uint16_t sinkDeliv = 0;
+    std::string metrics, flows;
+};
+
+/**
+ * The unseeded MAC chain with the metrics and flow streams on, run for 300 windows either as
+ * one runFor() or as one runFor() per window. The exchange is over
+ * well before the end, leaving long quiet stretches to fast-forward.
+ * @p field swaps the line topology for positions 30 m apart, so each
+ * node hears only its neighbours on the spatial channel.
+ */
+SteppedRun
+runStepped(bool field, bool everyBarrier)
+{
+    ParallelNetwork net(1 * sim::kMicrosecond, 2);
+    addMacChain(net, 0);
+    if (field) {
+        net.setField(radio::FieldConfig{});
+        for (std::size_t i = 0; i < net.size(); ++i)
+            net.setNodePosition(i, 30.0 * double(i), 0);
+    } else {
+        net.setLineTopology();
+    }
+    std::ostringstream metrics, flows;
+    net.enableTracing(/*record=*/false);
+    net.enableMetrics(metrics, 5 * sim::kMillisecond);
+    net.setFlowWindow(10 * sim::kMillisecond);
+    net.enableFlows(flows);
+    net.start();
+
+    const sim::Tick total = 300 * net.window();
+    if (everyBarrier)
+        while (net.now() < total)
+            net.runFor(net.window());
+    else
+        net.runFor(total);
+    net.finishMetrics();
+    net.finishFlows();
+
+    SteppedRun r;
+    for (std::size_t i = 0; i < net.size(); ++i) {
+        net.node(i).accrueEnergy();
+        r.hashes.push_back(net.nodeTraceHash(i));
+        std::vector<double> pj;
+        for (std::size_t c = 0; c < energy::kNumCats; ++c)
+            pj.push_back(
+                net.node(i).ctx().ledger.pj(static_cast<energy::Cat>(c)));
+        r.ledgers.push_back(pj);
+    }
+    r.air = net.stats();
+    r.rxInRange = net.airRxInRange();
+    r.pendingRx = net.airPendingDeliveries();
+    r.sinkDeliv = net.node(3).dmem().peek(apps::layout::kStDeliv);
+    r.metrics = metrics.str();
+    r.flows = flows.str();
+    return r;
+}
+
+TEST(ParallelNetworkTest, SteppingEveryBarrierMatchesOneRunFor)
+{
+    // The scenario runner ends a runFor() at every grid point when a
+    // node is metered and at fault and checkpoint ticks otherwise; the
+    // extra barriers must change nothing, whichever channel is in use.
+    for (const bool field : {false, true}) {
+        SCOPED_TRACE(field ? "field" : "single cell");
+        const SteppedRun straight = runStepped(field, false);
+        const SteppedRun stepped = runStepped(field, true);
+
+        EXPECT_EQ(straight.sinkDeliv, 1u);
+        EXPECT_FALSE(straight.flows.empty());
+
+        EXPECT_EQ(straight.hashes, stepped.hashes);
+        EXPECT_EQ(straight.ledgers, stepped.ledgers);
+        EXPECT_EQ(straight.air.wordsSent, stepped.air.wordsSent);
+        EXPECT_EQ(straight.air.wordsDelivered,
+                  stepped.air.wordsDelivered);
+        EXPECT_EQ(straight.air.collisions, stepped.air.collisions);
+        EXPECT_EQ(straight.air.dropsMode, stepped.air.dropsMode);
+        EXPECT_EQ(straight.air.dropsFifo, stepped.air.dropsFifo);
+        EXPECT_EQ(straight.rxInRange, stepped.rxInRange);
+        EXPECT_EQ(straight.pendingRx, stepped.pendingRx);
+        EXPECT_EQ(straight.metrics, stepped.metrics);
+        EXPECT_EQ(straight.flows, stepped.flows);
+    }
 }
 
 TEST(AirTraceRingTest, RetainsOnlyTheMostRecentWordsOver100kPushes)

@@ -14,7 +14,6 @@
 #include "asm/snap_backend.hh"
 #include "net/parallel_network.hh"
 #include "node/node.hh"
-#include "radio/transceiver.hh"
 #include "sim/ticks.hh"
 
 namespace {
@@ -148,8 +147,7 @@ TEST(FaultInjection, DeadNodeFreezesTraceAndLedger)
     rig.net.killNode(0);
 
     const auto accrue = [&](std::size_t i) {
-        rig.net.node(i).transceiver()->accrueListenEnergy();
-        rig.net.node(i).ctx().accrueLeakage();
+        rig.net.node(i).accrueEnergy();
         return rig.net.node(i).ctx().ledger.totalPj();
     };
     // Accrue first: bringing the ledger up to date emits energy-debit

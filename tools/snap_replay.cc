@@ -31,7 +31,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -43,6 +42,7 @@
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "snapshot/snapshot.hh"
+#include "jsonl.hh"
 
 namespace {
 
@@ -124,11 +124,11 @@ main(int argc, char **argv)
         if (!std::strncmp(argv[i], "--scenario=", 11))
             scenario_path = argv[i] + 11;
         else if (!std::strncmp(argv[i], "--every-ms=", 11))
-            every_ms = std::atof(argv[i] + 11);
+            every_ms = tools::flagValue<double>("--every-ms", argv[i] + 11);
         else if (!std::strncmp(argv[i], "--jobs=", 7))
-            jobs = static_cast<unsigned>(std::atoi(argv[i] + 7));
+            jobs = tools::flagValue<unsigned>("--jobs", argv[i] + 7);
         else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            jobs = tools::flagValue<unsigned>("--jobs", argv[++i]);
         else if (!std::strncmp(argv[i], "--out=", 6))
             out_path = argv[i] + 6;
         else if (!std::strncmp(argv[i], "--snap-dir=", 11))
@@ -176,9 +176,10 @@ main(int argc, char **argv)
             }
             scenario::Fault f;
             f.kind = scenario::Fault::Kind::Kill;
-            f.a = static_cast<std::uint32_t>(
-                std::atoi(plant_arg.substr(0, at).c_str()));
-            f.atMs = std::atof(plant_arg.c_str() + at + 1);
+            f.a = tools::flagValue<std::uint32_t>(
+                "--plant-kill", plant_arg.substr(0, at).c_str());
+            f.atMs = tools::flagValue<double>("--plant-kill",
+                                              plant_arg.c_str() + at + 1);
             sc.faults.push_back(f);
         }
 

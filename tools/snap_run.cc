@@ -72,7 +72,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -84,14 +83,17 @@
 #include "energy/class_cal.hh"
 #include "net/parallel_network.hh"
 #include "node/power.hh"
-#include "radio/transceiver.hh"
 #include "scenario/runner.hh"
 #include "sim/trace.hh"
 #include "snapshot/snapshot.hh"
+#include "jsonl.hh"
 
 namespace {
 
 using namespace snaple;
+
+/** Longest --ms whose end tick cannot overflow sim::Tick. */
+constexpr double kMaxMs = double(sim::kMaxTick / 2 / sim::kMillisecond);
 
 /**
  * Self-rearming cadence sampler for the single-machine path (the
@@ -164,7 +166,8 @@ parseVolts(const char *arg)
         std::size_t comma = s.find(',', pos);
         if (comma == std::string::npos)
             comma = s.size();
-        out.push_back(std::atof(s.substr(pos, comma - pos).c_str()));
+        out.push_back(tools::flagValue<double>(
+            "--volts", s.substr(pos, comma - pos).c_str()));
         pos = comma + 1;
     }
     return out;
@@ -207,13 +210,13 @@ main(int argc, char **argv)
         else if (!std::strncmp(argv[i], "--cal=", 6))
             cal_path = argv[i] + 6;
         else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc)
-            ms = std::atof(argv[++i]);
+            ms = tools::flagValue<double>("--ms", argv[++i], kMaxMs);
         else if (!std::strcmp(argv[i], "--nodes") && i + 1 < argc)
-            nodes = static_cast<unsigned>(std::atoi(argv[++i]));
+            nodes = tools::flagValue<unsigned>("--nodes", argv[++i]);
         else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            jobs = tools::flagValue<unsigned>("--jobs", argv[++i]);
         else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-            seed = std::strtoull(argv[++i], nullptr, 0);
+            seed = tools::flagValue<std::uint64_t>("--seed", argv[++i]);
         else if (!std::strcmp(argv[i], "--stats"))
             stats = true;
         else if (!std::strcmp(argv[i], "--timeline"))
@@ -227,7 +230,8 @@ main(int argc, char **argv)
         else if (!std::strncmp(argv[i], "--metrics=", 10))
             metrics_path = argv[i] + 10;
         else if (!std::strncmp(argv[i], "--metrics-interval=", 19))
-            metrics_interval = std::strtoull(argv[i] + 19, nullptr, 0);
+            metrics_interval = tools::flagValue<sim::Tick>(
+                "--metrics-interval", argv[i] + 19);
         else if (!std::strncmp(argv[i], "--metrics-format=", 17))
             metrics_format = argv[i] + 17;
         else if (!std::strncmp(argv[i], "--flows=", 8))
@@ -237,7 +241,8 @@ main(int argc, char **argv)
         else if (!std::strncmp(argv[i], "--row=", 6))
             row_path = argv[i] + 6;
         else if (!std::strncmp(argv[i], "--save-at=", 10))
-            save_at.push_back(std::atof(argv[i] + 10));
+            save_at.push_back(
+                tools::flagValue<double>("--save-at", argv[i] + 10));
         else if (!std::strncmp(argv[i], "--save=", 7))
             save_path = argv[i] + 7;
         else if (!std::strncmp(argv[i], "--restore=", 10))
@@ -459,9 +464,7 @@ main(int argc, char **argv)
                 // listening and leakage accrue lazily, so a node
                 // parked in Rx would otherwise report none of its
                 // dominant energy cost.
-                if (radio::Transceiver *t = net.node(i).transceiver())
-                    t->accrueListenEnergy();
-                net.node(i).ctx().accrueLeakage();
+                net.node(i).accrueEnergy();
                 net_instructions +=
                     net.node(i).core().stats().instructions;
             }
