@@ -10,6 +10,9 @@
 
 #include <array>
 #include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "apps/apps.hh"
@@ -492,6 +495,63 @@ BENCHMARK(BM_ScenarioScaling)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_MetricsSample(benchmark::State &state)
+{
+    // One metrics sample of an 8-node trickle line (the shipped
+    // scenario's program and parameters) after 2 s of simulated time:
+    // every node's sampleMetrics() and JSONL rows, then the "all"
+    // aggregate rebuilt in node-id order and written. This is the
+    // work ParallelNetwork does at each metrics sample, minus the
+    // "net" rows and the stream write.
+    std::ifstream in(std::string(SNAPLE_SOURCE_DIR) +
+                     "/examples/scenarios/trickle_node.s");
+    std::ostringstream body;
+    body << in.rdbuf();
+    const auto program = [&body](int seed) {
+        return assembler::assembleSnap(
+            ".equ IS_SEED, " + std::to_string(seed) +
+            "\n.equ TMIN_TK, 4096\n.equ TMAX_TK, 16384\n"
+            ".equ SEED_PERIOD_TK, 60000\n" +
+            body.str());
+    };
+    const assembler::Program seedProg = program(1);
+    const assembler::Program relayProg = program(0);
+    net::ParallelNetwork net(1 * sim::kMicrosecond, 1);
+    for (int i = 0; i < 8; ++i) {
+        node::NodeConfig c;
+        c.name = "n" + std::to_string(i);
+        c.baseSeed = 42;
+        net.addNode(c, i == 0 ? seedProg : relayProg);
+    }
+    net.setLineTopology();
+    net.start();
+    net.runFor(2000 * sim::kMillisecond);
+
+    sim::MetricsRegistry all;
+    std::vector<sim::MetricsRegistry::MergeTable> tables(8);
+    std::string buf;
+    for (auto _ : state) {
+        buf.clear();
+        for (std::size_t i = 0; i < 8; ++i) {
+            node::SnapNode &n = net.node(i);
+            n.sampleMetrics();
+            n.ctx().metrics.writeJsonl(buf, net.now(), n.name());
+        }
+        all.resetValues();
+        for (std::size_t i = 0; i < 8; ++i)
+            all.mergeFrom(net.node(i).ctx().metrics, tables[i]);
+        all.writeJsonl(buf, net.now(), "all");
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(buf.size()));
+    state.SetLabel("samples/s");
+}
+BENCHMARK(BM_MetricsSample);
 
 void
 BM_AvrBaselineBlink(benchmark::State &state)

@@ -87,6 +87,16 @@ class TimerCoproc
     /** True if timer @p n is counting down. */
     bool armed(unsigned n) const { return timers_[n].armed; }
 
+    /** How many of the three registers are counting down. */
+    unsigned
+    armedCount() const
+    {
+        unsigned n = 0;
+        for (const Timer &t : timers_)
+            n += t.armed ? 1 : 0;
+        return n;
+    }
+
     /** Attach the node's energest duty ledger (src/obs/energest.hh):
      *  accrues Timer ticks while any register counts down. Optional;
      *  purely observational. */

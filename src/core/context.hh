@@ -14,6 +14,7 @@
 #include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "energy/calibration.hh"
@@ -207,21 +208,45 @@ struct NodeContext
     publishEnergyMetrics()
     {
         accrueLeakage();
-        for (std::size_t c = 0; c < energy::kNumCats; ++c) {
-            const auto cat = static_cast<energy::Cat>(c);
-            metrics
-                .gauge(std::string("energy.") +
-                           std::string(energy::catName(cat)) + "_pj")
-                .set(ledger.pj(cat));
+        if (!energyGauges_[0]) {
+            sim::MetricName name;
+            for (std::size_t c = 0; c < energy::kNumCats; ++c)
+                energyGauges_[c] = &metrics.gauge(name(
+                    "energy.",
+                    energy::catName(static_cast<energy::Cat>(c)), "_pj"));
+            for (std::size_t s = 0; s < kHandlerSlots; ++s) {
+                const std::string_view ev =
+                    s == kBootSlot ? "boot"
+                                   : isa::eventName(
+                                         static_cast<isa::EventNum>(s));
+                handlerPjGauges_[s] =
+                    &metrics.gauge(name("handler.", ev, ".pj"));
+            }
         }
-        for (std::size_t s = 0; s < kHandlerSlots; ++s) {
-            const std::string ev =
-                s == kBootSlot
-                    ? std::string("boot")
-                    : std::string(isa::eventName(
-                          static_cast<isa::EventNum>(s)));
-            metrics.gauge("handler." + ev + ".pj").set(handlerPj_[s]);
+        for (std::size_t c = 0; c < energy::kNumCats; ++c)
+            energyGauges_[c]->set(
+                ledger.pj(static_cast<energy::Cat>(c)));
+        for (std::size_t s = 0; s < kHandlerSlots; ++s)
+            handlerPjGauges_[s]->set(handlerPj_[s]);
+    }
+
+    /**
+     * Publish the occupancy gauges every node shape shares: words in
+     * the r15 message FIFOs ("msg.in_occupancy", "msg.out_occupancy")
+     * and armed timer registers ("timer.armed").
+     */
+    void
+    publishOccupancy(std::size_t msgIn, std::size_t msgOut,
+                     unsigned timersArmed)
+    {
+        if (!occupancyGauges_[0]) {
+            occupancyGauges_ = {&metrics.gauge("msg.in_occupancy"),
+                                &metrics.gauge("msg.out_occupancy"),
+                                &metrics.gauge("timer.armed")};
         }
+        occupancyGauges_[0]->set(double(msgIn));
+        occupancyGauges_[1]->set(double(msgOut));
+        occupancyGauges_[2]->set(double(timersArmed));
     }
 
     /** @name Snapshot support (src/snapshot/)
@@ -262,6 +287,10 @@ struct NodeContext
     std::array<double, kHandlerSlots> handlerPj_{};
     /** One trace scope per ledger category ("energy.<cat>"). */
     std::array<sim::TraceScope, energy::kNumCats> energyScopes_;
+    /** Published instruments, looked up on the first sample. */
+    std::array<sim::MetricGauge *, energy::kNumCats> energyGauges_{};
+    std::array<sim::MetricGauge *, kHandlerSlots> handlerPjGauges_{};
+    std::array<sim::MetricGauge *, 3> occupancyGauges_{};
 };
 
 } // namespace snaple::core

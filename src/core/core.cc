@@ -649,32 +649,66 @@ SnapCore::profileRows() const
 }
 
 void
-SnapCore::publishMetrics()
+SnapCore::bindMetrics()
 {
     sim::MetricsRegistry &m = ctx_.metrics;
+    sim::MetricName name;
+    pub_.instructions = &m.counter("core.instructions");
+    pub_.wordsFetched = &m.counter("core.words_fetched");
+    pub_.handlers = &m.counter("core.handlers");
+    pub_.sleeps = &m.counter("core.sleeps");
+    pub_.wakeups = &m.counter("core.wakeups");
+    pub_.activeTicks = &m.counter("core.active_ticks");
+    pub_.dutyCycle = &m.gauge("core.duty_cycle", sim::GaugeMerge::Mean);
+    for (std::size_t c = 0; c < isa::kNumClasses; ++c) {
+        const std::string slug =
+            isa::classSlug(static_cast<isa::InstrClass>(c));
+        pub_.classCount[c] = &m.counter(name("core.class.", slug));
+        pub_.classTicks[c] =
+            &m.counter(name("core.class.", slug, ".ticks"));
+        pub_.classPj[c] = &m.gauge(name("core.class.", slug, ".pj"));
+    }
+    pub_.evqAccepted = &m.counter("core.evq.accepted");
+    pub_.evqDropped = &m.counter("core.evq.dropped");
+    pub_.evqOccupancy = &m.gauge("core.evq.occupancy");
+    for (std::size_t e = 0; e < isa::kNumEvents; ++e) {
+        const std::string_view ev =
+            isa::eventName(static_cast<isa::EventNum>(e));
+        pub_.activations[e] =
+            &m.counter(name("handler.", ev, ".activations"));
+        pub_.handlerInstructions[e] =
+            &m.counter(name("handler.", ev, ".instructions"));
+        pub_.handlerTicks[e] = &m.counter(name("handler.", ev, ".ticks"));
+    }
+    pub_.handlerTicks[NodeContext::kBootSlot] =
+        &m.counter("handler.boot.ticks");
+}
+
+void
+SnapCore::publishMetrics()
+{
+    if (!pub_.instructions)
+        bindMetrics();
     const Tick now = ctx_.kernel.now();
 
-    m.counter("core.instructions").set(stats_.instructions);
-    m.counter("core.words_fetched").set(stats_.wordsFetched);
-    m.counter("core.handlers").set(stats_.handlers);
-    m.counter("core.sleeps").set(stats_.sleeps);
-    m.counter("core.wakeups").set(stats_.wakeups);
-    m.counter("core.active_ticks").set(activeTimeNow());
-    m.gauge("core.duty_cycle", sim::GaugeMerge::Mean)
-        .set(now ? double(activeTimeNow()) / double(now) : 0.0);
+    pub_.instructions->set(stats_.instructions);
+    pub_.wordsFetched->set(stats_.wordsFetched);
+    pub_.handlers->set(stats_.handlers);
+    pub_.sleeps->set(stats_.sleeps);
+    pub_.wakeups->set(stats_.wakeups);
+    pub_.activeTicks->set(activeTimeNow());
+    pub_.dutyCycle->set(now ? double(activeTimeNow()) / double(now)
+                            : 0.0);
 
     for (std::size_t c = 0; c < isa::kNumClasses; ++c) {
-        const std::string prefix =
-            "core.class." + isa::classSlug(static_cast<isa::InstrClass>(c));
-        m.counter(prefix).set(stats_.perClass[c]);
-        m.counter(prefix + ".ticks").set(stats_.perClassTicks[c]);
-        m.gauge(prefix + ".pj").set(stats_.perClassPj[c]);
+        pub_.classCount[c]->set(stats_.perClass[c]);
+        pub_.classTicks[c]->set(stats_.perClassTicks[c]);
+        pub_.classPj[c]->set(stats_.perClassPj[c]);
     }
 
-    m.counter("core.evq.accepted").set(eventQueue_.accepted());
-    m.counter("core.evq.dropped").set(eventQueue_.dropped());
-    m.gauge("core.evq.occupancy")
-        .set(double(eventQueue_.size()));
+    pub_.evqAccepted->set(eventQueue_.accepted());
+    pub_.evqDropped->set(eventQueue_.dropped());
+    pub_.evqOccupancy->set(double(eventQueue_.size()));
 
     // Per-handler attribution; the running handler's open segment is
     // added on the fly so samples mid-handler stay monotone.
@@ -682,17 +716,11 @@ SnapCore::publishMetrics()
     if (!halted_ && !asleep_)
         ticks[slotOf(currentEvent_)] += now - segStart_;
     for (std::size_t e = 0; e < isa::kNumEvents; ++e) {
-        const std::string prefix =
-            "handler." +
-            std::string(isa::eventName(static_cast<isa::EventNum>(e)));
-        m.counter(prefix + ".activations")
-            .set(stats_.perEvent[e].activations);
-        m.counter(prefix + ".instructions")
-            .set(stats_.perEvent[e].instructions);
-        m.counter(prefix + ".ticks").set(ticks[e]);
+        pub_.activations[e]->set(stats_.perEvent[e].activations);
+        pub_.handlerInstructions[e]->set(stats_.perEvent[e].instructions);
     }
-    m.counter("handler.boot.ticks")
-        .set(ticks[NodeContext::kBootSlot]);
+    for (std::size_t s = 0; s < NodeContext::kHandlerSlots; ++s)
+        pub_.handlerTicks[s]->set(ticks[s]);
 }
 
 } // namespace snaple::core

@@ -370,6 +370,33 @@ class SnapCore
     sim::MetricHistogram *evqWaitAll_;
     std::array<sim::MetricHistogram *, isa::kNumEvents> evqWait_;
 
+    /** The instruments publishMetrics() mirrors Stats into, looked up
+     *  on its first call: a run that never samples creates none. */
+    struct Published
+    {
+        sim::MetricCounter *instructions = nullptr;
+        sim::MetricCounter *wordsFetched = nullptr;
+        sim::MetricCounter *handlers = nullptr;
+        sim::MetricCounter *sleeps = nullptr;
+        sim::MetricCounter *wakeups = nullptr;
+        sim::MetricCounter *activeTicks = nullptr;
+        sim::MetricGauge *dutyCycle = nullptr;
+        std::array<sim::MetricCounter *, isa::kNumClasses> classCount{};
+        std::array<sim::MetricCounter *, isa::kNumClasses> classTicks{};
+        std::array<sim::MetricGauge *, isa::kNumClasses> classPj{};
+        sim::MetricCounter *evqAccepted = nullptr;
+        sim::MetricCounter *evqDropped = nullptr;
+        sim::MetricGauge *evqOccupancy = nullptr;
+        std::array<sim::MetricCounter *, isa::kNumEvents> activations{};
+        std::array<sim::MetricCounter *, isa::kNumEvents>
+            handlerInstructions{};
+        /** Indexed by handler slot; the boot slot included. */
+        std::array<sim::MetricCounter *, NodeContext::kHandlerSlots>
+            handlerTicks{};
+    };
+    Published pub_;
+    void bindMetrics();
+
     /** Flat profile storage, pc-major: [pc * kHandlerSlots + slot].
      *  Empty when profiling is off. */
     std::vector<ProfSlot> profile_;

@@ -247,10 +247,11 @@ SnapCore::SnapCore(NodeContext &ctx, mem::Sram &imem, mem::Sram &dmem,
       traceExec_(ctx.kernel, name + ".exec"),
       evqWaitAll_(&ctx.metrics.histogram("core.evq_wait_ticks"))
 {
+    sim::MetricName metric;
     for (std::size_t e = 0; e < isa::kNumEvents; ++e)
         evqWait_[e] = &ctx.metrics.histogram(
-            std::string("core.evq_wait_ticks.") +
-            std::string(isa::eventName(static_cast<isa::EventNum>(e))));
+            metric("core.evq_wait_ticks.",
+                   isa::eventName(static_cast<isa::EventNum>(e))));
 }
 
 SnapCore::~SnapCore() = default;

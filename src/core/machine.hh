@@ -73,13 +73,8 @@ class Machine
     {
         core_.publishMetrics();
         ctx_.publishEnergyMetrics();
-        ctx_.metrics.gauge("msg.in_occupancy")
-            .set(double(msgIn_.size()));
-        ctx_.metrics.gauge("msg.out_occupancy")
-            .set(double(msgOut_.size()));
-        ctx_.metrics.gauge("timer.armed")
-            .set(double(timer_.armed(0)) + double(timer_.armed(1)) +
-                 double(timer_.armed(2)));
+        ctx_.publishOccupancy(msgIn_.size(), msgOut_.size(),
+                              timer_.armedCount());
     }
 
     NodeContext &ctx() { return ctx_; }

@@ -99,14 +99,17 @@ ParallelNetwork::enableMetrics(std::ostream &out, sim::Tick interval,
 void
 ParallelNetwork::sampleMetricsNow()
 {
-    std::ostream &out = *metricsOut_;
+    // One sample is formatted into metricsBuf_ and reaches the stream
+    // in one write.
+    std::string &buf = metricsBuf_;
+    buf.clear();
     if (!metricsMetaWritten_) {
         if (metricsCsv_) {
-            sim::MetricsRegistry::writeCsvHeader(out);
+            sim::MetricsRegistry::writeCsvHeader(buf);
         } else {
             for (const auto &s : shards_)
                 sim::MetricsRegistry::writeMetaJsonl(
-                    out, s->node.name(), s->node.ctx().cfg.volts,
+                    buf, s->node.name(), s->node.ctx().cfg.volts,
                     metricsInterval_);
         }
         metricsMetaWritten_ = true;
@@ -119,30 +122,37 @@ ParallelNetwork::sampleMetricsNow()
         s->node.sampleMetrics();
         const sim::MetricsRegistry &r = s->node.ctx().metrics;
         if (metricsCsv_)
-            r.writeCsv(out, now_, s->node.name());
+            r.writeCsv(buf, now_, s->node.name());
         else
-            r.writeJsonl(out, now_, s->node.name());
+            r.writeJsonl(buf, now_, s->node.name());
     }
 
-    // "all": the per-node registries folded in node-id order.
+    // "all": the per-node registries folded in node-id order, each
+    // through its own merge table.
+    mergeTables_.resize(shards_.size());
     aggregate_.resetValues();
-    for (const auto &s : shards_)
-        aggregate_.mergeFrom(s->node.ctx().metrics);
+    for (std::size_t i = 0; i < shards_.size(); ++i)
+        aggregate_.mergeFrom(shards_[i]->node.ctx().metrics,
+                             mergeTables_[i]);
     if (metricsCsv_)
-        aggregate_.writeCsv(out, now_, "all");
+        aggregate_.writeCsv(buf, now_, "all");
     else
-        aggregate_.writeJsonl(out, now_, "all");
+        aggregate_.writeJsonl(buf, now_, "all");
 
     // "net": the shared-channel counters plus the sniffer-ring loss
     // (words the bounded air-trace ring overwrote).
     netScratch_.resetValues();
-    netScratch_.mergeFrom(exchange_.metrics());
-    netScratch_.counter("air.sniff_overwrites").set(trace_.overwrites());
+    netScratch_.mergeFrom(exchange_.metrics(), netMergeTable_);
+    if (!sniffOverwrites_)
+        sniffOverwrites_ = &netScratch_.counter("air.sniff_overwrites");
+    sniffOverwrites_->set(trace_.overwrites());
     if (metricsCsv_)
-        netScratch_.writeCsv(out, now_, "net");
+        netScratch_.writeCsv(buf, now_, "net");
     else
-        netScratch_.writeJsonl(out, now_, "net");
+        netScratch_.writeJsonl(buf, now_, "net");
 
+    metricsOut_->write(buf.data(),
+                       static_cast<std::streamsize>(buf.size()));
     metricsLastAt_ = now_;
 }
 
@@ -153,12 +163,17 @@ ParallelNetwork::finishMetrics()
         return;
     if (metricsLastAt_ != now_)
         sampleMetricsNow();
-    if (!metricsCsv_)
+    if (!metricsCsv_) {
+        std::string &buf = metricsBuf_;
+        buf.clear();
         for (const auto &s : shards_)
             for (const sim::ProfileRow &row :
                  s->node.core().profileRows())
                 sim::MetricsRegistry::writeProfileJsonl(
-                    *metricsOut_, s->node.name(), row);
+                    buf, s->node.name(), row);
+        metricsOut_->write(buf.data(),
+                           static_cast<std::streamsize>(buf.size()));
+    }
     metricsOut_->flush();
 }
 

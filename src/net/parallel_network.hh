@@ -512,6 +512,11 @@ class ParallelNetwork
     bool metricsMetaWritten_ = false;
     sim::MetricsRegistry aggregate_;  ///< scratch for the "all" rows
     sim::MetricsRegistry netScratch_; ///< scratch for the "net" rows
+    /** Node i's registry → aggregate_, kept across samples. */
+    std::vector<sim::MetricsRegistry::MergeTable> mergeTables_;
+    sim::MetricsRegistry::MergeTable netMergeTable_;
+    sim::MetricCounter *sniffOverwrites_ = nullptr; ///< in netScratch_
+    std::string metricsBuf_; ///< one sample's bytes, reused
 
     // Flow-span streaming (enableFlows). Coordinator-only state.
     std::ostream *flowsOut_ = nullptr;

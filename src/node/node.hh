@@ -8,6 +8,7 @@
 #ifndef SNAPLE_NODE_NODE_HH
 #define SNAPLE_NODE_NODE_HH
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -174,18 +175,12 @@ class SnapNode
             radio_->accrueListenEnergy();
         core_.publishMetrics();
         ctx_.publishEnergyMetrics();
-        ctx_.metrics.gauge("msg.in_occupancy", sim::GaugeMerge::Sum)
-            .set(double(msgIn_.size()));
-        ctx_.metrics.gauge("msg.out_occupancy", sim::GaugeMerge::Sum)
-            .set(double(msgOut_.size()));
-        unsigned armed = 0;
-        for (unsigned n = 0; n < 3; ++n)
-            armed += timer_.armed(n) ? 1 : 0;
-        ctx_.metrics.gauge("timer.armed", sim::GaugeMerge::Sum)
-            .set(double(armed));
+        ctx_.publishOccupancy(msgIn_.size(), msgOut_.size(),
+                              timer_.armedCount());
+        if (!pub_.cpuActive)
+            bindMetrics();
         if (radio_)
-            ctx_.metrics.gauge("radio.mode", sim::GaugeMerge::Skip)
-                .set(double(static_cast<int>(radio_->mode())));
+            pub_.radioMode->set(double(static_cast<int>(radio_->mode())));
 
         // Energest duty ledger (docs/METRICS.md): accrued ticks and
         // attributed energy per component state, plus the core's
@@ -193,20 +188,12 @@ class SnapNode
         const sim::Tick now = ctx_.kernel.now();
         for (std::size_t i = 0; i < obs::kNumComps; ++i) {
             const auto c = static_cast<obs::Comp>(i);
-            const std::string stem =
-                std::string("energest.") + obs::compName(c);
-            ctx_.metrics.gauge(stem + "_ticks", sim::GaugeMerge::Sum)
-                .set(double(energest_.ticks(c, now)));
-            ctx_.metrics.gauge(stem + "_pj", sim::GaugeMerge::Sum)
-                .set(energest_.pj(c));
+            pub_.energestTicks[i]->set(double(energest_.ticks(c, now)));
+            pub_.energestPj[i]->set(energest_.pj(c));
         }
         const sim::Tick active = core_.activeTimeNow();
-        ctx_.metrics
-            .gauge("energest.cpu_active_ticks", sim::GaugeMerge::Sum)
-            .set(double(active));
-        ctx_.metrics
-            .gauge("energest.cpu_sleep_ticks", sim::GaugeMerge::Sum)
-            .set(double(now - active));
+        pub_.cpuActive->set(double(active));
+        pub_.cpuSleep->set(double(now - active));
     }
 
     core::NodeContext &ctx() { return ctx_; }
@@ -260,6 +247,36 @@ class SnapNode
     obs::FlowTracker flowTracker_;
     obs::Energest energest_;
     std::unique_ptr<radio::Transceiver> radio_;
+
+    /** The node-level instruments sampleMetrics() publishes, looked
+     *  up on its first call. */
+    struct Published
+    {
+        sim::MetricGauge *radioMode = nullptr; ///< null without a radio
+        std::array<sim::MetricGauge *, obs::kNumComps> energestTicks{};
+        std::array<sim::MetricGauge *, obs::kNumComps> energestPj{};
+        sim::MetricGauge *cpuActive = nullptr;
+        sim::MetricGauge *cpuSleep = nullptr;
+    };
+    Published pub_;
+
+    void
+    bindMetrics()
+    {
+        sim::MetricsRegistry &m = ctx_.metrics;
+        sim::MetricName name;
+        if (radio_)
+            pub_.radioMode = &m.gauge("radio.mode", sim::GaugeMerge::Skip);
+        for (std::size_t i = 0; i < obs::kNumComps; ++i) {
+            const std::string_view comp =
+                obs::compName(static_cast<obs::Comp>(i));
+            pub_.energestTicks[i] =
+                &m.gauge(name("energest.", comp, "_ticks"));
+            pub_.energestPj[i] = &m.gauge(name("energest.", comp, "_pj"));
+        }
+        pub_.cpuActive = &m.gauge("energest.cpu_active_ticks");
+        pub_.cpuSleep = &m.gauge("energest.cpu_sleep_ticks");
+    }
 };
 
 } // namespace snaple::node

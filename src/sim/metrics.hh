@@ -12,16 +12,17 @@
  *    byte-identical across hosts and across `--jobs` counts in the
  *    parallel harness. Histograms therefore bucket by bit width (no
  *    floating-point bucket boundaries), percentile interpolation uses
- *    a fixed integer bucket walk, registries iterate in canonical
- *    name order (std::map), and doubles are printed with
- *    std::to_chars shortest round-trip form — never printf %g, whose
- *    output is locale- and libc-dependent.
+ *    a fixed integer bucket walk, registries write in canonical name
+ *    order, and doubles are printed with std::to_chars shortest
+ *    round-trip form — never printf %g, whose output is locale- and
+ *    libc-dependent.
  *
  *  - *No hot-path cost*. Model components keep their plain counter
  *    structs on the hot path where they have them; publish*() methods
- *    mirror them into the registry at sample time (Counter::set).
- *    Components off the hot path (coprocessors, radio) count directly
- *    in registry counters — one pointer indirection per event.
+ *    mirror them into the registry at sample time (Counter::set)
+ *    through instrument pointers looked up once. Components off the
+ *    hot path (coprocessors, radio) count directly in registry
+ *    counters — one pointer indirection per event.
  *
  *  - *Mergeability*. The parallel harness folds per-node registries
  *    into an aggregate in node-id order at barrier ticks. Counters
@@ -37,8 +38,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <iosfwd>
-#include <map>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -235,7 +235,17 @@ struct ProfileRow
 
 /**
  * A named bag of instruments with stable references and canonical
- * (name-sorted) iteration order.
+ * (name-sorted) output order.
+ *
+ * Each kind lives in its own std::deque, so a reference returned by
+ * counter()/gauge()/histogram() stays valid for the registry's life:
+ * that reference is the instrument's handle, and publishers look it up
+ * once and keep it. Names are looked up only to register, merge-plan
+ * and snapshot. A name-sorted vector holds every instrument with its
+ * constant JSONL and CSV text rendered at creation, so a writer
+ * copies bytes and formats only the values, and the "all" aggregate
+ * merges through a per-source MergeTable rebuilt only when the source
+ * gains instruments (its generation moves).
  */
 class MetricsRegistry
 {
@@ -254,35 +264,64 @@ class MetricsRegistry
     MetricHistogram &histogram(std::string_view name);
 
     /**
-     * Fold @p src into this registry: counters and histogram buckets
-     * add, gauges follow their merge policy (instruments are created
-     * here as needed, with matching kinds). Used by the parallel
-     * harness to build the "all" aggregate; call resetValues() first
-     * when rebuilding from scratch each sample.
+     * One source registry's instruments mapped to their slots in one
+     * destination registry. Built on first use and rebuilt whenever
+     * the source gains instruments; keep one per (source, destination)
+     * pair across samples so a merge does no name lookups.
      */
-    void mergeFrom(const MetricsRegistry &src);
+    class MergeTable
+    {
+        friend class MetricsRegistry;
+        const MetricsRegistry *src_ = nullptr;
+        const MetricsRegistry *dst_ = nullptr;
+        std::size_t srcGeneration_ = 0;
+        std::vector<MetricCounter *> counters_;
+        std::vector<MetricGauge *> gauges_;
+        std::vector<MetricHistogram *> hists_;
+    };
+
+    /**
+     * Fold @p src into this registry: counters and histogram buckets
+     * add, gauges follow the source gauge's merge policy (instruments
+     * are created here as needed, with matching kinds). Used by the
+     * parallel harness to build the "all" aggregate in node-id order;
+     * call resetValues() first when rebuilding from scratch each
+     * sample.
+     */
+    void mergeFrom(const MetricsRegistry &src, MergeTable &table);
+
+    /** mergeFrom() through a one-off table (tests, rare callers). */
+    void
+    mergeFrom(const MetricsRegistry &src)
+    {
+        MergeTable table;
+        mergeFrom(src, table);
+    }
 
     /** Zero every instrument's value (names and kinds survive). */
     void resetValues();
 
-    bool empty() const { return metrics_.empty(); }
+    bool empty() const { return names_.empty(); }
 
-    /** One JSONL sample line per instrument, in name order. */
-    void writeJsonl(std::ostream &os, Tick t,
-                    std::string_view node) const;
+    /**
+     * Append one JSONL sample line per instrument to @p out, in name
+     * order. The writers append to a caller-owned buffer so a whole
+     * sample reaches its stream in one write.
+     */
+    void writeJsonl(std::string &out, Tick t, std::string_view node) const;
 
     /** One CSV row per instrument, in name order (lossy: histograms
      *  reduce to count/sum/min/max/p50/p99). */
-    void writeCsv(std::ostream &os, Tick t, std::string_view node) const;
+    void writeCsv(std::string &out, Tick t, std::string_view node) const;
 
-    static void writeCsvHeader(std::ostream &os);
+    static void writeCsvHeader(std::string &out);
 
     /** The run-description meta line heading a node's JSONL stream. */
-    static void writeMetaJsonl(std::ostream &os, std::string_view node,
+    static void writeMetaJsonl(std::string &out, std::string_view node,
                                double volts, Tick interval);
 
     /** One flat-profile JSONL line (end of run). */
-    static void writeProfileJsonl(std::ostream &os,
+    static void writeProfileJsonl(std::string &out,
                                   std::string_view node,
                                   const ProfileRow &row);
 
@@ -316,7 +355,9 @@ class MetricsRegistry
      * Recreate instruments from @p saved (checkpoint restore). Existing
      * instruments keep their addresses — components cache references —
      * and take the saved values; instruments only present in @p saved
-     * are created.
+     * are created. A record whose kind or gauge merge policy is out of
+     * range, or whose kind disagrees with the live instrument of the
+     * same name, is a FatalError naming the instrument.
      */
     void restoreState(const std::vector<SavedInstrument> &saved);
 
@@ -328,19 +369,70 @@ class MetricsRegistry
         Histogram,
     };
 
-    struct Instrument
+    /**
+     * One named instrument. names_ keeps these sorted by name, so the
+     * one vector is both the registration map and the writers' index.
+     * The entry's bytes sit in text_ from @c at: the name, then the
+     * rest of its CSV fragment (`name,counter,`, csvLen bytes in all),
+     * then its JSONL fragment (`,"name":"…","type":"counter","v":`,
+     * jsonLen bytes), rendered once when the instrument is created.
+     */
+    struct Entry
     {
+        std::uint32_t at = 0;
+        std::uint32_t nameLen = 0;
+        std::uint32_t csvLen = 0;
+        std::uint32_t jsonLen = 0;
         Kind kind = Kind::Counter;
-        MetricCounter counter;
-        MetricGauge gauge;
-        MetricHistogram hist;
+        std::uint32_t idx = 0; ///< position in its kind's deque
     };
 
-    Instrument &get(std::string_view name, Kind kind);
+    std::string_view
+    nameOf(const Entry &e) const
+    {
+        return {text_.data() + e.at, e.nameLen};
+    }
 
-    // std::map: stable addresses across inserts (components cache
-    // references) and canonical iteration order for the writers.
-    std::map<std::string, Instrument, std::less<>> metrics_;
+    /** First entry whose name is not less than @p name. */
+    std::size_t lowerBound(std::string_view name) const;
+    /** Create an instrument named @p name at names_[pos]. The entry
+     *  references insert() and find() return last until the next
+     *  insert. */
+    const Entry &insert(std::size_t pos, std::string_view name, Kind kind,
+                        GaugeMerge merge);
+    /** The entry named @p name, created on first use. */
+    const Entry &find(std::string_view name, Kind kind,
+                      GaugeMerge merge = {});
+    /** Instruments ever created; names are never removed. */
+    std::size_t generation() const { return names_.size(); }
+
+    std::deque<MetricCounter> counters_;
+    std::deque<MetricGauge> gauges_;
+    std::deque<MetricHistogram> hists_;
+    std::vector<Entry> names_;
+    std::string text_; ///< names and fragments, append-only
+};
+
+/**
+ * Builds instrument names in one reused buffer, for publishers that
+ * look up many instruments at once:
+ * `m.counter(name("core.class.", slug, ".ticks"))`. The view is valid
+ * until the next call.
+ */
+class MetricName
+{
+  public:
+    template <typename... Parts>
+    std::string_view
+    operator()(const Parts &...parts)
+    {
+        buf_.clear();
+        (buf_ += ... += parts);
+        return buf_;
+    }
+
+  private:
+    std::string buf_;
 };
 
 /**

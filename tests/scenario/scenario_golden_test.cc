@@ -5,7 +5,8 @@
  * determinism contract makes equivalent to any other count) and its
  * canonical experiment rows and metrics JSONL stream are compared
  * byte-for-byte against the checked-in golden files in
- * tests/scenario/golden/.
+ * tests/scenario/golden/. One scenario's CSV stream is pinned too,
+ * so both metrics formats have a byte reference.
  *
  * When a change intentionally shifts a scenario's behaviour,
  * regenerate the goldens with one command and review the diff:
@@ -71,6 +72,22 @@ TEST_P(ScenarioGolden, ScenarioFileIsCanonical)
     const std::string s1 = scenario::serializeScenario(sc);
     EXPECT_EQ(s1, scenario::serializeScenario(scenario::parseScenario(
                       s1, GetParam())));
+}
+
+TEST(ScenarioGoldenCsv, DutycycleCsvMatchesGolden)
+{
+    const std::string root = SNAPLE_SOURCE_DIR;
+    const scenario::Scenario sc = scenario::loadScenario(
+        root + "/examples/scenarios/dutycycle.scn");
+    std::ostringstream metrics;
+    scenario::RunOptions opt;
+    opt.jobs = 2;
+    opt.metricsOut = &metrics;
+    opt.metricsCsv = true;
+    scenario::runScenario(sc, opt);
+    EXPECT_EQ(metrics.str(),
+              readFile(root + "/tests/scenario/golden/dutycycle.csv"))
+        << "CSV metrics stream drifted for dutycycle";
 }
 
 INSTANTIATE_TEST_SUITE_P(Shipped, ScenarioGolden,

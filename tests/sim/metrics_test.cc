@@ -8,15 +8,35 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 
 namespace {
 
 using namespace snaple::sim;
+
+std::string
+jsonl(const MetricsRegistry &reg, Tick t, std::string_view node)
+{
+    std::string out;
+    reg.writeJsonl(out, t, node);
+    return out;
+}
+
+std::string
+csv(const MetricsRegistry &reg, Tick t, std::string_view node)
+{
+    std::string out;
+    reg.writeCsv(out, t, node);
+    return out;
+}
 
 TEST(MetricHistogramTest, BucketEdgesFollowBitWidth)
 {
@@ -180,14 +200,12 @@ TEST(MetricsRegistryTest, JsonlSnapshotsAreByteStable)
     reg.histogram("h.wait").record(0);
     reg.histogram("h.wait").record(300);
 
-    std::ostringstream s1, s2;
-    reg.writeJsonl(s1, 777, "n0");
-    reg.writeJsonl(s2, 777, "n0");
-    EXPECT_EQ(s1.str(), s2.str());
+    const std::string s1 = jsonl(reg, 777, "n0");
+    EXPECT_EQ(s1, jsonl(reg, 777, "n0"));
     // Name-sorted order, not insertion order.
-    EXPECT_LT(s1.str().find("a.first"), s1.str().find("z.last"));
-    EXPECT_NE(s1.str().find("\"type\":\"hist\""), std::string::npos);
-    EXPECT_NE(s1.str().find("\"v\":0.125"), std::string::npos);
+    EXPECT_LT(s1.find("a.first"), s1.find("z.last"));
+    EXPECT_NE(s1.find("\"type\":\"hist\""), std::string::npos);
+    EXPECT_NE(s1.find("\"v\":0.125"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, CsvRowsMatchHeaderShape)
@@ -196,10 +214,10 @@ TEST(MetricsRegistryTest, CsvRowsMatchHeaderShape)
     reg.counter("c").inc(3);
     reg.gauge("g").set(1.5);
     reg.histogram("h").record(10);
-    std::ostringstream os;
-    MetricsRegistry::writeCsvHeader(os);
-    reg.writeCsv(os, 5, "n1");
-    std::istringstream in(os.str());
+    std::string out;
+    MetricsRegistry::writeCsvHeader(out);
+    reg.writeCsv(out, 5, "n1");
+    std::istringstream in(out);
     std::string line;
     std::getline(in, line);
     const auto commas = [](const std::string &s) {
@@ -220,6 +238,236 @@ TEST(MetricsRegistryTest, FormatDoubleIsShortestRoundTrip)
     EXPECT_EQ(formatDouble(0.5), "0.5");
     EXPECT_EQ(formatDouble(0.125), "0.125");
     EXPECT_EQ(formatDouble(3.0), "3");
+}
+
+// ---------------------------------------------------------------
+// Byte pins. The expected strings were captured from the
+// ostream-based writers these tests replaced; any formatter change
+// that moves one byte fails here before it reaches a golden.
+
+/** One registry holding every kind and every formatting edge. */
+MetricsRegistry
+everyKind()
+{
+    MetricsRegistry reg;
+    reg.counter("c.max").set(std::numeric_limits<std::uint64_t>::max());
+    reg.counter("c.zero");
+    reg.counter("esc\"q\\b\x01z").inc(7);
+    reg.gauge("g.neg").set(-2.5);
+    reg.gauge("g.tiny").set(1e-300);
+    reg.gauge("g.big", GaugeMerge::Skip).set(123456789.125);
+    reg.histogram("h.empty");
+    MetricHistogram &h = reg.histogram("h.full");
+    for (std::uint64_t v : {0u, 1u, 5u, 6u, 1000u, 4000000u})
+        h.record(v);
+    return reg;
+}
+
+/** The "all" view of three nodes' Mean gauge plus a counter. */
+MetricsRegistry
+meanOverThree()
+{
+    MetricsRegistry nodes[3], dst;
+    const double duty[3] = {0.1, 0.2, 0.4};
+    for (int i = 0; i < 3; ++i) {
+        nodes[i].gauge("core.duty_cycle", GaugeMerge::Mean).set(duty[i]);
+        nodes[i].counter("core.instructions").inc(10u + unsigned(i));
+    }
+    for (const MetricsRegistry &n : nodes)
+        dst.mergeFrom(n);
+    return dst;
+}
+
+TEST(MetricsBytesTest, JsonlIsPinnedForEveryKind)
+{
+    EXPECT_EQ(jsonl(everyKind(), 18446744073709551615ull, "n\"1"),
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"c.max","type":"counter","v":18446744073709551615})" "\n"
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"c.zero","type":"counter","v":0})" "\n"
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"esc\"q\\b z","type":"counter","v":7})" "\n"
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"g.big","type":"gauge","v":123456789.125})" "\n"
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"g.neg","type":"gauge","v":-2.5})" "\n"
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"g.tiny","type":"gauge","v":1e-300})" "\n"
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"h.empty","type":"hist","count":0,"sum":0,"min":0,"max":0,"buckets":[]})" "\n"
+              R"({"kind":"sample","t":18446744073709551615,"node":"n\"1","name":"h.full","type":"hist","count":6,"sum":4001012,"min":0,"max":4000000,"buckets":[[0,1],[1,1],[3,2],[10,1],[22,1]]})" "\n");
+}
+
+TEST(MetricsBytesTest, CsvIsPinnedForEveryKind)
+{
+    EXPECT_EQ(csv(everyKind(), 250, "n1"),
+              R"(250,n1,c.max,counter,18446744073709551615,,,,,,)" "\n"
+              R"(250,n1,c.zero,counter,0,,,,,,)" "\n"
+              "250,n1,esc\"q\\b\x01" "z,counter,7,,,,,,\n"
+              R"(250,n1,g.big,gauge,123456789.125,,,,,,)" "\n"
+              R"(250,n1,g.neg,gauge,-2.5,,,,,,)" "\n"
+              R"(250,n1,g.tiny,gauge,1e-300,,,,,,)" "\n"
+              R"(250,n1,h.empty,hist,,0,0,0,0,0,0)" "\n"
+              R"(250,n1,h.full,hist,,6,4001012,0,4000000,4.75,997.45)" "\n");
+}
+
+TEST(MetricsBytesTest, MeanGaugeOverThreeRegistriesIsPinned)
+{
+    const MetricsRegistry all = meanOverThree();
+    EXPECT_EQ(jsonl(all, 7, "all"),
+              R"({"kind":"sample","t":7,"node":"all","name":"core.duty_cycle","type":"gauge","v":0.23333333333333336})" "\n"
+              R"({"kind":"sample","t":7,"node":"all","name":"core.instructions","type":"counter","v":33})" "\n");
+    EXPECT_EQ(csv(all, 7, "all"),
+              R"(7,all,core.duty_cycle,gauge,0.23333333333333336,,,,,,)" "\n"
+              R"(7,all,core.instructions,counter,33,,,,,,)" "\n");
+}
+
+TEST(MetricsBytesTest, LateInstrumentJoinsNameOrderAndAggregate)
+{
+    MetricsRegistry node, all;
+    MetricsRegistry::MergeTable table; // kept across both samples
+    node.counter("b").inc(1);
+    node.counter("d").inc(2);
+    all.mergeFrom(node, table);
+    EXPECT_EQ(jsonl(node, 1, "n0"),
+              R"({"kind":"sample","t":1,"node":"n0","name":"b","type":"counter","v":1})" "\n"
+              R"({"kind":"sample","t":1,"node":"n0","name":"d","type":"counter","v":2})" "\n");
+    EXPECT_EQ(jsonl(all, 1, "all"),
+              R"({"kind":"sample","t":1,"node":"all","name":"b","type":"counter","v":1})" "\n"
+              R"({"kind":"sample","t":1,"node":"all","name":"d","type":"counter","v":2})" "\n");
+
+    node.counter("c").inc(3);
+    node.histogram("a").record(9);
+    all.resetValues();
+    all.mergeFrom(node, table);
+    EXPECT_EQ(jsonl(node, 2, "n0"),
+              R"({"kind":"sample","t":2,"node":"n0","name":"a","type":"hist","count":1,"sum":9,"min":9,"max":9,"buckets":[[4,1]]})" "\n"
+              R"({"kind":"sample","t":2,"node":"n0","name":"b","type":"counter","v":1})" "\n"
+              R"({"kind":"sample","t":2,"node":"n0","name":"c","type":"counter","v":3})" "\n"
+              R"({"kind":"sample","t":2,"node":"n0","name":"d","type":"counter","v":2})" "\n");
+    EXPECT_EQ(jsonl(all, 2, "all"),
+              R"({"kind":"sample","t":2,"node":"all","name":"a","type":"hist","count":1,"sum":9,"min":9,"max":9,"buckets":[[4,1]]})" "\n"
+              R"({"kind":"sample","t":2,"node":"all","name":"b","type":"counter","v":1})" "\n"
+              R"({"kind":"sample","t":2,"node":"all","name":"c","type":"counter","v":3})" "\n"
+              R"({"kind":"sample","t":2,"node":"all","name":"d","type":"counter","v":2})" "\n");
+}
+
+/**
+ * Reference aggregate, by name: fold each source's saved instruments
+ * into @p acc with the documented merge rules, one name at a time.
+ * restoreState() of the result is the "all" registry.
+ */
+void
+mergeByName(std::map<std::string, MetricsRegistry::SavedInstrument> &acc,
+            const MetricsRegistry &src)
+{
+    for (const auto &s : src.saveState()) {
+        auto [it, fresh] = acc.try_emplace(s.name);
+        auto &d = it->second;
+        if (fresh) {
+            d.name = s.name;
+            d.kind = s.kind;
+            d.gaugeMerge = s.gaugeMerge;
+        }
+        switch (s.kind) {
+          case 0:
+            d.counter += s.counter;
+            break;
+          case 1:
+            if (s.gaugeMerge != std::uint8_t(GaugeMerge::Skip))
+                d.gaugeV += s.gaugeV;
+            if (s.gaugeMerge == std::uint8_t(GaugeMerge::Mean))
+                ++d.gaugeMergedN;
+            break;
+          case 2: {
+            if (s.histCount == 0)
+                break;
+            if (d.histCount == 0) {
+                d.histMin = s.histMin;
+                d.histMax = s.histMax;
+            } else {
+                d.histMin = std::min(d.histMin, s.histMin);
+                d.histMax = std::max(d.histMax, s.histMax);
+            }
+            d.histCount += s.histCount;
+            d.histSum += s.histSum;
+            for (std::size_t i = 0; i < s.buckets.size(); ++i)
+                d.buckets[i] += s.buckets[i];
+            break;
+          }
+        }
+    }
+}
+
+TEST(MetricsBytesTest, MergeOverMixedInstrumentSetsMatchesByName)
+{
+    // n0 has a radio, n1 does not; n2 gains its radio mid-run.
+    MetricsRegistry n[3];
+    for (int i = 0; i < 3; ++i) {
+        n[i].counter("core.instructions").inc(100u * unsigned(i + 1));
+        n[i].gauge("core.duty_cycle", GaugeMerge::Mean).set(0.3 * i);
+        n[i].histogram("core.evq_wait_ticks").record(40u + unsigned(i));
+    }
+    n[0].counter("radio.tx_words").inc(5);
+    n[0].gauge("radio.mode", GaugeMerge::Skip).set(2);
+    MetricsRegistry all;
+    MetricsRegistry::MergeTable tables[3]; // one per node, reused
+    for (int sample = 0; sample < 3; ++sample) {
+        if (sample == 1) {
+            n[2].counter("radio.tx_words").inc(9);
+            n[2].gauge("energy.radio_pj").set(-0.5);
+        }
+        for (int i = 0; i < 3; ++i)
+            n[i].counter("core.instructions").inc(1);
+        all.resetValues();
+        std::map<std::string, MetricsRegistry::SavedInstrument> acc;
+        for (int i = 0; i < 3; ++i) {
+            all.mergeFrom(n[i], tables[i]);
+            mergeByName(acc, n[i]);
+        }
+        std::vector<MetricsRegistry::SavedInstrument> saved;
+        for (const auto &[name, ins] : acc)
+            saved.push_back(ins);
+        MetricsRegistry ref;
+        ref.restoreState(saved);
+        EXPECT_EQ(jsonl(all, Tick(sample), "all"),
+                  jsonl(ref, Tick(sample), "all"))
+            << "sample " << sample;
+        EXPECT_EQ(csv(all, Tick(sample), "all"),
+                  csv(ref, Tick(sample), "all"))
+            << "sample " << sample;
+    }
+}
+
+// ---------------------------------------------------------------
+// Snapshot input is data: a bad instrument record is a FatalError
+// that names it, never a simulator panic or a silent skip.
+
+TEST(MetricsRestoreTest, KindDisagreementIsFatalAndNamed)
+{
+    MetricsRegistry reg;
+    reg.counter("msg.tx_words").inc(4);
+    MetricsRegistry::SavedInstrument s;
+    s.name = "msg.tx_words";
+    s.kind = 1; // gauge, but the live instrument is a counter
+    try {
+        reg.restoreState({s});
+        FAIL() << "restoreState accepted a kind mismatch";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("msg.tx_words"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(MetricsRestoreTest, OutOfRangeGaugeMergeIsFatalAndNamed)
+{
+    MetricsRegistry reg;
+    MetricsRegistry::SavedInstrument s;
+    s.name = "core.duty_cycle";
+    s.kind = 1;
+    s.gaugeMerge = 3;
+    try {
+        reg.restoreState({s});
+        FAIL() << "restoreState accepted gaugeMerge 3";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("core.duty_cycle"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Regenerate the golden files the scenario-regression suite pins
-# (tests/scenario/golden/<name>.{row,jsonl}) from the shipped
-# scenarios. Run after an intentional behaviour change, review the
-# diff, and commit the new goldens together with the change:
+# (tests/scenario/golden/<name>.{row,jsonl} and dutycycle.csv) from
+# the shipped scenarios. Run after an intentional behaviour change,
+# review the diff, and commit the new goldens together with the
+# change:
 #
 #     tools/regen_scenario_goldens.sh [builddir]   # default: build
 #
@@ -27,3 +28,9 @@ for scn in "$root"/examples/scenarios/*.scn; do
         > /dev/null
     echo "regenerated golden for $name"
 done
+
+# The CSV format is pinned on one scenario.
+"$run" --scenario="$root/examples/scenarios/dutycycle.scn" --jobs 2 \
+    --metrics-format=csv \
+    --metrics="$root/tests/scenario/golden/dutycycle.csv" > /dev/null
+echo "regenerated CSV golden for dutycycle"

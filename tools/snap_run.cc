@@ -108,15 +108,18 @@ struct MetricsPump
     sim::Tick interval;
     bool csv;
     sim::Tick lastAt = sim::kMaxTick;
+    std::string buf{}; ///< one sample's bytes, written in one call
 
     void
     start(double volts)
     {
+        buf.clear();
         if (csv)
-            sim::MetricsRegistry::writeCsvHeader(out);
+            sim::MetricsRegistry::writeCsvHeader(buf);
         else
-            sim::MetricsRegistry::writeMetaJsonl(out, "n0", volts,
+            sim::MetricsRegistry::writeMetaJsonl(buf, "n0", volts,
                                                  interval);
+        flushBuf();
         machine.ctx().kernel.scheduleAfter(interval,
                                            [this] { tick(); });
     }
@@ -134,10 +137,12 @@ struct MetricsPump
     {
         machine.sampleMetrics();
         const sim::Tick t = machine.ctx().kernel.now();
+        buf.clear();
         if (csv)
-            machine.ctx().metrics.writeCsv(out, t, "n0");
+            machine.ctx().metrics.writeCsv(buf, t, "n0");
         else
-            machine.ctx().metrics.writeJsonl(out, t, "n0");
+            machine.ctx().metrics.writeJsonl(buf, t, "n0");
+        flushBuf();
         lastAt = t;
     }
 
@@ -147,11 +152,20 @@ struct MetricsPump
     {
         if (lastAt != machine.ctx().kernel.now())
             sample();
-        if (!csv)
+        if (!csv) {
+            buf.clear();
             for (const sim::ProfileRow &row :
                  machine.core().profileRows())
-                sim::MetricsRegistry::writeProfileJsonl(out, "n0", row);
+                sim::MetricsRegistry::writeProfileJsonl(buf, "n0", row);
+            flushBuf();
+        }
         out.flush();
+    }
+
+    void
+    flushBuf()
+    {
+        out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     }
 };
 
