@@ -39,12 +39,6 @@ struct Program
         sim::fatalIf(it == symbols.end(), "undefined symbol: ", name);
         return it->second;
     }
-
-    bool
-    hasSymbol(const std::string &name) const
-    {
-        return symbols.count(name) != 0;
-    }
 };
 
 } // namespace snaple::assembler

@@ -22,26 +22,18 @@ void
 SnapCore::start(FidelityMode fidelity)
 {
     fidelity_ = fidelity;
-    pendingFidelity_ = fidelity;
-    resumePc_ = kNoResume;
-    spawnExecutor(fidelity);
+    spawnExecutor();
 }
 
 void
-SnapCore::spawnExecutor(FidelityMode m)
+SnapCore::spawnExecutor()
 {
-    if (m == FidelityMode::Fast) {
+    if (fidelity_ == FidelityMode::Fast) {
         ctx_.kernel.spawn(fastProcess(), "fast");
     } else {
         ctx_.kernel.spawn(fetchProcess(), "fetch");
         ctx_.kernel.spawn(executeProcess(), "execute");
     }
-}
-
-void
-SnapCore::requestFidelity(FidelityMode m)
-{
-    pendingFidelity_ = m;
 }
 
 std::uint16_t
@@ -77,24 +69,12 @@ SnapCore::fetchProcess()
     if (restoredAsleep_) {
         // Respawned from a snapshot of a sleeping core: park at the
         // event wait as if we had just executed `done`.
-        const std::uint32_t hpc = co_await awaitDispatch();
-        if (hpc == kSwitchUnwind) {
-            co_await fetchQ_.send(InstPacket{{}, 0, true});
-            co_return;
-        }
-        pc = static_cast<std::uint16_t>(hpc);
-    } else if (resumePc_ != kNoResume) {
-        // Taking over mid-run after a fidelity switch: the dispatch
-        // bookkeeping was already done by the unwinding executor.
-        pc = static_cast<std::uint16_t>(resumePc_);
-        resumePc_ = kNoResume;
+        pc = co_await awaitDispatch();
     } else {
         stats_.lastWake = ctx_.kernel.now();
         segStart_ = stats_.lastWake;
-        profLastTick_ = stats_.lastWake;
-        profLastPj_ = ctx_.chargedPj();
-        classLastTick_ = stats_.lastWake;
-        classLastPj_ = profLastPj_;
+        lastRetireTick_ = stats_.lastWake;
+        lastRetirePj_ = ctx_.chargedPj();
     }
     for (;;) {
         // Fetch (and minimally predecode) one instruction.
@@ -139,23 +119,14 @@ SnapCore::fetchProcess()
             if (ctx_.cfg.stopOnHalt)
                 ctx_.kernel.stop();
             co_return;
-          case Redirect::Kind::Done: {
-            const std::uint32_t hpc = co_await awaitDispatch();
-            if (hpc == kSwitchUnwind) {
-                // Fidelity switch: the fast executor has taken over.
-                // Unwind the execute process with a poison packet and
-                // retire this one.
-                co_await fetchQ_.send(InstPacket{{}, 0, true});
-                co_return;
-            }
-            pc = static_cast<std::uint16_t>(hpc);
+          case Redirect::Kind::Done:
+            pc = co_await awaitDispatch();
             break;
-          }
         }
     }
 }
 
-Co<std::uint32_t>
+Co<std::uint16_t>
 SnapCore::awaitDispatch()
 {
     // End of handler: return to the event queue. With no pending
@@ -207,10 +178,8 @@ SnapCore::awaitDispatch()
     currentEvent_ = tok.num;
     ctx_.activeHandler = tok.num;
     segStart_ = ctx_.kernel.now();
-    profLastTick_ = segStart_;
-    profLastPj_ = ctx_.chargedPj();
-    classLastTick_ = segStart_;
-    classLastPj_ = profLastPj_;
+    lastRetireTick_ = segStart_;
+    lastRetirePj_ = ctx_.chargedPj();
     ++stats_.perEvent[tok.num].activations;
     traceFetch_.emit(sim::TraceEvent::CoreHandler, tok.num);
     // Handler-table dispatch.
@@ -226,15 +195,6 @@ SnapCore::awaitDispatch()
         disp.event = tok.num;
         disp.pc = pc;
         commitSink_->commit(disp);
-    }
-    if (pendingFidelity_ != fidelity_) {
-        // Perform the switch at this handler boundary: hand the
-        // handler pc to the counterpart executor and tell the caller
-        // to unwind.
-        fidelity_ = pendingFidelity_;
-        resumePc_ = pc;
-        spawnExecutor(fidelity_);
-        co_return kSwitchUnwind;
     }
     co_return pc;
 }
@@ -321,8 +281,6 @@ SnapCore::executeProcess()
 {
     for (;;) {
         InstPacket p = co_await fetchQ_.recv();
-        if (p.poison)
-            co_return; // fidelity switch: unwind quietly
         const DecodedInst &d = p.inst;
 
         co_await ctx_.kernel.delay(ctx_.gd(ctx_.tcal.decodeGd));
@@ -548,15 +506,26 @@ SnapCore::executeProcess()
         {
             // Attribute wall time and dynamic energy since the last
             // retirement to this instruction's class — the measured
-            // coefficients behind `snap-report --calibrate`.
+            // coefficients behind `snap-report --calibrate` — and,
+            // when profiling, to its (pc, handler) cell.
             const Tick tnow = ctx_.kernel.now();
             const double pjnow = ctx_.chargedPj();
-            stats_.perClassTicks[static_cast<std::size_t>(d.cls)] +=
-                tnow - classLastTick_;
-            stats_.perClassPj[static_cast<std::size_t>(d.cls)] +=
-                pjnow - classLastPj_;
-            classLastTick_ = tnow;
-            classLastPj_ = pjnow;
+            const Tick dt = tnow - lastRetireTick_;
+            const double dpj = pjnow - lastRetirePj_;
+            stats_.perClassTicks[static_cast<std::size_t>(d.cls)] += dt;
+            stats_.perClassPj[static_cast<std::size_t>(d.cls)] += dpj;
+            const auto pc = static_cast<std::uint16_t>(
+                p.pcNext - (d.twoWord ? 2 : 1));
+            if (!profile_.empty() && pc < ctx_.cfg.imemWords) {
+                ProfSlot &s = profile_[std::size_t(pc) *
+                                           NodeContext::kHandlerSlots +
+                                       slotOf(currentEvent_)];
+                ++s.count;
+                s.ticks += dt;
+                s.pj += dpj;
+            }
+            lastRetireTick_ = tnow;
+            lastRetirePj_ = pjnow;
         }
         if (currentEvent_ < isa::kNumEvents)
             ++stats_.perEvent[currentEvent_].instructions;
@@ -574,24 +543,6 @@ SnapCore::executeProcess()
                 ((d.rd & 0xf) << 8) | low);
             traceExec_.emit(sim::TraceEvent::CoreExec, w,
                             static_cast<std::uint64_t>(d.cls));
-            if (!profile_.empty()) {
-                // Attribute the time and dynamic energy since the
-                // previous retirement to this (pc, handler) cell.
-                const auto pc16 = static_cast<std::uint16_t>(
-                    p.pcNext - (d.twoWord ? 2 : 1));
-                const Tick tnow = ctx_.kernel.now();
-                if (pc16 < ctx_.cfg.imemWords) {
-                    ProfSlot &s =
-                        profile_[std::size_t(pc16) *
-                                     NodeContext::kHandlerSlots +
-                                 slotOf(currentEvent_)];
-                    ++s.count;
-                    s.ticks += tnow - profLastTick_;
-                    s.pj += ctx_.chargedPj() - profLastPj_;
-                }
-                profLastTick_ = tnow;
-                profLastPj_ = ctx_.chargedPj();
-            }
             if (commitSink_) {
                 rec.pc = static_cast<std::uint16_t>(
                     p.pcNext - (d.twoWord ? 2 : 1));
@@ -620,8 +571,6 @@ SnapCore::enableProfile(bool on)
     }
     profile_.assign(ctx_.cfg.imemWords * NodeContext::kHandlerSlots,
                     ProfSlot{});
-    profLastTick_ = ctx_.kernel.now();
-    profLastPj_ = ctx_.chargedPj();
 }
 
 std::vector<sim::ProfileRow>

@@ -49,8 +49,8 @@ namespace snaple::core {
  * with per-operation timing; Fast is the statistical tier: the
  * predecoded ref engine executing the same architectural semantics,
  * with time and energy charged from per-instruction-class calibration
- * coefficients (energy/class_cal.hh). Switchable per node at
- * construction and at network barrier ticks.
+ * coefficients (energy/class_cal.hh). Chosen per node by start() or
+ * restored from a snapshot, and fixed for the core's life.
  */
 enum class FidelityMode : std::uint8_t
 {
@@ -129,21 +129,12 @@ class SnapCore
      * Spawn the core's processes onto the kernel: the CHP fetch +
      * execute pair (Cycle) or the statistical fast loop (Fast). Both
      * modes share all architectural state and counters, so the choice
-     * is invisible to everything but timing/energy exactness.
+     * is invisible to everything but timing/energy exactness. The
+     * mode holds for the core's life.
      */
     void start(FidelityMode fidelity = FidelityMode::Cycle);
 
     FidelityMode fidelity() const { return fidelity_; }
-
-    /**
-     * Request a fidelity switch. Takes effect at the next handler
-     * boundary (the `done` instruction's event wait): the running
-     * executor unwinds and the counterpart takes over with the same
-     * architectural state. Safe to call between kernel slices, e.g.
-     * between net::ParallelNetwork::runFor() calls, where the request
-     * lands at a barrier tick and stays jobs-invariant.
-     */
-    void requestFidelity(FidelityMode m);
 
     /** @name Host-side architectural state access (tests, loaders) */
     ///@{
@@ -232,7 +223,6 @@ class SnapCore
         bool asleep = false;
         std::uint8_t currentEvent = 0xff;
         std::uint8_t fidelity = 0;
-        std::uint8_t pendingFidelity = 0;
         std::uint16_t fastPc = 0;
         bool recordTimeline = false;
         std::vector<std::uint16_t> debugOut;
@@ -262,9 +252,6 @@ class SnapCore
     {
         isa::DecodedInst inst;
         std::uint16_t pcNext = 0; ///< address after this instruction
-        /** Fidelity-switch poison: execute unwinds without running
-         *  the (dummy) instruction. */
-        bool poison = false;
     };
 
     /** Control-flow resolution from execute back to fetch. */
@@ -288,11 +275,6 @@ class SnapCore
         double pj = 0.0;
     };
 
-    /** awaitDispatch: the executor must unwind (fidelity switch). */
-    static constexpr std::uint32_t kSwitchUnwind = 0x10000;
-    /** resumePc_: cold boot, start fetching at pc 0. */
-    static constexpr std::uint32_t kNoResume = 0xffffffff;
-
     sim::Co<void> fetchProcess();
     sim::Co<void> executeProcess();
     /** The fast tier's single process (core/fast_core.cc). */
@@ -303,15 +285,12 @@ class SnapCore
      * `done`: close the current handler segment, sleep if the event
      * queue is empty, wait for a token, and perform the dispatch
      * (wake accounting, histograms, dispatch charge and delay, commit
-     * record). Returns the handler pc — or kSwitchUnwind when a
-     * fidelity switch was pending, in which case the counterpart
-     * executor has already been spawned at the handler pc and the
-     * caller must unwind without touching further state.
+     * record). Returns the handler pc.
      */
-    sim::Co<std::uint32_t> awaitDispatch();
+    sim::Co<std::uint16_t> awaitDispatch();
 
-    /** Spawn the executor processes for mode @p m. */
-    void spawnExecutor(FidelityMode m);
+    /** Spawn the executor processes for fidelity_. */
+    void spawnExecutor();
 
     /** Attribution slot for the current event (boot when 0xff). */
     std::size_t
@@ -400,23 +379,18 @@ class SnapCore
     /** Flat profile storage, pc-major: [pc * kHandlerSlots + slot].
      *  Empty when profiling is off. */
     std::vector<ProfSlot> profile_;
-    sim::Tick profLastTick_ = 0;
-    double profLastPj_ = 0.0;
 
-    /** Per-class attribution markers (time/energy since the previous
-     *  retirement; reset at dispatch like the profile markers). */
-    sim::Tick classLastTick_ = 0;
-    double classLastPj_ = 0.0;
+    /** Time and charged energy at the previous retirement (reset at
+     *  boot and dispatch): the interval the next retirement attributes
+     *  to its class and, when profiling, to its profile cell. */
+    sim::Tick lastRetireTick_ = 0;
+    double lastRetirePj_ = 0.0;
 
     FidelityMode fidelity_ = FidelityMode::Cycle;
-    FidelityMode pendingFidelity_ = FidelityMode::Cycle;
     /** Restore-time entry: the freshly spawned executor parks at the
      *  event wait without redoing the sleep-entry bookkeeping (it all
      *  happened before the snapshot). Cleared by awaitDispatch. */
     bool restoredAsleep_ = false;
-    /** Handler pc a freshly spawned executor resumes at after a
-     *  fidelity switch (kNoResume = cold boot from pc 0). */
-    std::uint32_t resumePc_ = kNoResume;
 
     /** Fast-tier working state (core/fast_core.cc), created on first
      *  use; opaque here so the cycle tier does not pay for it. */

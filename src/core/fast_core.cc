@@ -277,7 +277,6 @@ SnapCore::saveState(bool frozen) const
     s.asleep = asleep_;
     s.currentEvent = currentEvent_;
     s.fidelity = static_cast<std::uint8_t>(fidelity_);
-    s.pendingFidelity = static_cast<std::uint8_t>(pendingFidelity_);
     s.fastPc = fast_ ? fast_->pc : 0;
     s.recordTimeline = recordTimeline_;
     s.debugOut = debugOut_;
@@ -289,8 +288,7 @@ SnapCore::saveState(bool frozen) const
 void
 SnapCore::restoreState(const SavedState &s)
 {
-    sim::fatalIf(s.fidelity > 1 || s.pendingFidelity > 1,
-                 "snapshot: bad core fidelity mode");
+    sim::fatalIf(s.fidelity > 1, "snapshot: bad core fidelity mode");
     sim::fatalIf(s.currentEvent != 0xff &&
                      s.currentEvent >= isa::kNumEvents,
                  "snapshot: bad current event");
@@ -302,12 +300,10 @@ SnapCore::restoreState(const SavedState &s)
     asleep_ = s.asleep;
     currentEvent_ = s.currentEvent;
     fidelity_ = static_cast<FidelityMode>(s.fidelity);
-    pendingFidelity_ = static_cast<FidelityMode>(s.pendingFidelity);
     recordTimeline_ = s.recordTimeline;
     debugOut_ = s.debugOut;
     timeline_ = s.timeline;
     stats_ = s.stats;
-    resumePc_ = kNoResume;
     if (fidelity_ == FidelityMode::Fast) {
         if (!fast_) {
             fast_ = std::make_unique<FastTier>();
@@ -324,7 +320,7 @@ SnapCore::startRestored()
         return;
     sim::panicIf(!asleep_, "startRestored on a running core");
     restoredAsleep_ = true;
-    spawnExecutor(fidelity_);
+    spawnExecutor();
 }
 
 Co<void>
@@ -345,25 +341,12 @@ SnapCore::fastProcess()
         // event wait. ft.pc is dead state while asleep (the dispatch
         // overwrites it with the handler pc) and the predecoded lines
         // start empty, rebuilding lazily and deterministically.
-        const std::uint32_t hpc = co_await awaitDispatch();
-        if (hpc == kSwitchUnwind)
-            co_return;
-        ft.pc = static_cast<std::uint16_t>(hpc);
-    } else if (resumePc_ != kNoResume) {
-        // Taking over mid-run after a fidelity switch; the cycle tier
-        // may have executed `sti` (or the host poked IMEM) since the
-        // last fast stint, so drop every predecoded line.
-        ft.pc = static_cast<std::uint16_t>(resumePc_);
-        resumePc_ = kNoResume;
-        for (auto &l : ft.lines)
-            l.len = 0;
+        ft.pc = co_await awaitDispatch();
     } else {
         stats_.lastWake = ctx_.kernel.now();
         segStart_ = stats_.lastWake;
-        profLastTick_ = stats_.lastWake;
-        profLastPj_ = ctx_.chargedPj();
-        classLastTick_ = stats_.lastWake;
-        classLastPj_ = profLastPj_;
+        lastRetireTick_ = stats_.lastWake;
+        lastRetirePj_ = ctx_.chargedPj();
     }
     FastTier::Env env{*this, ft};
     for (;;) {
@@ -397,13 +380,9 @@ SnapCore::fastProcess()
             }
             ft.stallKind = FastTier::StallKind::None;
             break;
-          case ref::pre::PStop::Done: {
-            const std::uint32_t hpc = co_await awaitDispatch();
-            if (hpc == kSwitchUnwind)
-                co_return; // the cycle pair has taken over
-            ft.pc = static_cast<std::uint16_t>(hpc);
+          case ref::pre::PStop::Done:
+            ft.pc = co_await awaitDispatch();
             break;
-          }
           case ref::pre::PStop::Halt: {
             halted_ = true;
             const Tick now = ctx_.kernel.now();

@@ -87,13 +87,6 @@ class EnergyLedger
         return corePj() + memPj() + pj(Cat::Coproc);
     }
 
-    /** Processor energy including accrued static (leakage) energy. */
-    double
-    processorWithLeakagePj() const
-    {
-        return processorPj() + pj(Cat::Leakage);
-    }
-
     /** Everything, radio included. */
     double
     totalPj() const

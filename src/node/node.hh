@@ -33,8 +33,8 @@ struct NodeConfig
 {
     core::CoreConfig core;
 
-    /** Execution fidelity the core starts in (core/core.hh); switch
-     *  at runtime with core().requestFidelity(). */
+    /** Execution fidelity of the core (core/core.hh), fixed for the
+     *  node's life. */
     FidelityMode fidelity = FidelityMode::Cycle;
     radio::RadioConfig radio;
     bool attachRadio = true;

@@ -141,10 +141,6 @@ class AirExchange
     ///@{
     void setField(const FieldConfig &cfg) { field_ = cfg; }
     bool fieldMode() const { return field_.has_value(); }
-    const FieldConfig *fieldConfig() const
-    {
-        return field_ ? &*field_ : nullptr;
-    }
 
     /** Place node @p id at (@p xM, @p yM) meters. */
     void setPosition(std::size_t id, double xM, double yM);
@@ -168,13 +164,6 @@ class AirExchange
      * barrier tick at which it is applied.
      */
     void setNodeDown(std::size_t id, bool down);
-
-    /** True when setNodeDown(id, true) is in effect. */
-    bool
-    nodeDown(std::size_t id) const
-    {
-        return id < down_.size() && down_[id];
-    }
 
     /**
      * Fault injection: take the (undirected) link between @p a and

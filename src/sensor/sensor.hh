@@ -106,8 +106,6 @@ class ScriptedSensor : public coproc::SensorPort
         return v;
     }
 
-    std::size_t samplesTaken() const { return next_; }
-
   private:
     std::vector<std::uint16_t> values_;
     std::size_t next_ = 0;

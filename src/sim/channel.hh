@@ -56,7 +56,6 @@ class Channel
 
     /** Update the handshake delay (e.g. after a voltage change). */
     void setDelay(Tick d) { delay_ = d; }
-    Tick delayTicks() const { return delay_; }
 
     /** True if a sender is blocked on this channel (a probe, in CHP). */
     bool senderWaiting() const { return sender_.has_value(); }

@@ -194,8 +194,8 @@ void
 io(Ar &ar, core::SnapCore::SavedState &c)
 {
     fields(ar, c.regs, c.carry, c.lfsr, c.handlerTable, c.halted,
-           c.asleep, c.currentEvent, c.fidelity, c.pendingFidelity,
-           c.fastPc, c.recordTimeline, c.debugOut, c.timeline, c.stats);
+           c.asleep, c.currentEvent, c.fidelity, c.fastPc,
+           c.recordTimeline, c.debugOut, c.timeline, c.stats);
 }
 
 template <class Ar>

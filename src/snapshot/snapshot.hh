@@ -47,8 +47,10 @@ inline constexpr std::uint32_t kMagic = 0x53504e53u;
  *  v3: NodeState::traceHash is the sim::hashWord() trace hash, no
  *  longer FNV-1a. The layout is unchanged, but a restored v2 value
  *  would continue the ladder with a different function, so a v3
- *  reader refuses it. */
-inline constexpr std::uint32_t kFormatVersion = 3;
+ *  reader refuses it.
+ *  v4: the core's pending-fidelity byte is gone (a core's fidelity
+ *  is fixed for its life); one byte fewer per node. */
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /** One hardware FIFO's full state (sim::Fifo buffer plus flow
  *  counters): the event queue and the word FIFOs. */

@@ -57,17 +57,19 @@ TEST_P(SnapshotFormat, EncodingAt400MsMatchesThePin)
     scenario::runScenario(sc, opt);
 
     ASSERT_FALSE(enc.empty()) << "no checkpoint at 400 ms";
-    EXPECT_EQ(snapshot::kFormatVersion, 3u);
+    EXPECT_EQ(snapshot::kFormatVersion, 4u);
     EXPECT_EQ(enc.size(), pin.bytes);
     EXPECT_EQ(sim::fnv1a64(enc.data(), enc.size()), pin.fnv)
         << std::hex << "actual 0x" << sim::fnv1a64(enc.data(), enc.size());
 }
 
+// The instantiation keeps the name it had when first pinned, so test
+// ids survive format bumps; the body asserts the current version.
 INSTANTIATE_TEST_SUITE_P(
     V3, SnapshotFormat,
-    ::testing::Values(Pin{"trickle", 187050, 0xa2bf4bab49c5226dull},
-                      Pin{"rssi_cluster", 232409, 0xb60cfab97bc68d5aull},
-                      Pin{"trickle_fast", 141514, 0x1f70b673161c328eull}),
+    ::testing::Values(Pin{"trickle", 187042, 0x306f3fdf1435fcadull},
+                      Pin{"rssi_cluster", 232399, 0x66cbc89de33180d6ull},
+                      Pin{"trickle_fast", 141508, 0x4277120d91e5a039ull}),
     [](const ::testing::TestParamInfo<Pin> &info) {
         return std::string(info.param.scenario);
     });

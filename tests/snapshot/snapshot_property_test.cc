@@ -112,7 +112,6 @@ fuzzNode(sim::Rng &rng)
     c.asleep = !ns.halted;
     c.currentEvent = std::uint8_t(rng.next());
     c.fidelity = std::uint8_t(rng.next() % 2);
-    c.pendingFidelity = std::uint8_t(rng.next() % 2);
     c.fastPc = u16();
     c.recordTimeline = rng.chance(0.5);
     c.debugOut = some<std::uint16_t>(rng, 9, u16);
@@ -351,17 +350,31 @@ TEST(SnapshotProperty, VersionBumpWithValidChecksumIsRejected)
         "future version");
 }
 
-TEST(SnapshotProperty, V2SnapshotIsRejected)
+/** A past format version, restamped onto a current encoding. */
+class SnapshotOldVersion : public ::testing::TestWithParam<std::uint32_t>
+{};
+
+TEST_P(SnapshotOldVersion, IsRejected)
 {
-    // v2 shares v3's layout, but its trace hashes are FNV-1a; resuming
-    // one would splice two hash functions into one ladder.
-    ASSERT_GT(snapshot::kFormatVersion, 2u);
+    // v2 trace hashes are FNV-1a: resuming one would splice two hash
+    // functions into one ladder. v3 carries a pending-fidelity byte
+    // per node that v4 dropped. Restamped onto a current encoding,
+    // only the version word can refuse them.
+    const std::uint32_t version = GetParam();
+    ASSERT_LT(version, snapshot::kFormatVersion);
     sim::Rng rng(0x0202);
     const std::string enc = snapshot::encodeSnapshot(fuzzSnapshot(rng));
     ASSERT_GT(enc.size(), 16u);
     ASSERT_NO_THROW(snapshot::decodeSnapshot(enc));
-    expectVersionRejected(restampVersion(enc, 2), "v2 snapshot");
+    const std::string what = "v" + std::to_string(version) + " snapshot";
+    expectVersionRejected(restampVersion(enc, version), what.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Past, SnapshotOldVersion, ::testing::Values(2u, 3u),
+    [](const ::testing::TestParamInfo<std::uint32_t> &info) {
+        return "v" + std::to_string(info.param);
+    });
 
 TEST(SnapshotProperty, AbsurdNodeCountIsRejectedBeforeAllocation)
 {

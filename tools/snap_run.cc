@@ -24,7 +24,9 @@
  * Chrome trace_event JSON (load in chrome://tracing or Perfetto) or
  * as a VCD waveform; the 64-bit trace hash is printed either way.
  * In the default single-machine mode, events can only come from the
- * timer coprocessor (no radio or sensors are attached).
+ * timer coprocessor (no radio or sensors are attached). --trace,
+ * --trace-format and --timeline work only in that mode, and --row
+ * only with --scenario; elsewhere they exit 2.
  *
  * With --nodes > 1 the same program is loaded into N full radio nodes
  * on the sharded parallel network (net::ParallelNetwork), advanced by
@@ -205,6 +207,9 @@ main(int argc, char **argv)
     bool profile = false;
     std::string trace_path;
     std::string trace_format = "json";
+    // The last single-machine-only flag given (tracing and the
+    // activity timeline record one machine).
+    const char *single_flag = nullptr;
     std::string metrics_path;
     std::string metrics_format = "jsonl";
     std::string flows_path;
@@ -233,15 +238,18 @@ main(int argc, char **argv)
             seed = tools::flagValue<std::uint64_t>("--seed", argv[++i]);
         else if (!std::strcmp(argv[i], "--stats"))
             stats = true;
-        else if (!std::strcmp(argv[i], "--timeline"))
+        else if (!std::strcmp(argv[i], "--timeline")) {
             timeline = true;
-        else if (!std::strcmp(argv[i], "--profile"))
+            single_flag = "--timeline";
+        } else if (!std::strcmp(argv[i], "--profile"))
             profile = true;
-        else if (!std::strncmp(argv[i], "--trace=", 8))
+        else if (!std::strncmp(argv[i], "--trace=", 8)) {
             trace_path = argv[i] + 8;
-        else if (!std::strncmp(argv[i], "--trace-format=", 15))
+            single_flag = "--trace";
+        } else if (!std::strncmp(argv[i], "--trace-format=", 15)) {
             trace_format = argv[i] + 15;
-        else if (!std::strncmp(argv[i], "--metrics=", 10))
+            single_flag = "--trace-format";
+        } else if (!std::strncmp(argv[i], "--metrics=", 10))
             metrics_path = argv[i] + 10;
         else if (!std::strncmp(argv[i], "--metrics-interval=", 19))
             metrics_interval = tools::flagValue<sim::Tick>(
@@ -314,6 +322,16 @@ main(int argc, char **argv)
         scenario_path.empty()) {
         std::fprintf(stderr, "--save-at/--save/--restore need "
                              "--scenario\n");
+        return 2;
+    }
+    if (single_flag && (!scenario_path.empty() || nodes > 1)) {
+        std::fprintf(stderr, "%s needs single-machine mode (no "
+                             "--scenario, --nodes 1)\n",
+                     single_flag);
+        return 2;
+    }
+    if (!row_path.empty() && scenario_path.empty()) {
+        std::fprintf(stderr, "--row needs --scenario\n");
         return 2;
     }
     if (!save_path.empty() && save_at.size() != 1) {
