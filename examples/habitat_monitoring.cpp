@@ -138,8 +138,7 @@ main()
                 "radio uJ", "duty cycle", "asleep");
     for (std::size_t i = 0; i < net.size(); ++i) {
         auto &n = net.node(i);
-        n.transceiver()->accrueListenEnergy(); // idle listening too
-        const auto &l = n.ctx().ledger;
+        const energy::EnergyLedger l = n.ctx().energy();
         std::printf("%-10s %12.2f %12.1f %11.4f%% %10s\n",
                     n.name().c_str(), l.processorPj() / 1e6,
                     l.pj(energy::Cat::Radio) / 1e6,
@@ -148,7 +147,7 @@ main()
                     n.core().asleep() ? "yes" : "no");
     }
 
-    const auto &l = mon.ctx().ledger;
+    const energy::EnergyLedger l = mon.ctx().energy();
     double proc_w = node::averagePowerW(l.processorPj(),
                                         sim::fromSec(seconds));
     double all_w =

@@ -131,7 +131,7 @@ verifyResumeExactness(double volts, double events_per_sec)
     node::SnapNode &a = buildSampler(straight, sensA, volts, period);
     straight.start();
     straight.runFor(snap.snapTick + window);
-    const double fromT0 = a.ctx().ledger.totalPj();
+    const double fromT0 = a.ctx().energy().totalPj();
 
     net::ParallelNetwork resumed;
     sensor::TemperatureSensor sensB;
@@ -139,7 +139,7 @@ verifyResumeExactness(double volts, double events_per_sec)
     sensB.setRngState(snap.userRng[0]);
     resumed.restore(snap);
     resumed.runFor(window);
-    return b.ctx().ledger.totalPj() == fromT0;
+    return b.ctx().energy().totalPj() == fromT0;
 }
 
 } // namespace

@@ -81,8 +81,8 @@ MessageCoproc::armWait(CmdPhase ph, sim::Tick end, std::uint8_t arg)
     scheduleWait();
     // A QueryWait is the ADC conversion running: the sensor is the
     // busy component until queryFinish() samples it.
-    if (energest_ && ph == CmdPhase::QueryWait)
-        energest_->set(obs::Comp::Sensor, true, ctx_.kernel.now());
+    if (ph == CmdPhase::QueryWait)
+        ctx_.energest.set(obs::Comp::Sensor, true, ctx_.kernel.now());
 }
 
 // Every multi-await command continuation below is a dedicated tail
@@ -109,8 +109,7 @@ MessageCoproc::txData()
     std::uint16_t data = co_await msgIn_.recv();
     {
         const double pj = ctx_.charge(Cat::Coproc, ctx_.ecal.msgWordPj);
-        if (energest_)
-            energest_->addPj(obs::Comp::Msg, pj);
+        ctx_.energest.addPj(obs::Comp::Msg, pj);
     }
     txWords_->inc();
     trace_.emit(sim::TraceEvent::MsgTx, data);
@@ -133,12 +132,10 @@ sim::Co<void>
 MessageCoproc::queryFinish()
 {
     co_await gate_.wait();
-    if (energest_)
-        energest_->set(obs::Comp::Sensor, false, ctx_.kernel.now());
+    ctx_.energest.set(obs::Comp::Sensor, false, ctx_.kernel.now());
     std::uint16_t v = sensors_[waitArg_]->query(ctx_.kernel.now());
     const double pj = ctx_.charge(Cat::Coproc, ctx_.ecal.msgWordPj);
-    if (energest_)
-        energest_->addPj(obs::Comp::Sensor, pj);
+    ctx_.energest.addPj(obs::Comp::Sensor, pj);
     pendingWord_ = v;
     co_await querySendTail();
 }
@@ -178,19 +175,16 @@ MessageCoproc::commandProcess(CmdPhase entry)
     }
     for (;;) {
         phase_ = CmdPhase::Idle;
-        if (energest_)
-            energest_->set(obs::Comp::Msg, false, ctx_.kernel.now());
+        ctx_.energest.set(obs::Comp::Msg, false, ctx_.kernel.now());
         std::uint16_t w = co_await msgIn_.recv();
         phase_ = CmdPhase::Busy;
-        if (energest_)
-            energest_->set(obs::Comp::Msg, true, ctx_.kernel.now());
+        ctx_.energest.set(obs::Comp::Msg, true, ctx_.kernel.now());
         commands_->inc();
         trace_.emit(sim::TraceEvent::MsgCommand, w);
         {
             const double pj =
                 ctx_.charge(Cat::Coproc, ctx_.ecal.msgCommandPj);
-            if (energest_)
-                energest_->addPj(obs::Comp::Msg, pj);
+            ctx_.energest.addPj(obs::Comp::Msg, pj);
         }
         co_await ctx_.kernel.delay(ctx_.gd(4));
 
@@ -270,8 +264,7 @@ MessageCoproc::rxProcess(RxPhase entry)
         {
             const double pj =
                 ctx_.charge(Cat::Coproc, ctx_.ecal.msgWordPj);
-            if (energest_)
-                energest_->addPj(obs::Comp::Msg, pj);
+            ctx_.energest.addPj(obs::Comp::Msg, pj);
         }
         rxWord_ = w;
         co_await rxSendTail();

@@ -22,7 +22,6 @@
 #include "core/context.hh"
 #include "core/ports.hh"
 #include "coproc/io_ports.hh"
-#include "obs/energest.hh"
 #include "sim/gate.hh"
 #include "sim/trace.hh"
 
@@ -102,11 +101,6 @@ class MessageCoproc
     /** Attach a sensor under a Query-addressable id. */
     void attachSensor(unsigned id, SensorPort &sensor);
 
-    /** Attach the node's energest duty ledger (src/obs/energest.hh):
-     *  accrues Msg ticks while a command is mid-flight and Sensor
-     *  ticks while a conversion runs. Optional; purely observational. */
-    void setEnergest(obs::Energest *e) { energest_ = e; }
-
     /** Spawn the command and receive processes. */
     void start();
 
@@ -175,7 +169,6 @@ class MessageCoproc
     sim::TraceScope trace_;
     sim::WarnRateLimiter dropWarn_;
     RadioPort *radio_ = nullptr;
-    obs::Energest *energest_ = nullptr;
     std::array<SensorPort *, kMaxSensors> sensors_{};
     sim::TickGate gate_;      ///< TxWait/QueryWait wake-up point
     CmdPhase phase_ = CmdPhase::Idle;

@@ -111,18 +111,15 @@ void
 TimerCoproc::chargeTimerPj(double pj_nominal)
 {
     const double pj = ctx_.charge(Cat::Coproc, pj_nominal);
-    if (energest_)
-        energest_->addPj(obs::Comp::Timer, pj);
+    ctx_.energest.addPj(obs::Comp::Timer, pj);
 }
 
 void
 TimerCoproc::accrueTimerDuty()
 {
-    if (!energest_)
-        return;
     const bool any = timers_[0].armed || timers_[1].armed ||
                      timers_[2].armed;
-    energest_->set(obs::Comp::Timer, any, ctx_.kernel.now());
+    ctx_.energest.set(obs::Comp::Timer, any, ctx_.kernel.now());
 }
 
 void

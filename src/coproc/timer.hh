@@ -27,7 +27,6 @@
 
 #include "core/context.hh"
 #include "core/ports.hh"
-#include "obs/energest.hh"
 #include "sim/trace.hh"
 
 namespace snaple::coproc {
@@ -97,11 +96,6 @@ class TimerCoproc
         return n;
     }
 
-    /** Attach the node's energest duty ledger (src/obs/energest.hh):
-     *  accrues Timer ticks while any register counts down. Optional;
-     *  purely observational. */
-    void setEnergest(obs::Energest *e) { energest_ = e; }
-
     /** Counters live in ctx.metrics; this assembles a snapshot. */
     Stats
     stats() const
@@ -140,7 +134,6 @@ class TimerCoproc
     core::NodeContext &ctx_;
     core::TimerPort &port_;
     core::EventQueue &eventQueue_;
-    obs::Energest *energest_ = nullptr;
     sim::TraceScope trace_;
     sim::WarnRateLimiter dropWarn_;
     std::array<Timer, 3> timers_;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared per-node context: kernel, operating point, calibration and
- * the energy ledger.
+ * Shared per-node context: kernel, operating point, calibration, the
+ * energy ledger and the energest duty clocks.
  *
  * Every model component of one node holds a reference to one
  * NodeContext; sweeping supply voltage or running an ablation means
@@ -22,6 +22,7 @@
 #include "energy/ledger.hh"
 #include "energy/voltage.hh"
 #include "isa/isa.hh"
+#include "obs/energest.hh"
 #include "sim/kernel.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
@@ -109,7 +110,13 @@ struct NodeContext
     energy::OperatingPoint op;
     energy::EnergyCal ecal;
     energy::TimingCal tcal;
+    /** Dynamic energy only; energy() adds static energy at read time. */
     energy::EnergyLedger ledger;
+    /** Duty clocks (src/obs/energest.hh); its RadioListen ticks are the
+     *  one Rx clock idle listening is priced from. */
+    obs::Energest energest;
+    /** The radio's idle-listening power, nW; 0 without one. */
+    double listenPowerNw = 0.0;
     /** This node's metrics instruments (docs/METRICS.md). */
     sim::MetricsRegistry metrics;
 
@@ -178,36 +185,49 @@ struct NodeContext
                cfg.sizingEnergyScale;
     }
 
-    /**
-     * Accrue static energy up to the current simulated time into
-     * Cat::Leakage. Leakage flows whether the core is awake or
-     * asleep — the quantity the paper's future work measures. Call
-     * before reading totals; idempotent between time steps.
-     */
-    void
-    accrueLeakage()
+    /** Static energy as of now(), picojoules. */
+    struct StaticPj
     {
-        sim::Tick now = kernel.now();
-        if (now <= leakAccruedTo_)
-            return;
-        double pj = leakagePowerNw() * 1e-9 /* W */ *
-                    sim::toSec(now - leakAccruedTo_) * 1e12 /* pJ */;
-        ledger.add(energy::Cat::Leakage, pj);
-        energyScopes_[static_cast<std::size_t>(energy::Cat::Leakage)]
-            .emit(sim::TraceEvent::EnergyDebit, 0, 0, pj);
-        leakAccruedTo_ = now;
+        double leakage = 0.0;
+        double listen = 0.0;
+    };
+
+    /**
+     * Static energy as power × ticks: leakage from t=0, awake or
+     * asleep (the paper's future-work quantity), and idle listening
+     * over the energest Rx ticks. A pure read; the kernel clock stops
+     * at death or halt, and so does the sum.
+     */
+    StaticPj
+    staticPj() const
+    {
+        const sim::Tick now = kernel.now();
+        const auto pj = [](double nw, sim::Tick t) {
+            return nw * 1e-9 /* W */ * sim::toSec(t) * 1e12 /* pJ */;
+        };
+        return {pj(leakagePowerNw(), now),
+                pj(listenPowerNw,
+                   energest.ticks(obs::Comp::RadioListen, now))};
+    }
+
+    /** The whole-node ledger as of now(): ledger plus staticPj(). */
+    energy::EnergyLedger
+    energy() const
+    {
+        energy::EnergyLedger l = ledger;
+        const StaticPj s = staticPj();
+        l.add(energy::Cat::Leakage, s.leakage);
+        l.add(energy::Cat::Radio, s.listen);
+        return l;
     }
 
     /**
-     * Mirror the energy ledger into the metrics registry (gauges
+     * Mirror energy() into the metrics registry (gauges
      * "energy.<cat>_pj", handler attribution "handler.<ev>.pj").
-     * Accrues leakage to now() first, so a final sample at the end
-     * of a run always covers the full simulated interval.
      */
     void
     publishEnergyMetrics()
     {
-        accrueLeakage();
         if (!energyGauges_[0]) {
             sim::MetricName name;
             for (std::size_t c = 0; c < energy::kNumCats; ++c)
@@ -223,9 +243,9 @@ struct NodeContext
                     &metrics.gauge(name("handler.", ev, ".pj"));
             }
         }
+        const energy::EnergyLedger l = energy();
         for (std::size_t c = 0; c < energy::kNumCats; ++c)
-            energyGauges_[c]->set(
-                ledger.pj(static_cast<energy::Cat>(c)));
+            energyGauges_[c]->set(l.pj(static_cast<energy::Cat>(c)));
         for (std::size_t s = 0; s < kHandlerSlots; ++s)
             handlerPjGauges_[s]->set(handlerPj_[s]);
     }
@@ -250,22 +270,20 @@ struct NodeContext
     }
 
     /** @name Snapshot support (src/snapshot/)
-     * The accounting scalars behind charge()/accrueLeakage(), saved
-     * and poked back verbatim at restore. Restored last, after the
-     * respawned processes have re-run their (tracer-detached) entry
+     * The accounting scalars behind charge(), saved and poked back
+     * verbatim at restore. Restored last, after the respawned
+     * processes have re-run their (tracer-detached) entry
      * bookkeeping, so any re-charged energy is overwritten. */
     ///@{
-    sim::Tick leakAccruedTo() const { return leakAccruedTo_; }
     const std::array<double, kHandlerSlots> &
     handlerPjAll() const
     {
         return handlerPj_;
     }
     void
-    restoreAccounting(sim::Tick leakAccruedTo, double chargedPj,
+    restoreAccounting(double chargedPj,
                       const std::array<double, kHandlerSlots> &perHandler)
     {
-        leakAccruedTo_ = leakAccruedTo;
         chargedPj_ = chargedPj;
         handlerPj_ = perHandler;
     }
@@ -282,7 +300,6 @@ struct NodeContext
                        static_cast<energy::Cat>(I))))...};
     }
 
-    sim::Tick leakAccruedTo_ = 0;
     double chargedPj_ = 0.0;
     std::array<double, kHandlerSlots> handlerPj_{};
     /** One trace scope per ledger category ("energy.<cat>"). */

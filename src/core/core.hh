@@ -134,8 +134,6 @@ class SnapCore
      */
     void start(FidelityMode fidelity = FidelityMode::Cycle);
 
-    FidelityMode fidelity() const { return fidelity_; }
-
     /** @name Host-side architectural state access (tests, loaders) */
     ///@{
     std::uint16_t reg(unsigned i) const;

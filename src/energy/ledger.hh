@@ -31,7 +31,7 @@ enum class Cat : std::size_t
     Dmem,       ///< data memory bank
     Coproc,     ///< timer + message coprocessors
     Radio,      ///< radio transceiver (off-chip in the paper)
-    Leakage,    ///< static (idle) power, accrued over wall time
+    Leakage,    ///< static (idle) power × time, filled in at read time
     NumCats,
 };
 

@@ -233,8 +233,9 @@ ParallelNetwork::killNode(std::size_t i)
     if (s.dead)
         return;
     // Freeze the shard exactly like an early kernel stop: its clock
-    // stops tracking the barrier grid, its trace hash and energy
-    // ledger keep their values at the kill barrier. The exchange side
+    // stops tracking the barrier grid, so its trace hash and its
+    // energy(), static energy included, keep their values at the kill
+    // barrier. The exchange side
     // truncates in-flight words and suppresses future deliveries.
     s.dead = true;
     s.halted = true;

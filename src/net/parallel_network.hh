@@ -177,7 +177,9 @@ class ParallelNetwork
     /**
      * Restore onto a freshly built, identically configured network
      * (same nodes/programs/topology/window) *instead of* start().
-     * Continues from the snapshot tick.
+     * Continues from the snapshot tick. Fatal, naming the node and
+     * the knob, when a node's fidelity, volts or class-cal table
+     * differ from the snapshot's.
      */
     void restore(const snapshot::NetworkSnapshot &snap);
     ///@}
@@ -245,7 +247,8 @@ class ParallelNetwork
     ///@{
     /**
      * Kill a node: its shard freezes at the current barrier (kernel
-     * never advances again, trace hash and energy ledger are frozen),
+     * never advances again, so its trace hash and energy() are
+     * frozen),
      * its in-flight words are truncated (resolve as collided), and it
      * receives no further carrier or deliveries. Irreversible.
      */

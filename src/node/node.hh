@@ -19,7 +19,6 @@
 #include "core/core.hh"
 #include "core/ports.hh"
 #include "mem/sram.hh"
-#include "obs/energest.hh"
 #include "obs/flow.hh"
 #include "radio/transceiver.hh"
 #include "sim/rng.hh"
@@ -88,15 +87,12 @@ class SnapNode
           msgCoproc_(ctx_, msgIn_, msgOut_, eventQueue_),
           flowTracker_(cfg.nodeId)
     {
-        timer_.setEnergest(&energest_);
-        msgCoproc_.setEnergest(&energest_);
         if (cfg.attachRadio) {
             sim::fatalIf(medium == nullptr,
                          "node wants a radio but no medium given");
             radio_ = std::make_unique<radio::Transceiver>(ctx_, *medium,
                                                           cfg.radio);
             radio_->setFlowTracker(&flowTracker_);
-            radio_->setEnergest(&energest_);
             msgCoproc_.attachRadio(*radio_);
         }
         imem_.load(prog.imem);
@@ -149,30 +145,15 @@ class SnapNode
     }
 
     /**
-     * Bring the energy ledger up to "now": radio idle listening, then
-     * leakage, both of which accrue lazily. Call before reading
-     * ctx().ledger; a repeat call at the same instant adds nothing.
-     */
-    void
-    accrueEnergy()
-    {
-        if (radio_)
-            radio_->accrueListenEnergy();
-        ctx_.accrueLeakage();
-    }
-
-    /**
      * Refresh every sampled metric in ctx().metrics to "now": core
-     * counters and histograms, energy gauges (leakage and radio
-     * idle-listening accrued first), coprocessor occupancies and radio
-     * mode. Call immediately before reading or serializing the
-     * registry; between calls the gauges hold the previous sample.
+     * counters and histograms, energy gauges, coprocessor occupancies
+     * and radio mode. Call immediately before reading or serializing
+     * the registry; between calls the gauges hold the previous sample.
+     * Every value is a read; sampling never changes the run.
      */
     void
     sampleMetrics()
     {
-        if (radio_)
-            radio_->accrueListenEnergy();
         core_.publishMetrics();
         ctx_.publishEnergyMetrics();
         ctx_.publishOccupancy(msgIn_.size(), msgOut_.size(),
@@ -183,14 +164,18 @@ class SnapNode
             pub_.radioMode->set(double(static_cast<int>(radio_->mode())));
 
         // Energest duty ledger (docs/METRICS.md): accrued ticks and
-        // attributed energy per component state, plus the core's
-        // exact active/sleep split from its own stats.
+        // attributed energy per component state (idle listening
+        // priced into radio_listen), plus the core's exact
+        // active/sleep split from its own stats.
         const sim::Tick now = ctx_.kernel.now();
+        const obs::Energest &e = ctx_.energest;
         for (std::size_t i = 0; i < obs::kNumComps; ++i) {
             const auto c = static_cast<obs::Comp>(i);
-            pub_.energestTicks[i]->set(double(energest_.ticks(c, now)));
-            pub_.energestPj[i]->set(energest_.pj(c));
+            pub_.energestTicks[i]->set(double(e.ticks(c, now)));
+            pub_.energestPj[i]->set(e.pj(c));
         }
+        pub_.energestPj[std::size_t(obs::Comp::RadioListen)]->set(
+            e.pj(obs::Comp::RadioListen) + ctx_.staticPj().listen);
         const sim::Tick active = core_.activeTimeNow();
         pub_.cpuActive->set(double(active));
         pub_.cpuSleep->set(double(now - active));
@@ -206,6 +191,8 @@ class SnapNode
     mem::Sram &imem() { return imem_; }
     mem::Sram &dmem() { return dmem_; }
     const std::string &name() const { return cfg_.name; }
+    /** The execution fidelity this node was configured with. */
+    FidelityMode fidelity() const { return cfg_.fidelity; }
 
     /** @name Snapshot support (src/snapshot/)
      * The hardware FIFOs between the core and its coprocessors carry
@@ -217,8 +204,6 @@ class SnapNode
     core::WordFifo &msgOutFifo() { return msgOut_; }
     obs::FlowTracker &flowTracker() { return flowTracker_; }
     const obs::FlowTracker &flowTracker() const { return flowTracker_; }
-    obs::Energest &energest() { return energest_; }
-    const obs::Energest &energest() const { return energest_; }
     ///@}
 
     /**
@@ -245,7 +230,6 @@ class SnapNode
     coproc::TimerCoproc timer_;
     coproc::MessageCoproc msgCoproc_;
     obs::FlowTracker flowTracker_;
-    obs::Energest energest_;
     std::unique_ptr<radio::Transceiver> radio_;
 
     /** The node-level instruments sampleMetrics() publishes, looked

@@ -16,7 +16,8 @@
  * Accrual is lazy: a component accrues `now - since` on transition
  * and the effective total is computed on demand, so sampling and
  * checkpointing are side-effect-free and a restored run continues
- * the gauges bit-exactly (docs/CHECKPOINT.md).
+ * the gauges bit-exactly (docs/CHECKPOINT.md). The RadioListen ticks
+ * also price idle listening (core::NodeContext::staticPj()).
  */
 
 #ifndef SNAPLE_OBS_ENERGEST_HH

@@ -17,7 +17,6 @@
 
 #include "coproc/io_ports.hh"
 #include "core/context.hh"
-#include "obs/energest.hh"
 #include "obs/flow.hh"
 #include "radio/medium.hh"
 #include "sim/channel.hh"
@@ -40,8 +39,8 @@ struct RadioConfig
      * Continuous receive-mode (idle listening) power, nanowatts.
      * TR1000 RX draws ~3.8 mA at 3 V ~ 11.4 mW whether or not bits
      * arrive — in real deployments this, not computation, dominates
-     * unless the MAC duty-cycles the receiver. Accrued over the time
-     * spent in Rx mode (accrueListenEnergy()).
+     * unless the MAC duty-cycles the receiver. Priced at read time
+     * over the node's energest Rx ticks (NodeContext::staticPj()).
      */
     double rxListenNw = 11.4e6;
 
@@ -79,6 +78,8 @@ class Transceiver : public coproc::RadioPort
           rxMissedWrongMode_(
               &ctx.metrics.counter("radio.rx_missed_wrong_mode"))
     {
+        ctx_.listenPowerNw = cfg_.selfPowered ? 0.0 : cfg_.rxListenNw;
+        accrueRadioDuty();
         medium_.attach(this);
     }
 
@@ -96,45 +97,12 @@ class Transceiver : public coproc::RadioPort
      */
     void setFlowTracker(obs::FlowTracker *t) { flow_ = t; }
 
-    /**
-     * Attach the node's energest duty ledger (src/obs/energest.hh)
-     * and seed the radio component states from the current mode.
-     */
-    void
-    setEnergest(obs::Energest *e)
-    {
-        energest_ = e;
-        if (energest_)
-            accrueRadioDuty();
-    }
-
     // RadioPort interface -------------------------------------------
     void
     setMode(coproc::RadioMode mode) override
     {
-        accrueListenEnergy();
         mode_ = mode;
         accrueRadioDuty();
-    }
-
-    /**
-     * Accrue idle-listening energy for time spent in Rx mode up to
-     * now (Cat::Radio). Called on every mode change; call once more
-     * before reading energy totals.
-     */
-    void
-    accrueListenEnergy()
-    {
-        sim::Tick now = ctx_.kernel.now();
-        if (mode_ == coproc::RadioMode::Rx && !cfg_.selfPowered &&
-            now > listenAccruedTo_) {
-            double pj = cfg_.rxListenNw * 1e-9 *
-                        sim::toSec(now - listenAccruedTo_) * 1e12;
-            ctx_.ledger.add(energy::Cat::Radio, pj);
-            if (energest_)
-                energest_->addPj(obs::Comp::RadioListen, pj);
-        }
-        listenAccruedTo_ = now;
     }
 
     sim::Tick
@@ -142,10 +110,8 @@ class Transceiver : public coproc::RadioPort
     {
         txWords_->inc();
         const double pj = cfg_.selfPowered ? 0.0 : cfg_.txPjPerWord;
-        if (!cfg_.selfPowered)
-            ctx_.ledger.add(energy::Cat::Radio, cfg_.txPjPerWord);
-        if (energest_)
-            energest_->addPj(obs::Comp::RadioTx, pj);
+        ctx_.ledger.add(energy::Cat::Radio, pj);
+        ctx_.energest.addPj(obs::Comp::RadioTx, pj);
         // Tag the word before it reaches the medium: the medium reads
         // lastTxTag() while building its flight record.
         lastTxTag_ = flow_ ? flow_->onTransmit(word, ctx_.kernel.now(), pj)
@@ -189,9 +155,7 @@ class Transceiver : public coproc::RadioPort
         }
         if (!cfg_.selfPowered) {
             ctx_.ledger.add(energy::Cat::Radio, cfg_.rxPjPerWord);
-            if (energest_)
-                energest_->addPj(obs::Comp::RadioListen,
-                                 cfg_.rxPjPerWord);
+            ctx_.energest.addPj(obs::Comp::RadioListen, cfg_.rxPjPerWord);
         }
         if (!rxFifo_.tryPush(word)) {
             rxDroppedFifoFull_->inc();
@@ -226,15 +190,12 @@ class Transceiver : public coproc::RadioPort
 
     /** @name Snapshot support (src/snapshot/) */
     ///@{
-    sim::Tick listenAccruedTo() const { return listenAccruedTo_; }
-    /** Poke mode/RSSI/listen-accrual back without side effects. */
+    /** Poke mode/RSSI back without side effects. */
     void
-    restoreState(coproc::RadioMode mode, std::uint16_t lastRssi,
-                 sim::Tick listenAccruedTo)
+    restoreState(coproc::RadioMode mode, std::uint16_t lastRssi)
     {
         mode_ = mode;
         lastRssi_ = lastRssi;
-        listenAccruedTo_ = listenAccruedTo;
     }
     ///@}
 
@@ -243,15 +204,13 @@ class Transceiver : public coproc::RadioPort
     void
     accrueRadioDuty()
     {
-        if (!energest_)
-            return;
+        obs::Energest &e = ctx_.energest;
         const sim::Tick now = ctx_.kernel.now();
-        energest_->set(obs::Comp::RadioTx,
-                       mode_ == coproc::RadioMode::Tx, now);
-        energest_->set(obs::Comp::RadioListen,
-                       mode_ == coproc::RadioMode::Rx, now);
-        energest_->set(obs::Comp::RadioOff,
-                       mode_ == coproc::RadioMode::Idle, now);
+        e.set(obs::Comp::RadioTx, mode_ == coproc::RadioMode::Tx, now);
+        e.set(obs::Comp::RadioListen, mode_ == coproc::RadioMode::Rx,
+              now);
+        e.set(obs::Comp::RadioOff, mode_ == coproc::RadioMode::Idle,
+              now);
     }
 
     core::NodeContext &ctx_;
@@ -259,9 +218,7 @@ class Transceiver : public coproc::RadioPort
     RadioConfig cfg_;
     coproc::RadioMode mode_ = coproc::RadioMode::Idle;
     std::uint16_t lastRssi_ = 0;
-    sim::Tick listenAccruedTo_ = 0;
     obs::FlowTracker *flow_ = nullptr;
-    obs::Energest *energest_ = nullptr;
     obs::FlowTag lastTxTag_;
     sim::Fifo<std::uint16_t> rxFifo_;
     /** Registry-native counters in the node's metrics registry. */

@@ -262,9 +262,9 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     // ineligible barrier slide to the next one (docs/CHECKPOINT.md).
     //
     // Battery depletion rides the same loop: when any node is
-    // metered, every grid point ends a segment, where each metered
-    // ledger is brought up to date and a node whose capacity is spent
-    // is killed, before that barrier's faults.
+    // metered, every grid point ends a segment, where a metered node
+    // whose energy() has reached its capacity is killed, before that
+    // barrier's faults.
     const sim::Tick w = net.window();
     const sim::Tick duration = msToTicks(sc.durationMs);
     std::map<sim::Tick, std::vector<Fault>> faultsAt;
@@ -312,9 +312,8 @@ runScenario(const Scenario &sc, const RunOptions &opt)
             for (std::size_t i = 0; i < sc.nodes; ++i) {
                 if (capacityPj[i] <= 0 || net.nodeDead(i))
                     continue;
-                node::SnapNode &node = net.node(i);
-                node.accrueEnergy();
-                if (node.ctx().ledger.totalPj() >= capacityPj[i])
+                if (net.node(i).ctx().energy().totalPj() >=
+                    capacityPj[i])
                     net.killNode(i);
             }
         }
@@ -377,10 +376,9 @@ runScenario(const Scenario &sc, const RunOptions &opt)
         o.name = node.name();
         o.dead = net.nodeDead(i);
         o.deathAt = net.nodeDeathAt(i);
-        // Bring the ledger up to the node's final instant (its death
-        // barrier when dead — the frozen kernel pins now() there).
-        node.accrueEnergy();
-        o.energyPj = node.ctx().ledger.totalPj();
+        // As of the node's final instant: its death barrier when
+        // dead, where the frozen kernel pins now().
+        o.energyPj = node.ctx().energy().totalPj();
         o.dbgWords = node.core().debugOut().size();
         o.traceHash = net.nodeTraceHash(i);
         combined = sim::hashWord(combined, o.traceHash);

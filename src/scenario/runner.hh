@@ -94,7 +94,9 @@ struct RunOptions
     /**
      * Resume from this snapshot instead of starting at t=0. The
      * network must be rebuilt exactly as at save time (same scenario,
-     * fidelity and calibration); the runner restores every node —
+     * fidelity and calibration; a node whose fidelity, volts or
+     * class-cal table differ is a FatalError); the runner restores
+     * every node —
      * sensor RNG streams included — and only replays the schedule
      * tail past the snapshot barrier. Borrowed for the call.
      */

@@ -48,9 +48,10 @@ struct NodeSettings
 
     /**
      * Battery capacity in microjoules; 0 or unset = unlimited. The
-     * runner checks the node's whole-ledger energy (radio and accrued
-     * leakage included) at every window barrier and kills the node at
-     * the first barrier where the capacity is spent.
+     * runner checks the node's whole-node energy (radio, idle
+     * listening and leakage included; NodeContext::energy()) at every
+     * window barrier and kills the node at the first barrier where
+     * the capacity is spent.
      */
     std::optional<double> batteryUj;
 

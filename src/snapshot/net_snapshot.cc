@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <ios>
 #include <type_traits>
 
 #include "net/parallel_network.hh"
@@ -112,6 +113,34 @@ canonicalizeSeqs(snapshot::NodeState &ns, bool msgGated)
         *order[rank].seq = rank;
 }
 
+/**
+ * Refuse a snapshot whose host knobs differ from the restoring
+ * node's configuration. Each changes results after the restore, so a
+ * silent mismatch would continue some other run (docs/CHECKPOINT.md).
+ */
+void
+checkKnobs(const node::SnapNode &n, const snapshot::NodeState &ns)
+{
+    const auto name = [](unsigned f) {
+        return f == 0 ? "cycle" : f == 1 ? "fast" : "invalid";
+    };
+    const auto want = static_cast<std::uint8_t>(n.fidelity());
+    sim::fatalIf(ns.core.fidelity != want, "snapshot node ", n.name(),
+                 ": fidelity ", name(ns.core.fidelity),
+                 " != this network's ", name(want),
+                 " (restore with the saving run's knobs)");
+    const core::CoreConfig &cfg = n.ctx().cfg;
+    sim::fatalIf(ns.volts != cfg.volts, "snapshot node ", n.name(),
+                 ": volts ", sim::formatDouble(ns.volts),
+                 " != this network's ", sim::formatDouble(cfg.volts),
+                 " (restore with the saving run's knobs)");
+    const std::uint64_t digest = snapshot::classCalDigest(cfg.classCal);
+    sim::fatalIf(ns.classCalDigest != digest, "snapshot node ",
+                 n.name(), ": class-cal table digest 0x", std::hex,
+                 ns.classCalDigest, " != this network's 0x", digest,
+                 " (restore with the saving run's knobs)");
+}
+
 } // namespace
 
 bool
@@ -160,6 +189,8 @@ ParallelNetwork::captureShard(Shard &s) const
     }
     node::SnapNode &n = s.node;
     ns.core = n.core().saveState(s.halted);
+    ns.volts = n.ctx().cfg.volts;
+    ns.classCalDigest = snapshot::classCalDigest(n.ctx().cfg.classCal);
     ns.imem = captureSram(n.imem());
     ns.dmem = captureSram(n.dmem());
     ns.evq = captureFifo(n.eventQueue());
@@ -172,21 +203,19 @@ ParallelNetwork::captureShard(Shard &s) const
         ns.hasRadio = true;
         ns.radioMode = static_cast<std::uint8_t>(t->mode());
         ns.radioLastRssi = t->lastRssi();
-        ns.radioListenAccruedTo = t->listenAccruedTo();
         ns.radioRx = captureFifo(t->rxWords());
     }
     ns.medium = s.medium.saveState();
     for (std::size_t c = 0; c < energy::kNumCats; ++c)
         ns.ledgerPj[c] =
             n.ctx().ledger.pj(static_cast<energy::Cat>(c));
-    ns.leakAccruedTo = n.ctx().leakAccruedTo();
     ns.chargedPj = n.ctx().chargedPj();
     ns.handlerPj = n.ctx().handlerPjAll();
     // Both saveState calls are side-effect-free; the energest ledger
-    // folds its lazy accruals at the shard's own clock (the freeze
+    // folds its open intervals at the shard's own clock (the freeze
     // tick for halted shards, the barrier for live ones).
     ns.flow = n.flowTracker().saveState();
-    ns.energest = n.energest().saveState(s.kernel.now());
+    ns.energest = n.ctx().energest.saveState(s.kernel.now());
     ns.metrics = n.ctx().metrics.saveState();
     canonicalizeSeqs(ns, n.msgCoproc().pendingKernelEvents() != 0);
     return ns;
@@ -243,7 +272,7 @@ ParallelNetwork::restoreShard(Shard &s, const snapshot::NodeState &ns,
                  "network exactly as at save time)");
     if (t) {
         t->restoreState(static_cast<coproc::RadioMode>(ns.radioMode),
-                        ns.radioLastRssi, ns.radioListenAccruedTo);
+                        ns.radioLastRssi);
         restoreFifo(t->rxWords(), ns.radioRx);
     }
     s.medium.restoreState(ns.medium);
@@ -304,10 +333,9 @@ ParallelNetwork::restoreShard(Shard &s, const snapshot::NodeState &ns,
     // restore in particular must follow the respawn — the parked
     // processes' entry paths touch the duty state machine, and the
     // saved mask/totals overwrite that bookkeeping wholesale.
-    n.ctx().restoreAccounting(ns.leakAccruedTo, ns.chargedPj,
-                              ns.handlerPj);
+    n.ctx().restoreAccounting(ns.chargedPj, ns.handlerPj);
     n.flowTracker().restoreState(ns.flow);
-    n.energest().restoreState(ns.energest, ns.kernelNow);
+    n.ctx().energest.restoreState(ns.energest, ns.kernelNow);
     n.ctx().metrics.restoreState(ns.metrics);
 }
 
@@ -325,6 +353,8 @@ ParallelNetwork::restore(const snapshot::NetworkSnapshot &snap)
                  "snapshot sync window ", snap.window,
                  " != this network's ", window_,
                  " (rebuild the network exactly as at save time)");
+    for (std::size_t i = 0; i < shards_.size(); ++i)
+        checkKnobs(shards_[i]->node, snap.nodes[i]);
     exchange_.finalizeField(); // no-op outside field mode
     exchange_.restoreState(snap.air);
     for (std::size_t i = 0; i < shards_.size(); ++i)

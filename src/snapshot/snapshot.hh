@@ -30,6 +30,7 @@
 #include "coproc/timer.hh"
 #include "core/context.hh"
 #include "core/core.hh"
+#include "energy/class_cal.hh"
 #include "energy/ledger.hh"
 #include "obs/energest.hh"
 #include "obs/flow.hh"
@@ -49,8 +50,12 @@ inline constexpr std::uint32_t kMagic = 0x53504e53u;
  *  would continue the ladder with a different function, so a v3
  *  reader refuses it.
  *  v4: the core's pending-fidelity byte is gone (a core's fidelity
- *  is fixed for its life); one byte fewer per node. */
-inline constexpr std::uint32_t kFormatVersion = 4;
+ *  is fixed for its life); one byte fewer per node.
+ *  v5: static energy is read, not booked: the leakage and
+ *  idle-listening cursors are gone. Each node records its supply
+ *  volts and class-cal digest, which restore checks along with the
+ *  fidelity byte. */
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /** One hardware FIFO's full state (sim::Fifo buffer plus flow
  *  counters): the event queue and the word FIFOs. */
@@ -78,6 +83,9 @@ struct NodeState
     std::uint64_t traceCount = 0;
 
     core::SnapCore::SavedState core;
+    /** Host knobs restore() checks, with the core's fidelity byte. */
+    double volts = 0.0;
+    std::uint64_t classCalDigest = 0;
     std::vector<std::uint16_t> imem;
     std::vector<std::uint16_t> dmem;
     FifoState<core::EventToken> evq;
@@ -91,12 +99,10 @@ struct NodeState
     bool hasRadio = false;
     std::uint8_t radioMode = 0;
     std::uint16_t radioLastRssi = 0;
-    sim::Tick radioListenAccruedTo = 0;
     FifoState<std::uint16_t> radioRx;
     radio::ShardMedium::SavedState medium;
 
-    std::array<double, energy::kNumCats> ledgerPj{};
-    sim::Tick leakAccruedTo = 0;
+    std::array<double, energy::kNumCats> ledgerPj{}; ///< dynamic only
     double chargedPj = 0.0;
     std::array<double, core::NodeContext::kHandlerSlots> handlerPj{};
 
@@ -149,6 +155,10 @@ NetworkSnapshot decodeSnapshot(std::string_view bytes);
 void writeSnapshotFile(const NetworkSnapshot &snap,
                        const std::string &path);
 NetworkSnapshot readSnapshotFile(const std::string &path);
+
+/** sim::fnv1a64() over @p cal's coefficients as the codec writes them
+ *  (NodeState::classCalDigest): equal tables, equal digests. */
+std::uint64_t classCalDigest(const energy::ClassCal &cal);
 
 } // namespace snaple::snapshot
 

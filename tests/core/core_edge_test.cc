@@ -207,17 +207,21 @@ TEST(CoreEdgeTest, LowEnergySizingTradesSpeedForEnergy)
 TEST(CoreEdgeTest, LeakageAccruesOverWallTimeNotActivity)
 {
     sim::Kernel k;
+    sim::TraceSink sink;
+    k.setTracer(&sink);
     Machine m(k);
     m.load(assembler::assembleSnap("done\n")); // sleep immediately
     m.start();
     k.runFor(sim::kSecond);
-    m.ctx().accrueLeakage();
-    double leak = m.ctx().ledger.pj(energy::Cat::Leakage);
+    const std::uint64_t hash = sink.hash();
+    double leak = m.ctx().energy().pj(energy::Cat::Leakage);
     // ~7 uW for one second ~ 7e6 pJ.
     EXPECT_NEAR(leak, m.ctx().leakagePowerNw() * 1e3, 1e3);
-    // Idempotent at the same instant.
-    m.ctx().accrueLeakage();
-    EXPECT_DOUBLE_EQ(m.ctx().ledger.pj(energy::Cat::Leakage), leak);
+    // A read is pure: the same value again at the same instant,
+    // nothing booked into the dynamic ledger, no trace event.
+    EXPECT_DOUBLE_EQ(m.ctx().energy().pj(energy::Cat::Leakage), leak);
+    EXPECT_EQ(m.ctx().ledger.pj(energy::Cat::Leakage), 0.0);
+    EXPECT_EQ(sink.hash(), hash);
     // Dynamic energy is tiny by comparison (the core slept).
     EXPECT_LT(m.ctx().ledger.processorPj(), leak / 100.0);
 }

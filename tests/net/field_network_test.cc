@@ -6,8 +6,8 @@
  * invisible (trace hashes and every air counter bit-identical for any
  * --jobs), a receiver sitting exactly on a cell boundary still hears
  * its neighbors, the per-opportunity accounting identity closes at
- * every barrier, idle-listening energy is flushed to the ledger at
- * metrics-sampling barriers without any end-of-run help, and geometry
+ * every barrier, idle-listening energy is in every metrics sample
+ * without any end-of-run help, and geometry
  * the int32 cell grid cannot index is rejected at start().
  */
 
@@ -226,12 +226,10 @@ TEST(FieldNetworkTest, CellBoundaryReceiverHearsNeighborCells)
 
 TEST(FieldNetworkTest, ListenEnergyFlushedAtMetricsSampleBarriers)
 {
-    // Regression: a node parked in Rx accrues idle-listening energy
-    // lazily; the metrics sampler must flush it at each sampling
-    // barrier so intermediate samples (and the ledger they publish)
-    // see the true total — not the stale value from the last mode
-    // change. No manual accrueListenEnergy() here: whatever the
-    // ledger holds after runFor() came from the sampling flush.
+    // Regression: a node parked in Rx spends idle-listening energy
+    // without any mode change; every metrics sample must see the true
+    // total as of its own barrier, not the value at the last mode
+    // change.
     ParallelNetwork net(1 * sim::kMicrosecond, 1);
     net.addNode(cfgFor("rx"), assembleSnap(kListener));
     std::ostringstream metrics;
@@ -239,16 +237,21 @@ TEST(FieldNetworkTest, ListenEnergyFlushedAtMetricsSampleBarriers)
     net.start();
     net.runFor(25 * sim::kMillisecond);
 
-    // Samples at 10 ms and 20 ms: the ledger must cover >= ~20 ms of
-    // 11.4 mW listening (minus the sub-ms boot before CMD_RX), and
-    // no more than the 25 ms run.
+    // Samples at 10 ms and 20 ms: the last one must cover >= ~20 ms
+    // of 11.4 mW listening (minus the sub-ms boot before CMD_RX), and
+    // less than 21 ms (it lands on the first barrier at or after
+    // 20 ms); a read at the end covers the 25 ms run.
     const radio::Transceiver *t = net.node(0).transceiver();
     ASSERT_NE(t, nullptr);
-    const double nw = t->config().rxListenNw;
+    const double nwToPj = t->config().rxListenNw * 1e-9 * 1e12;
+    const double sampledPj =
+        net.node(0).ctx().metrics.gauge("energy.radio_pj").value();
+    EXPECT_GE(sampledPj, nwToPj * 0.019);
+    EXPECT_LT(sampledPj, nwToPj * 0.021);
     const double radioPj =
-        net.node(0).ctx().ledger.pj(energy::Cat::Radio);
-    EXPECT_GE(radioPj, nw * 1e-9 * 0.019 * 1e12);
-    EXPECT_LE(radioPj, nw * 1e-9 * 0.025 * 1e12);
+        net.node(0).ctx().energy().pj(energy::Cat::Radio);
+    EXPECT_GE(radioPj, nwToPj * 0.024);
+    EXPECT_LE(radioPj, nwToPj * 0.025);
     EXPECT_FALSE(metrics.str().empty());
 }
 

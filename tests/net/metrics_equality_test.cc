@@ -2,7 +2,7 @@
  * @file
  * Metrics end-to-end determinism: a seeded multi-node run must stream
  * byte-identical metrics output for any worker-lane count, and the
- * energy gauges must cover the whole run — leakage accrues to the
+ * energy gauges must cover the whole run — leakage counts to the
  * final simulated tick even when every node is asleep at the end.
  */
 
@@ -123,11 +123,13 @@ TEST(MetricsEqualityTest, RepeatedSeededRunsAreByteIdentical)
 TEST(MetricsLeakageTest, LeakageAccruesToTheFinalTickOnExit)
 {
     // A node that boots and sleeps forever: with no dynamic activity
-    // after boot, only the final sample's accrueLeakage() covers the
+    // after boot, the final sample's leakage must still cover the
     // long sleep. kernel.run(until) pins now() to the horizon even
     // after the event queue drains, so the gauge must equal the full
     // run length times the static power.
     sim::Kernel kernel;
+    sim::TraceSink sink;
+    kernel.setTracer(&sink);
     core::CoreConfig cfg;
     cfg.volts = 0.6;
     core::Machine m(kernel, cfg);
@@ -136,18 +138,21 @@ TEST(MetricsLeakageTest, LeakageAccruesToTheFinalTickOnExit)
     const sim::Tick until = 10 * sim::kMillisecond;
     kernel.run(until);
     ASSERT_EQ(kernel.now(), until);
+    const std::uint64_t hash = sink.hash();
 
     m.sampleMetrics();
     const double leakPj =
         m.ctx().metrics.gauge("energy.leakage_pj").value();
     const double expectPj =
         m.ctx().leakagePowerNw() * 1e-9 * sim::toSec(until) * 1e12;
-    EXPECT_NEAR(leakPj, expectPj, expectPj * 1e-9);
+    EXPECT_DOUBLE_EQ(leakPj, expectPj);
 
-    // Idempotent: sampling again at the same tick adds nothing.
+    // A sample is a read: sampling again at the same tick gives the
+    // same value, and neither sample emitted a trace event.
     m.sampleMetrics();
     EXPECT_DOUBLE_EQ(
         m.ctx().metrics.gauge("energy.leakage_pj").value(), leakPj);
+    EXPECT_EQ(sink.hash(), hash);
 }
 
 } // namespace

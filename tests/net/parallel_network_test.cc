@@ -309,12 +309,11 @@ runStepped(bool field, bool everyBarrier)
 
     SteppedRun r;
     for (std::size_t i = 0; i < net.size(); ++i) {
-        net.node(i).accrueEnergy();
         r.hashes.push_back(net.nodeTraceHash(i));
+        const energy::EnergyLedger l = net.node(i).ctx().energy();
         std::vector<double> pj;
         for (std::size_t c = 0; c < energy::kNumCats; ++c)
-            pj.push_back(
-                net.node(i).ctx().ledger.pj(static_cast<energy::Cat>(c)));
+            pj.push_back(l.pj(static_cast<energy::Cat>(c)));
         r.ledgers.push_back(pj);
     }
     r.air = net.stats();

@@ -231,7 +231,7 @@ TEST(NodeTest, ProcessorEnergyDwarfedByRadioEnergy)
     auto &tx = net.addNode(txc, assembleSnap(kTxProgram));
     net.start();
     net.runFor(10 * sim::kMillisecond);
-    const auto &l = tx.ctx().ledger;
+    const energy::EnergyLedger l = tx.ctx().energy();
     EXPECT_GT(l.pj(energy::Cat::Radio), 100.0 * l.processorPj());
 }
 

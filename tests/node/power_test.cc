@@ -97,7 +97,7 @@ TEST(SelfPoweredRadioTest, NoRadioEnergyCharged)
                      1, 2, {1, 2, 3}, /*delay_ms=*/5)));
         net.start();
         net.runFor(300 * sim::kMillisecond);
-        return n.ctx().ledger.pj(energy::Cat::Radio);
+        return n.ctx().energy().pj(energy::Cat::Radio);
     };
     EXPECT_GT(run_tx(false), 1e6); // tens of uJ on the battery
     EXPECT_DOUBLE_EQ(run_tx(true), 0.0);

@@ -236,22 +236,22 @@ TEST(FlowStreamTest, EnergestMatchesHandComputedRadioAccounting)
 
     // Attributed tx energy is exactly words x per-word cost.
     const double perWord = node::NodeConfig{}.radio.txPjPerWord;
-    EXPECT_DOUBLE_EQ(tx.energest().pj(obs::Comp::RadioTx),
+    EXPECT_DOUBLE_EQ(tx.ctx().energest.pj(obs::Comp::RadioTx),
                      3.0 * perWord);
 
     // The tx radio entered Tx at the first word and stayed: its Tx
     // duty covers at least the three word airtimes, and the three
     // radio states partition the time since the mode first left Idle.
-    const sim::Tick txT = tx.energest().ticks(obs::Comp::RadioTx, now);
+    const sim::Tick txT = tx.ctx().energest.ticks(obs::Comp::RadioTx, now);
     EXPECT_GE(txT, 3 * airtime);
     EXPECT_LE(txT, dur);
 
     // The forwarder listens whenever it is not retransmitting; its
     // three radio states never overlap and never exceed the run.
     const sim::Tick lis =
-        rx.energest().ticks(obs::Comp::RadioListen, now);
-    const sim::Tick rtx = rx.energest().ticks(obs::Comp::RadioTx, now);
-    const sim::Tick off = rx.energest().ticks(obs::Comp::RadioOff, now);
+        rx.ctx().energest.ticks(obs::Comp::RadioListen, now);
+    const sim::Tick rtx = rx.ctx().energest.ticks(obs::Comp::RadioTx, now);
+    const sim::Tick off = rx.ctx().energest.ticks(obs::Comp::RadioOff, now);
     EXPECT_GT(lis, dur / 2);
     EXPECT_LE(lis + rtx + off, dur);
     // Words 2 and 3 land while it retransmits word 1, so it forwards

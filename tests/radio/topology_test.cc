@@ -102,13 +102,11 @@ TEST(ListenEnergyTest, RxModeAccruesIdleListeningPower)
     // One second in Rx mode at 11.4 mW = 11.4 mJ = 1.14e10 pJ.
     t.setMode(RadioMode::Rx);
     r.net.runFor(sim::kSecond);
-    t.accrueListenEnergy();
-    EXPECT_NEAR(r.ctx(0).ledger.pj(energy::Cat::Radio), 11.4e9, 1e7);
+    EXPECT_NEAR(r.ctx(0).energy().pj(energy::Cat::Radio), 11.4e9, 1e7);
     // Idle mode accrues nothing further.
     t.setMode(RadioMode::Idle);
     r.net.runFor(sim::kSecond);
-    t.accrueListenEnergy();
-    EXPECT_NEAR(r.ctx(0).ledger.pj(energy::Cat::Radio), 11.4e9, 1e7);
+    EXPECT_NEAR(r.ctx(0).energy().pj(energy::Cat::Radio), 11.4e9, 1e7);
 }
 
 TEST(ListenEnergyTest, SelfPoweredRadioListensForFree)
@@ -120,8 +118,7 @@ TEST(ListenEnergyTest, SelfPoweredRadioListensForFree)
     r.start();
     t.setMode(RadioMode::Rx);
     r.net.runFor(sim::kSecond);
-    t.accrueListenEnergy();
-    EXPECT_DOUBLE_EQ(r.ctx(0).ledger.pj(energy::Cat::Radio), 0.0);
+    EXPECT_DOUBLE_EQ(r.ctx(0).energy().pj(energy::Cat::Radio), 0.0);
 }
 
 } // namespace

@@ -146,27 +146,27 @@ TEST(FaultInjection, DeadNodeFreezesTraceAndLedger)
     rig.runUntilMidFlight();
     rig.net.killNode(0);
 
-    const auto accrue = [&](std::size_t i) {
-        rig.net.node(i).accrueEnergy();
-        return rig.net.node(i).ctx().ledger.totalPj();
+    const auto energy = [&](std::size_t i) {
+        return rig.net.node(i).ctx().energy().totalPj();
     };
-    // Accrue first: bringing the ledger up to date emits energy-debit
-    // trace events, so the hash snapshot comes after. Re-accruing
-    // against a frozen clock is a no-op.
-    const double pj0 = accrue(0);
-    const double rxPj = accrue(1);
     const std::uint64_t hash0 = rig.net.nodeTraceHash(0);
+    const std::uint64_t hash1 = rig.net.nodeTraceHash(1);
+    const double pj0 = energy(0);
+    const double rxPj = energy(1);
+    // Reading energy is pure: no trace event on either node.
+    EXPECT_EQ(rig.net.nodeTraceHash(0), hash0);
+    EXPECT_EQ(rig.net.nodeTraceHash(1), hash1);
 
     rig.net.runFor(20 * rig.net.window());
 
     // The dead node's kernel is frozen at the kill barrier, so both
-    // its trace hash and its ledger (leakage accrues against its
+    // its trace hash and its energy (leakage counts against its
     // frozen clock) stop moving.
     EXPECT_EQ(rig.net.nodeTraceHash(0), hash0);
-    EXPECT_EQ(accrue(0), pj0);
+    EXPECT_EQ(energy(0), pj0);
     // The survivor's clock keeps running: its idle-listening radio
     // and leakage keep spending real energy.
-    EXPECT_GT(accrue(1), rxPj);
+    EXPECT_GT(energy(1), rxPj);
 }
 
 TEST(FaultInjection, ReceiverDeathSuppressesDeliveriesCounted)

@@ -56,8 +56,9 @@ makeScenario()
     sc.defaults.program = "duty.s";
     sc.defaults.sensor = true;
     // A battery tight enough that leakage + duty cycling matters but
-    // no node dies inside the run: depletion accrual still runs at
-    // every barrier on both sides of the snapshot.
+    // no node dies inside the run: the battery check still reads
+    // every node's energy at every barrier on both sides of the
+    // snapshot.
     sc.defaults.batteryUj = 1e9;
     return sc;
 }
@@ -97,16 +98,17 @@ TEST(LifetimeResume, ResumedEnergyEqualsStraightRunToThePicojoule)
     ASSERT_EQ(resumed.outcomes.size(), straight.outcomes.size());
     for (std::size_t i = 0; i < straight.outcomes.size(); ++i) {
         // Exact double equality, not near-equality: the ledger is
-        // restored bit-for-bit and every post-restore charge replays
-        // the identical sequence of additions.
+        // restored bit-for-bit, every post-restore charge replays the
+        // identical sequence of additions, and static energy is the
+        // same power × ticks product.
         EXPECT_EQ(resumed.outcomes[i].energyPj,
                   straight.outcomes[i].energyPj)
             << straight.outcomes[i].name;
     }
     EXPECT_EQ(resumed.combinedTraceHash, straight.combinedTraceHash);
 
-    // The snapshot's own ledger is a strict partial sum of the end
-    // state on every node.
+    // The snapshot's own (dynamic) ledger is a strict partial sum of
+    // the end state on every node.
     for (std::size_t i = 0; i < snap.nodes.size(); ++i) {
         double atSnap = 0;
         for (double pj : snap.nodes[i].ledgerPj)

@@ -1,0 +1,270 @@
+/**
+ * @file
+ * Checked restores: a snapshot records the host knobs that change
+ * results after a restore (each node's fidelity, supply volts and
+ * class-cal table digest). Restoring onto a network built with any
+ * other value fails with a FatalError that names the node and the
+ * knob; restoring with the saving run's knobs still continues
+ * bit-exactly (docs/CHECKPOINT.md).
+ */
+
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <sstream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "energy/class_cal.hh"
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
+#include "sim/logging.hh"
+#include "sim/rng.hh"
+#include "snapshot/snapshot.hh"
+
+namespace {
+
+using namespace snaple;
+
+/** Jittered beacon that listens between transmissions and taps every
+ *  received word to dbgout: timers, radio and LFSR stay live across
+ *  the checkpoint barrier. */
+const char *kBeacon = R"(
+    .equ EV_T0, 0
+    .equ EV_RX, 3
+    .equ CMD_RX, 0x8001
+    .equ CMD_TX, 0x8002
+boot:
+    li   r1, EV_T0
+    la   r2, on_t0
+    setaddr r1, r2
+    li   r1, EV_RX
+    la   r2, on_rx
+    setaddr r1, r2
+    li   r15, CMD_RX
+    jmp  rearm
+on_t0:
+    rand r3
+    li   r15, CMD_TX
+    mov  r15, r3
+    jmp  rearm
+on_rx:
+    mov  r3, r15
+    dbgout r3
+    done
+rearm:
+    rand r2
+    andi r2, 0x0fff
+    addi r2, 2000
+    li   r1, 0
+    schedlo r1, r2
+    done
+)";
+
+constexpr std::uint32_t kNodes = 3;
+constexpr double kSaveMs = 10;
+
+/** The knobs of one run; a per-node override applies to one node. */
+struct Knobs
+{
+    bool fast = false;
+    double volts = 1.8;
+    energy::ClassCal cal = energy::ClassCal::analytic();
+    std::optional<std::uint32_t> node; ///< override target, if any
+    std::optional<bool> nodeFast;
+    std::optional<double> nodeVolts;
+};
+
+scenario::Scenario
+makeScenario(const Knobs &k)
+{
+    scenario::Scenario sc;
+    sc.name = "restore_knobs";
+    sc.nodes = kNodes;
+    sc.seed = 2024;
+    sc.durationMs = 30;
+    sc.defaults.program = "beacon.s";
+    sc.defaults.volts = k.volts;
+    sc.defaults.fidelityFast = k.fast;
+    if (k.node) {
+        scenario::NodeSettings &ns = sc.overrides[*k.node];
+        if (k.nodeFast)
+            ns.fidelityFast = *k.nodeFast;
+        if (k.nodeVolts)
+            ns.volts = *k.nodeVolts;
+    }
+    return sc;
+}
+
+scenario::RunOptions
+makeOptions(const Knobs &k)
+{
+    scenario::RunOptions opt;
+    opt.classCal = k.cal;
+    opt.loadSource = [](const std::string &) {
+        return std::string(kBeacon);
+    };
+    return opt;
+}
+
+/** Run with @p k and return the snapshot taken at kSaveMs. */
+snapshot::NetworkSnapshot
+save(const Knobs &k, scenario::RunResult *res = nullptr)
+{
+    std::optional<snapshot::NetworkSnapshot> snap;
+    scenario::RunOptions opt = makeOptions(k);
+    opt.checkpoints.push_back(scenario::Checkpoint{kSaveMs, ""});
+    opt.onCheckpoint = [&](const snapshot::NetworkSnapshot &s,
+                           const scenario::Checkpoint &) { snap = s; };
+    scenario::RunResult r = scenario::runScenario(makeScenario(k), opt);
+    if (res)
+        *res = r;
+    EXPECT_TRUE(snap.has_value()) << "no checkpoint taken";
+    return snap ? *snap : snapshot::NetworkSnapshot{};
+}
+
+/** Restore @p snap onto a network built with @p k. */
+scenario::RunResult
+restore(const Knobs &k, const snapshot::NetworkSnapshot &snap)
+{
+    scenario::RunOptions opt = makeOptions(k);
+    opt.restoreFrom = &snap;
+    return scenario::runScenario(makeScenario(k), opt);
+}
+
+/** Restoring @p snap under @p k must fail naming @p node and @p knob. */
+void
+expectRefused(const Knobs &k, const snapshot::NetworkSnapshot &snap,
+              std::uint32_t node, const std::string &knob)
+{
+    const std::string want =
+        "snapshot node n" + std::to_string(node) + ": " + knob + " ";
+    try {
+        restore(k, snap);
+        ADD_FAILURE() << "restore accepted a mismatched " << knob;
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
+}
+
+/** rows() without the checkpoint lines. */
+std::string
+nodeRows(const scenario::RunResult &res)
+{
+    std::istringstream in(res.rows());
+    std::ostringstream out;
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("checkpoint=", 0) != 0)
+            out << line << "\n";
+    return out.str();
+}
+
+/** A random supply in the paper's 0.6-1.8 V range. */
+double
+randomVolts(sim::Rng &rng)
+{
+    return 0.6 + 1.2 * rng.uniform01();
+}
+
+/** @p cal with one random coefficient nudged by one ulp. */
+energy::ClassCal
+nudged(energy::ClassCal cal, sim::Rng &rng)
+{
+    energy::ClassCost &c = cal.cost[rng.next() % cal.cost.size()];
+    const std::size_t i = rng.next() % (c.pj.size() + 1);
+    double &v = i == c.pj.size() ? c.gd : c.pj[i];
+    v = std::nextafter(v, 1e300);
+    return cal;
+}
+
+TEST(RestoreKnobs, FidelityMismatchIsRefusedByName)
+{
+    // Both directions, on every node in turn: the whole network at
+    // one tier, one node flipped on restore.
+    for (const bool savedFast : {false, true}) {
+        Knobs saved;
+        saved.fast = savedFast;
+        const snapshot::NetworkSnapshot snap = save(saved);
+        for (std::uint32_t n = 0; n < kNodes; ++n) {
+            Knobs k = saved;
+            k.node = n;
+            k.nodeFast = !savedFast;
+            expectRefused(k, snap, n, "fidelity");
+        }
+    }
+}
+
+TEST(RestoreKnobs, VoltsMismatchIsRefusedByName)
+{
+    sim::Rng rng(0x7011);
+    for (int trial = 0; trial < 4; ++trial) {
+        Knobs saved;
+        saved.volts = randomVolts(rng);
+        const snapshot::NetworkSnapshot snap = save(saved);
+        const auto n = static_cast<std::uint32_t>(rng.next() % kNodes);
+        Knobs k = saved;
+        k.node = n;
+        // Alternate a far value with the nearest representable one.
+        k.nodeVolts = trial % 2 ? std::nextafter(saved.volts, 2.0)
+                                : randomVolts(rng);
+        if (*k.nodeVolts == saved.volts)
+            k.nodeVolts = std::nextafter(saved.volts, 0.0);
+        expectRefused(k, snap, n, "volts");
+    }
+}
+
+TEST(RestoreKnobs, ClassCalMismatchIsRefusedByName)
+{
+    // One coefficient one ulp off is still another table. The table
+    // is global, so the first node is the one named.
+    sim::Rng rng(0xca1);
+    for (int trial = 0; trial < 4; ++trial) {
+        Knobs saved;
+        saved.fast = trial % 2 == 0;
+        saved.cal = nudged(saved.cal, rng);
+        const snapshot::NetworkSnapshot snap = save(saved);
+        Knobs k = saved;
+        k.cal = nudged(saved.cal, rng);
+        expectRefused(k, snap, 0, "class-cal table digest");
+    }
+}
+
+TEST(RestoreKnobs, MatchingKnobsContinueBitExactly)
+{
+    sim::Rng rng(0x5a7e);
+    for (int trial = 0; trial < 3; ++trial) {
+        Knobs k;
+        k.fast = trial == 1;
+        k.volts = randomVolts(rng);
+        k.cal = nudged(k.cal, rng);
+        k.node = static_cast<std::uint32_t>(rng.next() % kNodes);
+        k.nodeFast = trial != 0;
+        k.nodeVolts = randomVolts(rng);
+        scenario::RunResult straight;
+        const snapshot::NetworkSnapshot snap = save(k, &straight);
+        EXPECT_EQ(nodeRows(restore(k, snap)), nodeRows(straight));
+    }
+}
+
+TEST(RestoreKnobs, DigestSeesEveryCoefficient)
+{
+    const energy::ClassCal base = energy::ClassCal::analytic();
+    const std::uint64_t d = snapshot::classCalDigest(base);
+    EXPECT_EQ(snapshot::classCalDigest(energy::ClassCal::analytic()), d);
+    for (std::size_t c = 0; c < base.cost.size(); ++c) {
+        energy::ClassCal cal = base;
+        cal.cost[c].gd = std::nextafter(cal.cost[c].gd, 1e300);
+        EXPECT_NE(snapshot::classCalDigest(cal), d) << "class " << c;
+        for (std::size_t p = 0; p < base.cost[c].pj.size(); ++p) {
+            cal = base;
+            cal.cost[c].pj[p] = std::nextafter(cal.cost[c].pj[p], 1e300);
+            EXPECT_NE(snapshot::classCalDigest(cal), d)
+                << "class " << c << " cat " << p;
+        }
+    }
+}
+
+} // namespace

@@ -135,6 +135,8 @@ fuzzNode(sim::Rng &rng)
         return core::SnapCore::HandlerStats{u64(), u64()};
     });
     fill(st.handlerTicks, tick);
+    ns.volts = pj();
+    ns.classCalDigest = u64();
 
     for (int i = 0, n = 16 + int(rng.next() % 64); i < n; ++i) {
         ns.imem.push_back(u16());
@@ -164,7 +166,6 @@ fuzzNode(sim::Rng &rng)
     ns.hasRadio = rng.chance(0.8);
     ns.radioMode = std::uint8_t(rng.next() % 3);
     ns.radioLastRssi = u16();
-    ns.radioListenAccruedTo = tick();
     ns.radioRx = fuzzFifo(rng);
     ns.medium.txSeq = std::uint32_t(rng.next());
     const auto end = [&] {
@@ -179,7 +180,6 @@ fuzzNode(sim::Rng &rng)
     });
 
     fill(ns.ledgerPj, pj);
-    ns.leakAccruedTo = tick();
     ns.chargedPj = pj();
     fill(ns.handlerPj, pj);
     ns.flow = obs::FlowTracker::SavedState{
@@ -358,8 +358,11 @@ TEST_P(SnapshotOldVersion, IsRejected)
 {
     // v2 trace hashes are FNV-1a: resuming one would splice two hash
     // functions into one ladder. v3 carries a pending-fidelity byte
-    // per node that v4 dropped. Restamped onto a current encoding,
-    // only the version word can refuse them.
+    // per node that v4 dropped. v4 carries leakage and listen cursors
+    // where v5 records the supply volts and class-cal digest: the
+    // same size, so nothing but the version word tells them apart.
+    // Restamped onto a current encoding, only the version word can
+    // refuse them.
     const std::uint32_t version = GetParam();
     ASSERT_LT(version, snapshot::kFormatVersion);
     sim::Rng rng(0x0202);
@@ -371,7 +374,7 @@ TEST_P(SnapshotOldVersion, IsRejected)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Past, SnapshotOldVersion, ::testing::Values(2u, 3u),
+    Past, SnapshotOldVersion, ::testing::Values(2u, 3u, 4u),
     [](const ::testing::TestParamInfo<std::uint32_t> &info) {
         return "v" + std::to_string(info.param);
     });

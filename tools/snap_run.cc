@@ -66,8 +66,9 @@
  * --save-at=MS schedules a checkpoint; its `checkpoint=` row prints
  * with the others, and with a single --save-at, --save=FILE writes
  * the byte-stable snapshot there. --restore=FILE resumes a previous
- * snapshot instead of starting at t=0 — the scenario and host knobs
- * (fidelity, cal) must match the saving run — and the continuation's
+ * snapshot instead of starting at t=0. The scenario and host knobs
+ * must match the saving run: a node whose fidelity, volts or
+ * class-cal table differ exits 1 naming the knob. The continuation's
  * rows are byte-identical to the uninterrupted run's.
  */
 
@@ -491,15 +492,9 @@ main(int argc, char **argv)
                 net.finishMetrics();
             if (flows_out)
                 net.finishFlows();
-            for (std::size_t i = 0; i < net.size(); ++i) {
-                // Bring every ledger up to the final barrier: idle
-                // listening and leakage accrue lazily, so a node
-                // parked in Rx would otherwise report none of its
-                // dominant energy cost.
-                net.node(i).accrueEnergy();
+            for (std::size_t i = 0; i < net.size(); ++i)
                 net_instructions +=
                     net.node(i).core().stats().instructions;
-            }
         } catch (const sim::FatalError &e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;
@@ -531,7 +526,7 @@ main(int argc, char **argv)
                             air.dropsFifo));
             double total_pj = 0.0;
             for (std::size_t i = 0; i < net.size(); ++i)
-                total_pj += net.node(i).ctx().ledger.totalPj();
+                total_pj += net.node(i).ctx().energy().totalPj();
             std::printf("energy       : %.2f uJ total across %u "
                         "nodes\n",
                         total_pj / 1e6, nodes);
@@ -610,8 +605,7 @@ main(int argc, char **argv)
 
     if (stats) {
         const auto &st = machine.core().stats();
-        machine.ctx().accrueLeakage();
-        const auto &l = machine.ctx().ledger;
+        const energy::EnergyLedger l = machine.ctx().energy();
         std::printf("--\n");
         std::printf("state        : %s\n",
                     machine.core().halted()
