@@ -1,7 +1,6 @@
 #include "scenario/runner.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <map>
@@ -25,13 +24,6 @@ namespace {
 /** Sensor seed stream tag ("SENS" | node id), distinct from the
  *  guest LFSR streams keyed directly on node ids. */
 constexpr std::uint64_t kSensorStream = 0x53454e5300000000ull;
-
-sim::Tick
-msToTicks(double ms)
-{
-    return static_cast<sim::Tick>(
-        std::llround(ms * double(sim::kMillisecond)));
-}
 
 std::string
 readFile(const std::string &path)
@@ -114,7 +106,7 @@ RunResult::row() const
     double energyPj = 0;
     for (const NodeOutcome &o : outcomes) {
         deaths += o.dead ? 1 : 0;
-        dbg += o.dbgWords;
+        dbg += o.dbgOut.size();
         energyPj += o.energyPj;
     }
     std::ostringstream os;
@@ -146,7 +138,7 @@ RunResult::rows() const
            << " dead=" << (o.dead ? 1 : 0) << " death_ms="
            << sim::formatDouble(double(o.deathAt) /
                                 double(sim::kMillisecond))
-           << " dbg=" << o.dbgWords << " energy_uj="
+           << " dbg=" << o.dbgOut.size() << " energy_uj="
            << sim::formatDouble(o.energyPj / 1e6) << "\n";
     for (const CheckpointRow &c : checkpoints)
         os << "checkpoint=" << sim::formatDouble(c.requestedMs)
@@ -157,33 +149,40 @@ RunResult::rows() const
     return os.str();
 }
 
+node::NodeConfig
+nodeConfig(const Scenario &sc, std::size_t i, const RunOptions &opt)
+{
+    const NodeSettings ns = sc.resolved(i);
+    node::NodeConfig cfg;
+    cfg.name = "n" + std::to_string(i);
+    cfg.baseSeed = sc.seed;
+    if (ns.volts)
+        cfg.core.volts = *ns.volts;
+    const bool fast = opt.fidelityFast ? *opt.fidelityFast
+                                       : ns.fidelityFast.value_or(false);
+    cfg.fidelity =
+        fast ? node::FidelityMode::Fast : node::FidelityMode::Cycle;
+    if (opt.classCal)
+        cfg.core.classCal = *opt.classCal;
+    return cfg;
+}
+
 RunResult
 runScenario(const Scenario &sc, const RunOptions &opt)
 {
     ProgramCache programs(sc, opt);
 
-    const sim::Tick propagation = static_cast<sim::Tick>(
-        std::llround(sc.propagationUs * double(sim::kMicrosecond)));
-    net::ParallelNetwork net(propagation, opt.jobs);
+    net::ParallelNetwork net(sim::fromUs(sc.propagationUs), opt.jobs);
 
     std::vector<std::unique_ptr<sensor::TemperatureSensor>> sensors(
         sc.nodes);
     std::vector<double> capacityPj(sc.nodes, 0.0);
     for (std::size_t i = 0; i < sc.nodes; ++i) {
         const NodeSettings ns = sc.resolved(i);
-        node::NodeConfig cfg;
-        cfg.name = "n" + std::to_string(i);
-        cfg.baseSeed = sc.seed;
-        if (ns.volts)
-            cfg.core.volts = *ns.volts;
-        const bool fast = opt.fidelityFast
-                              ? *opt.fidelityFast
-                              : ns.fidelityFast.value_or(false);
-        cfg.fidelity = fast ? node::FidelityMode::Fast
-                            : node::FidelityMode::Cycle;
-        if (opt.classCal)
-            cfg.core.classCal = *opt.classCal;
-        node::SnapNode &node = net.addNode(cfg, programs.get(ns));
+        node::SnapNode &node =
+            net.addNode(nodeConfig(sc, i, opt), programs.get(ns));
+        if (opt.profile)
+            node.core().enableProfile(true);
         if (ns.sensor && *ns.sensor) {
             sensor::TemperatureSensor::Config scfg;
             scfg.seed = sim::deriveSeed(sc.seed, kSensorStream | i);
@@ -216,9 +215,8 @@ runScenario(const Scenario &sc, const RunOptions &opt)
 
     net.enableTracing(false);
     if (sc.windowUs > 0)
-        net.setWindow(static_cast<sim::Tick>(
-            std::llround(sc.windowUs * double(sim::kMicrosecond))));
-    const sim::Tick metricsTick = msToTicks(sc.metricsMs);
+        net.setWindow(sim::fromUs(sc.windowUs));
+    const sim::Tick metricsTick = sim::fromMs(sc.metricsMs);
     const bool metrics = opt.metricsOut && metricsTick > 0;
     if (metrics)
         net.enableMetrics(*opt.metricsOut, metricsTick,
@@ -226,7 +224,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     // The causality window is tracker state — snapshot content — so
     // it is applied whether or not a span stream is attached; a run
     // with --flows and one without produce identical snapshots.
-    net.setFlowWindow(msToTicks(sc.flowWindowMs));
+    net.setFlowWindow(sim::fromMs(sc.flowWindowMs));
     if (opt.flowsOut)
         net.enableFlows(*opt.flowsOut);
 
@@ -266,10 +264,10 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     // whose energy() has reached its capacity is killed, before that
     // barrier's faults.
     const sim::Tick w = net.window();
-    const sim::Tick duration = msToTicks(sc.durationMs);
+    const sim::Tick duration = sim::fromMs(sc.durationMs);
     std::map<sim::Tick, std::vector<Fault>> faultsAt;
     for (const Fault &f : sc.faults) {
-        const sim::Tick raw = msToTicks(f.atMs);
+        const sim::Tick raw = sim::fromMs(f.atMs);
         const sim::Tick at = (raw + w - 1) / w * w;
         if (at > duration)
             continue;
@@ -283,7 +281,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
                      sim::formatDouble(ck.atMs),
                      " is past the run end (",
                      sim::formatDouble(sc.durationMs), " ms)");
-        const sim::Tick raw = msToTicks(ck.atMs);
+        const sim::Tick raw = sim::fromMs(ck.atMs);
         const sim::Tick at =
             std::min(duration, raw == 0 ? w : (raw + w - 1) / w * w);
         if (!opt.restoreFrom || at > startTick)
@@ -379,7 +377,8 @@ runScenario(const Scenario &sc, const RunOptions &opt)
         // As of the node's final instant: its death barrier when
         // dead, where the frozen kernel pins now().
         o.energyPj = node.ctx().energy().totalPj();
-        o.dbgWords = node.core().debugOut().size();
+        o.dbgOut = node.core().debugOut();
+        o.instructions = node.core().stats().instructions;
         o.traceHash = net.nodeTraceHash(i);
         combined = sim::hashWord(combined, o.traceHash);
     }
@@ -390,6 +389,8 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     res.rxInRange = net.airRxInRange();
     res.pendingFlights = net.airPendingFlights();
     res.pendingDeliveries = net.airPendingDeliveries();
+    res.eventsDispatched = net.eventsDispatched();
+    res.window = w;
     return res;
 }
 

@@ -39,6 +39,9 @@
 #include "scenario/scenario.hh"
 #include "sim/ticks.hh"
 
+namespace snaple::node {
+struct NodeConfig;
+}
 namespace snaple::snapshot {
 struct NetworkSnapshot;
 }
@@ -77,6 +80,10 @@ struct RunOptions
      * energy::ClassCal::analytic().
      */
     std::optional<energy::ClassCal> classCal;
+
+    /** Per-PC flat profiling on every node (`snap-run --profile`):
+     *  its rows close the metrics stream. */
+    bool profile = false;
 
     /**
      * Program-source loader, given the path as written in the
@@ -120,7 +127,8 @@ struct NodeOutcome
     bool dead = false;           ///< killed (fault or battery)
     sim::Tick deathAt = 0;       ///< kill barrier; 0 when alive
     double energyPj = 0;         ///< whole-ledger total
-    std::size_t dbgWords = 0;    ///< `dbgout` values emitted
+    std::vector<std::uint16_t> dbgOut; ///< `dbgout` values, in order
+    std::uint64_t instructions = 0;    ///< retired by the core
 };
 
 /** One checkpoint the run actually took. */
@@ -149,6 +157,8 @@ struct RunResult
     std::size_t pendingFlights = 0; ///< unresolved flights at the end
     /** Delivery offers still scheduled past the final barrier. */
     std::uint64_t pendingDeliveries = 0;
+    std::uint64_t eventsDispatched = 0; ///< kernel events, all shards
+    sim::Tick window = 0; ///< the conservative sync window
 
     /** sim::hashWord() fold of the per-node trace hashes in id
      *  order: one 64-bit witness for the whole run. */
@@ -166,6 +176,14 @@ struct RunResult
      *  golden .row files pin. */
     std::string rows() const;
 };
+
+/**
+ * The NodeConfig runScenario() builds node @p i of @p sc from: name
+ * `n<i>`, the scenario seed, the node's volts and fidelity, and the
+ * host overrides in @p opt.
+ */
+node::NodeConfig nodeConfig(const Scenario &sc, std::size_t i,
+                            const RunOptions &opt);
 
 /** Execute @p sc; throws sim::FatalError on bad programs/config. */
 RunResult runScenario(const Scenario &sc, const RunOptions &opt = {});

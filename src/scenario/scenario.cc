@@ -10,6 +10,7 @@
 
 #include "sim/logging.hh"
 #include "sim/metrics.hh" // formatDouble: canonical shortest doubles
+#include "sim/ticks.hh"
 
 namespace snaple::scenario {
 
@@ -104,12 +105,22 @@ parseSignedF64(const Ctx &c, const std::string &t, const char *what)
     return v;
 }
 
+/**
+ * A non-negative double. A time field passes its @p unit in ticks: its
+ * tick count must stay within sim::kMaxSpan (the bound `snap-run --ms`
+ * has), so converting it cannot overflow.
+ */
 double
-parseF64(const Ctx &c, const std::string &t, const char *what)
+parseF64(const Ctx &c, const std::string &t, const char *what,
+         sim::Tick unit = 0)
 {
     const double v = parseSignedF64(c, t, what);
     if (!(v >= 0))
         c.fail(what, " must be non-negative, got '", t, "'");
+    if (unit && v > double(sim::kMaxSpan / unit))
+        c.fail("expected at most ",
+               sim::formatDouble(double(sim::kMaxSpan / unit)), " ", what,
+               ", got '", t, "'");
     return v;
 }
 
@@ -270,7 +281,7 @@ parseFaultLine(const Ctx &c, Scenario &sc,
     }
     if (t[timeAt] != "at_ms")
         c.fail("expected 'at_ms', got '", t[timeAt], "'");
-    f.atMs = parseF64(c, t[timeAt + 1], "for at_ms");
+    f.atMs = parseF64(c, t[timeAt + 1], "for at_ms", sim::kMillisecond);
     sc.faults.push_back(f);
 }
 
@@ -284,7 +295,7 @@ parseCheckpointLine(const Ctx &c, Scenario &sc,
     if (t[1] != "at_ms")
         c.fail("expected 'at_ms', got '", t[1], "'");
     Checkpoint ck;
-    ck.atMs = parseF64(c, t[2], "for at_ms");
+    ck.atMs = parseF64(c, t[2], "for at_ms", sim::kMillisecond);
     if (t.size() == 4)
         ck.path = t[3];
     sc.checkpoints.push_back(ck);
@@ -427,16 +438,21 @@ parseScenario(const std::string &text, const std::string &origin)
         } else if (d == "seed") {
             sc.seed = parseU64(c, t[1], "seed");
         } else if (d == "duration_ms") {
-            sc.durationMs = parseF64(c, t[1], "for duration_ms");
+            sc.durationMs =
+                parseF64(c, t[1], "for duration_ms", sim::kMillisecond);
             sawDuration = true;
         } else if (d == "metrics_ms") {
-            sc.metricsMs = parseF64(c, t[1], "for metrics_ms");
+            sc.metricsMs =
+                parseF64(c, t[1], "for metrics_ms", sim::kMillisecond);
         } else if (d == "propagation_us") {
-            sc.propagationUs = parseF64(c, t[1], "for propagation_us");
+            sc.propagationUs = parseF64(c, t[1], "for propagation_us",
+                                        sim::kMicrosecond);
         } else if (d == "window_us") {
-            sc.windowUs = parseF64(c, t[1], "for window_us");
+            sc.windowUs =
+                parseF64(c, t[1], "for window_us", sim::kMicrosecond);
         } else if (d == "flow_window_ms") {
-            sc.flowWindowMs = parseF64(c, t[1], "for flow_window_ms");
+            sc.flowWindowMs = parseF64(c, t[1], "for flow_window_ms",
+                                       sim::kMillisecond);
         } else {
             c.fail("unknown directive '", d, "'");
         }

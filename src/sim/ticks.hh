@@ -33,6 +33,13 @@ inline constexpr Tick kSecond = 1000 * kMillisecond;
 /** Sentinel for "run forever". */
 inline constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
 
+/**
+ * Longest span a run length or a scheduled time may name: half the
+ * tick range, so `now + span` cannot overflow. `snap-run --ms` and
+ * every time field of a scenario file are bounded by it.
+ */
+inline constexpr Tick kMaxSpan = kMaxTick / 2;
+
 /** Convert a floating-point nanosecond count to ticks (rounds to nearest). */
 constexpr Tick
 fromNs(double ns)

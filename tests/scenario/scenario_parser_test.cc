@@ -6,6 +6,7 @@
  */
 
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,39 @@ TEST(ScenarioParser, RejectsWithLineNumbers)
     expectRejects(ok + "fault melt 0 at_ms 1\n", "bad.scn:4");
     expectRejects(ok + "fault kill 0 at 1\n", "bad.scn:4");
     expectRejects(ok + "duration_ms -5\n", "bad.scn:4");
+}
+
+TEST(ScenarioParser, RejectsTimesPastTheTickRange)
+{
+    // Every time field is bounded like `snap-run --ms`: its tick
+    // count must stay within sim::kMaxSpan, or converting it would
+    // overflow (duration_ms 1e300 used to hang the runner).
+    const std::string ok = "nodes 2\nduration_ms 5\n"
+                           "node * program p.s\n";
+    const std::pair<const char *, const char *> cases[] = {
+        {"metrics_ms 1e300\n", "most 9223372036 for metrics_ms"},
+        {"propagation_us 1e300\n", "most 9223372036854 for propagation_us"},
+        {"window_us 1e300\n", "most 9223372036854 for window_us"},
+        {"flow_window_ms 1e300\n", "most 9223372036 for flow_window_ms"},
+        {"fault kill 0 at_ms 1e300\n", "most 9223372036 for at_ms"},
+        {"checkpoint at_ms 1e300\n", "most 9223372036 for at_ms"},
+    };
+    for (const auto &[line, needle] : cases)
+        expectRejects(ok + line,
+                      std::string("bad.scn:4: expected at ") + needle);
+    expectRejects("nodes 2\nduration_ms 1e300\nnode * program p.s\n",
+                  "bad.scn:2: expected at most 9223372036 for "
+                  "duration_ms, got '1e300'");
+    expectRejects(ok + "window_us 9223372036855\n",
+                  "expected at most 9223372036854 for window_us");
+
+    // The bound itself still parses.
+    const Scenario sc = parseScenario(
+        "nodes 2\nduration_ms 9223372036\nwindow_us 9223372036854\n"
+        "node * program p.s\n",
+        "edge.scn");
+    EXPECT_EQ(sc.durationMs, 9223372036.0);
+    EXPECT_EQ(sc.windowUs, 9223372036854.0);
 }
 
 TEST(ScenarioParser, RejectsInvalidWholes)

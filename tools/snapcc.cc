@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "asm/snap_backend.hh"
 #include "cc/codegen.hh"
 #include "core/machine.hh"
+#include "jsonl.hh"
 
 int
 main(int argc, char **argv)
@@ -35,9 +35,11 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--run"))
             run = true;
         else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc)
-            ms = std::atof(argv[++i]);
+            ms = tools::flagValue<double>(
+                "--ms", argv[++i],
+                double(sim::kMaxSpan / sim::kMillisecond));
         else if (!std::strcmp(argv[i], "--volts") && i + 1 < argc)
-            volts = std::atof(argv[++i]);
+            volts = tools::flagValue<double>("--volts", argv[++i]);
         else if (argv[i][0] == '-') {
             std::fprintf(stderr, "unknown option %s\n", argv[i]);
             return 2;
