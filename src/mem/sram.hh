@@ -10,9 +10,9 @@
  * Timed accesses (read/write) are custom awaitables rather than Co<T>
  * coroutines: an SRAM access is the single hottest timed operation in
  * the tree (every instruction fetch is one), and a custom awaiter
- * charges energy and schedules the resume without materializing a
- * coroutine frame. peek/poke/load are zero-cost host-side accessors
- * for loaders and tests.
+ * charges energy and schedules (or takes inline) the resume without
+ * materializing a coroutine frame. peek/poke/load are zero-cost
+ * host-side accessors for loaders and tests.
  */
 
 #ifndef SNAPLE_MEM_SRAM_HH
@@ -54,12 +54,10 @@ class Sram
 
         bool await_ready() const noexcept { return false; }
 
-        void
+        bool
         await_suspend(std::coroutine_handle<> h) const
         {
-            sim::Tick d = sram.chargeAccess(/*is_read=*/true);
-            sram.ctx_.kernel.scheduleResume(sram.ctx_.kernel.now() + d,
-                                            h);
+            return sram.wakeAfterAccess(/*is_read=*/true, h);
         }
 
         std::uint16_t await_resume() const { return sram.data_[addr]; }
@@ -74,12 +72,10 @@ class Sram
 
         bool await_ready() const noexcept { return false; }
 
-        void
+        bool
         await_suspend(std::coroutine_handle<> h) const
         {
-            sim::Tick d = sram.chargeAccess(/*is_read=*/false);
-            sram.ctx_.kernel.scheduleResume(sram.ctx_.kernel.now() + d,
-                                            h);
+            return sram.wakeAfterAccess(/*is_read=*/false, h);
         }
 
         void await_resume() const { sram.data_[addr] = value; }
@@ -147,6 +143,15 @@ class Sram
                                                : ctx_.ecal.dmemWritePj);
         return ctx_.gd(is_read ? ctx_.tcal.dmemReadGd
                                : ctx_.tcal.dmemWriteGd);
+    }
+
+    /** Charge one access, then wake @p h after its delay (inline when
+     *  that is the kernel's next event; see Kernel::suspendUntil). */
+    bool
+    wakeAfterAccess(bool is_read, std::coroutine_handle<> h)
+    {
+        const sim::Tick d = chargeAccess(is_read);
+        return ctx_.kernel.suspendUntil(ctx_.kernel.now() + d, h);
     }
 
     void

@@ -87,6 +87,40 @@ class Kernel
     }
 
     /**
+     * Wake-up point for a timed await: resume @p h at @p when. Returns
+     * what the awaiter's await_suspend() returns — true if the wake-up
+     * was scheduled (the caller suspends), false if the caller may
+     * continue inline because that wake-up is the kernel's next event.
+     *
+     * The inline path is taken only while run() is active, stop() has
+     * not been requested, @p when <= run()'s limit, and @p when is
+     * strictly earlier than every pending event. Then the scheduled
+     * event would be the unique minimum of (tick, seq) — a pending
+     * event at the same tick has a lower seq and must fire first — so
+     * run() would pop it next, with no stop or error check that could
+     * intervene. Taking it inline advances now(), the sequence counter
+     * and eventsDispatched() exactly as the push and pop would have,
+     * so dispatch order, lastScheduledSeq() and snapshots are
+     * unchanged. Every caller suspends straight back into run()'s
+     * dispatch: no host frame is left with work after its resume.
+     */
+    bool
+    suspendUntil(Tick when, std::coroutine_handle<> h)
+    {
+        if (running_ && !stopped_ && when <= until_ &&
+            (events_.empty() || when < events_.top().when)) {
+            panicIf(when < now_, "scheduling resume in the past");
+            now_ = when;
+            ++seq_;
+            ++dispatched_;
+            ++inlineWakeups_;
+            return false;
+        }
+        scheduleResume(when, h);
+        return true;
+    }
+
+    /**
      * Adopt and start a free-running process. The kernel owns the
      * coroutine frame for the rest of its life.
      */
@@ -106,14 +140,15 @@ class Kernel
         Kernel &kernel;
         Tick delta;
 
-        // Always suspend, even for zero delays: a zero-delay await still
-        // yields to other events scheduled at the same tick.
+        // Never ready up front: even a zero delay yields to events
+        // already pending at the same tick. suspendUntil() continues
+        // inline only when the wake-up is the kernel's next event.
         bool await_ready() const noexcept { return false; }
 
-        void
+        bool
         await_suspend(std::coroutine_handle<> h) const
         {
-            kernel.scheduleResume(kernel.now_ + delta, h);
+            return kernel.suspendUntil(kernel.now_ + delta, h);
         }
 
         void await_resume() const noexcept {}
@@ -144,6 +179,16 @@ class Kernel
     bool
     run(Tick until = kMaxTick)
     {
+        panicIf(running_, "Kernel::run entered while already running");
+        // suspendUntil() reads the limit; cleared on every exit path,
+        // including an exception out of an event.
+        struct Active
+        {
+            Kernel &k;
+            ~Active() { k.running_ = false; }
+        } active{*this};
+        running_ = true;
+        until_ = until;
         stopped_ = false;
         while (!stopped_) {
             rethrowPending();
@@ -228,6 +273,10 @@ class Kernel
     std::size_t callbackArenaSlots() const { return arena_.size(); }
     ///@}
 
+    /** Wake-ups suspendUntil() took inline, without a heap round trip
+     *  (host-side introspection; each is also in eventsDispatched()). */
+    std::uint64_t inlineWakeups() const { return inlineWakeups_; }
+
     /** @name Structured tracing (see sim/trace.hh)
      * The kernel does not own the sink; the attaching host keeps it
      * alive for the duration of the run. */
@@ -302,6 +351,9 @@ class Kernel
     TraceSink *tracer_ = nullptr;
     std::uint64_t seq_ = 0;
     std::uint64_t dispatched_ = 0;
+    std::uint64_t inlineWakeups_ = 0;
+    Tick until_ = 0;       ///< the active run()'s time limit
+    bool running_ = false; ///< run() is on the stack
     bool stopped_ = false;
     std::exception_ptr error_;
     EventHeap events_;

@@ -119,4 +119,33 @@ TEST(CoreStatsTest, BackToBackHandlersShareOneSpan)
     EXPECT_EQ(m.core().stats().wakeups, 1u);
 }
 
+TEST(CoreStatsTest, CycleCoreTakesWakeupsInline)
+{
+    // A guard on the kernel's inline wake-up path (Kernel::suspendUntil):
+    // the cycle core's delays and SRAM accesses that are the shard's next
+    // event continue without a heap round trip. Both counts are
+    // deterministic; a change that loses the path moves the first, one
+    // that adds or drops kernel events moves the second.
+    sim::Kernel k;
+    Machine m(k);
+    m.load(assembler::assembleSnap(R"(
+        li  r1, 40
+        li  r2, 100
+    loop:
+        stw r1, 0(r2)
+        ldw r3, 0(r2)
+        add r4, r3
+        dec r1
+        bnez r1, loop
+        dbgout r4
+        halt
+    )"));
+    m.start();
+    k.runFor(sim::kMillisecond);
+    ASSERT_TRUE(m.core().halted());
+    EXPECT_EQ(m.core().stats().instructions, 204u);
+    EXPECT_EQ(k.inlineWakeups(), 967u);
+    EXPECT_EQ(k.eventsDispatched(), 2113u);
+}
+
 } // namespace

@@ -308,4 +308,146 @@ TEST(KernelTest, SteadyStateSchedulingIsAllocationFree)
     EXPECT_EQ(k.callbackArenaSlots(), arena);
 }
 
+// ---- suspendUntil(): a wake-up that is the kernel's next event runs
+// inline, with the same observable order and counters as a push/pop.
+
+TEST(KernelInlineWakeup, StrictNextWakeupIsTakenInline)
+{
+    Kernel k;
+    std::vector<int> order;
+    k.schedule(100, [&] { order.push_back(2); });
+    k.spawn([](Kernel &kk, std::vector<int> &ord) -> Co<void> {
+        co_await kk.delay(10); // 10 < 100: nothing can come between
+        EXPECT_EQ(kk.now(), Tick{10});
+        EXPECT_EQ(kk.pendingEvents(), 1u);
+        ord.push_back(1);
+    }(k, order));
+    k.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(k.inlineWakeups(), 1u);
+}
+
+TEST(KernelInlineWakeup, SameTickTieFiresThePendingEventFirst)
+{
+    Kernel k;
+    std::vector<int> order;
+    k.spawn([](Kernel &kk, std::vector<int> &ord) -> Co<void> {
+        co_await kk.delay(10);
+        ord.push_back(2);
+    }(k, order));
+    // Scheduled before the wake-up exists, so it has the lower seq.
+    k.schedule(10, [&] { order.push_back(1); });
+    k.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(k.inlineWakeups(), 0u);
+}
+
+TEST(KernelInlineWakeup, ZeroDelayYieldsToAnEventAlreadyAtTheSameTick)
+{
+    Kernel k;
+    std::vector<int> order;
+    k.spawn([](Kernel &kk, std::vector<int> &ord) -> Co<void> {
+        co_await kk.delay(0); // an event is pending at tick 0: yield
+        ord.push_back(2);
+        co_await kk.delay(0); // nothing else at tick 0: inline
+        ord.push_back(3);
+    }(k, order));
+    k.schedule(0, [&] { order.push_back(1); });
+    k.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(k.inlineWakeups(), 1u);
+    EXPECT_EQ(k.now(), Tick{0});
+}
+
+TEST(KernelInlineWakeup, WakeupPastTheLimitStaysPending)
+{
+    Kernel k;
+    bool resumed = false;
+    k.spawn([](Kernel &kk, bool &r) -> Co<void> {
+        co_await kk.delay(100);
+        r = true;
+    }(k, resumed));
+    EXPECT_FALSE(k.run(50));
+    EXPECT_FALSE(resumed);
+    EXPECT_EQ(k.now(), Tick{50});
+    EXPECT_EQ(k.pendingEvents(), 1u);
+    EXPECT_EQ(k.inlineWakeups(), 0u);
+    // A wake-up exactly at the limit is still within it.
+    EXPECT_TRUE(k.run(100));
+    EXPECT_TRUE(resumed);
+    EXPECT_EQ(k.now(), Tick{100});
+}
+
+TEST(KernelInlineWakeup, WakeupAfterStopStaysPending)
+{
+    Kernel k;
+    bool resumed = false;
+    k.spawn([](Kernel &kk, bool &r) -> Co<void> {
+        kk.stop();
+        co_await kk.delay(5);
+        r = true;
+    }(k, resumed));
+    EXPECT_TRUE(k.run());
+    EXPECT_FALSE(resumed);
+    EXPECT_EQ(k.now(), Tick{0});
+    EXPECT_EQ(k.pendingEvents(), 1u);
+    EXPECT_EQ(k.inlineWakeups(), 0u);
+    k.run();
+    EXPECT_TRUE(resumed);
+    EXPECT_EQ(k.now(), Tick{5});
+}
+
+TEST(KernelInlineWakeup, CountersAdvanceExactlyAsOnTheScheduledPath)
+{
+    // The same timeline twice: a process whose delays all go inline,
+    // and a chain of callbacks, which always takes the heap.
+    const Tick steps[] = {3, 0, 5};
+    Kernel inl;
+    std::uint64_t seqAfterFirst = 0;
+    inl.spawn([](Kernel &kk, const Tick *d, std::uint64_t &seq)
+                  -> Co<void> {
+        co_await kk.delay(d[0]);
+        // A schedule right after an inline wake-up gets the seq it
+        // would have had after a pop.
+        kk.schedule(kk.now() + 100, [] {});
+        seq = kk.lastScheduledSeq();
+        co_await kk.delay(d[1]);
+        co_await kk.delay(d[2]);
+    }(inl, steps, seqAfterFirst));
+    inl.run();
+
+    Kernel heap;
+    std::uint64_t heapSeqAfterFirst = 0;
+    heap.schedule(0, [&] {
+        heap.scheduleAfter(steps[0], [&] {
+            heap.schedule(heap.now() + 100, [] {});
+            heapSeqAfterFirst = heap.lastScheduledSeq();
+            heap.scheduleAfter(steps[1], [&] {
+                heap.scheduleAfter(steps[2], [] {});
+            });
+        });
+    });
+    heap.run();
+
+    EXPECT_EQ(inl.inlineWakeups(), 3u);
+    EXPECT_EQ(heap.inlineWakeups(), 0u);
+    EXPECT_EQ(seqAfterFirst, heapSeqAfterFirst);
+    EXPECT_EQ(inl.eventsDispatched(), heap.eventsDispatched());
+    EXPECT_EQ(inl.lastScheduledSeq(), heap.lastScheduledSeq());
+    EXPECT_EQ(inl.now(), heap.now());
+    EXPECT_EQ(inl.now(), Tick{103});
+}
+
+TEST(KernelInlineWakeup, NestedRunPanics)
+{
+    Kernel k;
+    k.schedule(1, [&] { k.run(); });
+    EXPECT_THROW(k.run(), PanicError);
+    // The failed entry did not leave the kernel marked as running.
+    bool fired = false;
+    k.schedule(2, [&] { fired = true; });
+    EXPECT_TRUE(k.run());
+    EXPECT_TRUE(fired);
+}
+
 } // namespace
