@@ -209,8 +209,19 @@ class SnapCore
      * frames and is unserializable by design; checkpoint eligibility
      * (docs/CHECKPOINT.md) defers the barrier instead. */
     ///@{
-    /** Serialized core state. Profile rows are host instrumentation
-     *  and are rejected at save time rather than silently dropped. */
+    /** One non-zero flat-profile cell, as a snapshot carries it. */
+    struct ProfileCell
+    {
+        std::uint16_t pc = 0;
+        std::uint8_t slot = 0; ///< handler slot (NodeContext)
+        std::uint64_t count = 0;
+        sim::Tick ticks = 0;
+        double pj = 0.0;
+
+        bool operator==(const ProfileCell &) const = default;
+    };
+
+    /** Serialized core state. */
     struct SavedState
     {
         std::array<std::uint16_t, isa::kNumPhysRegs> regs{};
@@ -226,10 +237,14 @@ class SnapCore
         std::vector<std::uint16_t> debugOut;
         std::vector<ActivitySpan> timeline;
         Stats stats;
+        /** Whether the flat profile is on (a restore knob), and its
+         *  non-zero cells in storage order (pc-major). */
+        bool profiling = false;
+        std::vector<ProfileCell> profile;
 
         bool operator==(const SavedState &) const = default;
     };
-    /** Serialize; fatal unless halted or asleep, or if profiling.
+    /** Serialize; fatal unless halted or asleep.
      *  @p frozen waives the parked requirement for shards that will
      *  never run again (killed nodes): their architectural state is
      *  captured for reporting only and is never respawned. */

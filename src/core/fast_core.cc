@@ -24,6 +24,8 @@
 
 #include "core/core.hh"
 
+#include <algorithm>
+
 #include "ref/predecode.hh"
 
 namespace snaple::core {
@@ -265,9 +267,6 @@ SnapCore::saveState(bool frozen) const
     sim::fatalIf(!frozen && !halted_ && !asleep_,
                  "snapshot of a running core (eligibility should have "
                  "deferred this barrier)");
-    sim::fatalIf(profileEnabled(),
-                 "snapshot with the flat profile enabled: profile rows "
-                 "are not serialized; disable profiling to checkpoint");
     SavedState s;
     s.regs = regs_;
     s.carry = carry_;
@@ -282,6 +281,16 @@ SnapCore::saveState(bool frozen) const
     s.debugOut = debugOut_;
     s.timeline = timeline_;
     s.stats = stats_;
+    s.profiling = profileEnabled();
+    for (std::size_t i = 0; i < profile_.size(); ++i) {
+        const ProfSlot &cell = profile_[i];
+        if (cell.count == 0)
+            continue;
+        s.profile.push_back(ProfileCell{
+            static_cast<std::uint16_t>(i / NodeContext::kHandlerSlots),
+            static_cast<std::uint8_t>(i % NodeContext::kHandlerSlots),
+            cell.count, cell.ticks, cell.pj});
+    }
     return s;
 }
 
@@ -304,6 +313,18 @@ SnapCore::restoreState(const SavedState &s)
     debugOut_ = s.debugOut;
     timeline_ = s.timeline;
     stats_ = s.stats;
+    // Whether profiling is on is a restore knob, set by the host and
+    // checked against s.profiling by name (ParallelNetwork::restore);
+    // the cells are checked here.
+    std::fill(profile_.begin(), profile_.end(), ProfSlot{});
+    for (const ProfileCell &c : s.profile) {
+        sim::fatalIf(!profileEnabled() || c.pc >= ctx_.cfg.imemWords ||
+                         c.slot >= NodeContext::kHandlerSlots,
+                     "snapshot: bad profile cell (pc ", c.pc, ", slot ",
+                     unsigned(c.slot), ")");
+        profile_[std::size_t(c.pc) * NodeContext::kHandlerSlots +
+                 c.slot] = ProfSlot{c.count, c.ticks, c.pj};
+    }
     if (fidelity_ == FidelityMode::Fast) {
         if (!fast_) {
             fast_ = std::make_unique<FastTier>();

@@ -139,6 +139,12 @@ checkKnobs(const node::SnapNode &n, const snapshot::NodeState &ns)
                  n.name(), ": class-cal table digest 0x", std::hex,
                  ns.classCalDigest, " != this network's 0x", digest,
                  " (restore with the saving run's knobs)");
+    const auto onOff = [](bool on) { return on ? "on" : "off"; };
+    const bool profiling = n.core().profileEnabled();
+    sim::fatalIf(ns.core.profiling != profiling, "snapshot node ",
+                 n.name(), ": profiling ", onOff(ns.core.profiling),
+                 " != this network's ", onOff(profiling),
+                 " (restore with the saving run's knobs)");
 }
 
 } // namespace

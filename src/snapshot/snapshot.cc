@@ -191,11 +191,19 @@ io(Ar &ar, core::SnapCore::Stats &s)
 
 template <class Ar>
 void
+io(Ar &ar, core::SnapCore::ProfileCell &p)
+{
+    fields(ar, p.pc, p.slot, p.count, p.ticks, p.pj);
+}
+
+template <class Ar>
+void
 io(Ar &ar, core::SnapCore::SavedState &c)
 {
     fields(ar, c.regs, c.carry, c.lfsr, c.handlerTable, c.halted,
            c.asleep, c.currentEvent, c.fidelity, c.fastPc,
-           c.recordTimeline, c.debugOut, c.timeline, c.stats);
+           c.recordTimeline, c.debugOut, c.timeline, c.stats, c.profiling,
+           c.profile);
 }
 
 template <class Ar>

@@ -54,8 +54,11 @@ inline constexpr std::uint32_t kMagic = 0x53504e53u;
  *  v5: static energy is read, not booked: the leakage and
  *  idle-listening cursors are gone. Each node records its supply
  *  volts and class-cal digest, which restore checks along with the
- *  fidelity byte. */
-inline constexpr std::uint32_t kFormatVersion = 5;
+ *  fidelity byte.
+ *  v6: the core records whether its per-PC flat profile is on (a
+ *  restore knob) and the profile's non-zero cells, so a profiled run
+ *  checkpoints and its profile rows continue bit-exactly. */
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /** One hardware FIFO's full state (sim::Fifo buffer plus flow
  *  counters): the event queue and the word FIFOs. */

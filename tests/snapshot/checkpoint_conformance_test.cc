@@ -134,17 +134,20 @@ struct Captured
 };
 
 /** One run; when @p checkpoints is non-empty every snapshot's encoded
- *  bytes and the metrics-stream length at its barrier are captured. */
+ *  bytes and the metrics-stream length at its barrier are captured.
+ *  @p profile turns on every core's per-PC flat profile. */
 Captured
 run(const scenario::Scenario &sc, unsigned jobs,
     std::vector<double> checkpoints = {},
-    const snapshot::NetworkSnapshot *restoreFrom = nullptr)
+    const snapshot::NetworkSnapshot *restoreFrom = nullptr,
+    bool profile = false)
 {
     std::ostringstream metrics;
     std::ostringstream flows;
     Captured cap;
     scenario::RunOptions opt;
     opt.jobs = jobs;
+    opt.profile = profile;
     opt.metricsOut = &metrics;
     opt.flowsOut = &flows;
     opt.loadSource = [](const std::string &) {
@@ -175,6 +178,19 @@ nodeRows(const scenario::RunResult &res)
     std::string line;
     while (std::getline(in, line))
         if (line.rfind("checkpoint=", 0) != 0)
+            out << line << "\n";
+    return out.str();
+}
+
+/** The end-of-run `profile` lines of a metrics stream. */
+std::string
+profileRows(const std::string &metrics)
+{
+    std::istringstream in(metrics);
+    std::ostringstream out;
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("{\"kind\":\"profile\"", 0) == 0)
             out << line << "\n";
     return out.str();
 }
@@ -228,6 +244,32 @@ TEST_P(ConformanceTest, SaveRestoreContinueIsByteIdentical)
     const std::string flowPrefix =
         saved.flows.substr(0, saved.flowsAt.at(kT1));
     EXPECT_EQ(flowPrefix + resumed.flows, straight.flows);
+}
+
+TEST_P(ConformanceTest, ProfiledSaveRestoreContinueKeepsProfileRows)
+{
+    // The per-PC flat profile rides the snapshot: a profiled run
+    // checkpoints, and the restored run ends with the straight run's
+    // profile rows, byte for byte.
+    const auto [tier, jobs] = GetParam();
+    const scenario::Scenario sc = makeScenario(tier);
+
+    const Captured straight = run(sc, jobs, {}, nullptr, true);
+    const Captured saved = run(sc, jobs, {kT1, kT2}, nullptr, true);
+    EXPECT_EQ(saved.metrics, straight.metrics);
+    // Only the cycle tier fills the profile.
+    const std::string rows = profileRows(straight.metrics);
+    EXPECT_EQ(rows.empty(), tier == Tier::Fast);
+
+    const snapshot::NetworkSnapshot at1 =
+        snapshot::decodeSnapshot(saved.snapBytes.at(kT1));
+    const Captured resumed = run(sc, jobs, {kT2}, &at1, true);
+    EXPECT_EQ(nodeRows(resumed.res), nodeRows(straight.res));
+    EXPECT_EQ(resumed.snapBytes.at(kT2), saved.snapBytes.at(kT2));
+    EXPECT_EQ(profileRows(resumed.metrics), rows);
+    const std::string prefix =
+        saved.metrics.substr(0, saved.metricsAt.at(kT1));
+    EXPECT_EQ(prefix + resumed.metrics, straight.metrics);
 }
 
 TEST_P(ConformanceTest, SnapshotBytesAreJobsInvariant)

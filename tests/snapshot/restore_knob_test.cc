@@ -1,8 +1,8 @@
 /**
  * @file
  * Checked restores: a snapshot records the host knobs that change
- * results after a restore (each node's fidelity, supply volts and
- * class-cal table digest). Restoring onto a network built with any
+ * results after a restore (each node's fidelity, supply volts,
+ * class-cal table digest and profiling flag). Restoring onto a network built with any
  * other value fails with a FatalError that names the node and the
  * knob; restoring with the saving run's knobs still continues
  * bit-exactly (docs/CHECKPOINT.md).
@@ -69,6 +69,7 @@ constexpr double kSaveMs = 10;
 struct Knobs
 {
     bool fast = false;
+    bool profile = false;
     double volts = 1.8;
     energy::ClassCal cal = energy::ClassCal::analytic();
     std::optional<std::uint32_t> node; ///< override target, if any
@@ -102,6 +103,7 @@ makeOptions(const Knobs &k)
 {
     scenario::RunOptions opt;
     opt.classCal = k.cal;
+    opt.profile = k.profile;
     opt.loadSource = [](const std::string &) {
         return std::string(kBeacon);
     };
@@ -232,12 +234,53 @@ TEST(RestoreKnobs, ClassCalMismatchIsRefusedByName)
     }
 }
 
+TEST(RestoreKnobs, ProfilingMismatchIsRefusedByName)
+{
+    // Profiling is network-wide, so the first node is the one named;
+    // both directions, at both tiers.
+    for (const bool fast : {false, true}) {
+        for (const bool savedProfile : {false, true}) {
+            Knobs saved;
+            saved.fast = fast;
+            saved.profile = savedProfile;
+            const snapshot::NetworkSnapshot snap = save(saved);
+            Knobs k = saved;
+            k.profile = !savedProfile;
+            expectRefused(k, snap, 0, "profiling");
+        }
+    }
+}
+
+TEST(RestoreKnobs, BadProfileCellsAreRefused)
+{
+    // A hand-edited snapshot: a cell outside the profile, or a cell on
+    // a core that does not profile, must not be written anywhere.
+    for (const bool profile : {true, false}) {
+        Knobs k;
+        k.profile = profile;
+        snapshot::NetworkSnapshot snap = save(k);
+        core::SnapCore::ProfileCell cell;
+        cell.count = 1;
+        cell.pc = profile ? 0xffff : 0;
+        snap.nodes[1].core.profile.push_back(cell);
+        try {
+            restore(k, snap);
+            ADD_FAILURE() << "restore accepted a bad profile cell";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("bad profile cell"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(RestoreKnobs, MatchingKnobsContinueBitExactly)
 {
     sim::Rng rng(0x5a7e);
     for (int trial = 0; trial < 3; ++trial) {
         Knobs k;
         k.fast = trial == 1;
+        k.profile = trial != 1;
         k.volts = randomVolts(rng);
         k.cal = nudged(k.cal, rng);
         k.node = static_cast<std::uint32_t>(rng.next() % kNodes);

@@ -57,7 +57,7 @@ TEST_P(SnapshotFormat, EncodingAt400MsMatchesThePin)
     scenario::runScenario(sc, opt);
 
     ASSERT_FALSE(enc.empty()) << "no checkpoint at 400 ms";
-    EXPECT_EQ(snapshot::kFormatVersion, 5u);
+    EXPECT_EQ(snapshot::kFormatVersion, 6u);
     EXPECT_EQ(enc.size(), pin.bytes);
     EXPECT_EQ(sim::fnv1a64(enc.data(), enc.size()), pin.fnv)
         << std::hex << "actual 0x" << sim::fnv1a64(enc.data(), enc.size());
@@ -67,9 +67,9 @@ TEST_P(SnapshotFormat, EncodingAt400MsMatchesThePin)
 // ids survive format bumps; the body asserts the current version.
 INSTANTIATE_TEST_SUITE_P(
     V3, SnapshotFormat,
-    ::testing::Values(Pin{"trickle", 187042, 0x41c306f82769fa99ull},
-                      Pin{"rssi_cluster", 232399, 0x80d44b45548757d6ull},
-                      Pin{"trickle_fast", 141508, 0xb247e8b2f3de65a5ull}),
+    ::testing::Values(Pin{"trickle", 187114, 0x6d005a9bd6c709c7ull},
+                      Pin{"rssi_cluster", 232489, 0xf1c56ac50f0a484cull},
+                      Pin{"trickle_fast", 141562, 0xd145ca0fa12df4dfull}),
     [](const ::testing::TestParamInfo<Pin> &info) {
         return std::string(info.param.scenario);
     });

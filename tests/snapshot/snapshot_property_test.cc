@@ -135,6 +135,12 @@ fuzzNode(sim::Rng &rng)
         return core::SnapCore::HandlerStats{u64(), u64()};
     });
     fill(st.handlerTicks, tick);
+    c.profiling = rng.chance(0.5);
+    if (c.profiling)
+        c.profile = some<core::SnapCore::ProfileCell>(rng, 5, [&] {
+            return core::SnapCore::ProfileCell{
+                u16(), std::uint8_t(rng.next()), u64(), tick(), pj()};
+        });
     ns.volts = pj();
     ns.classCalDigest = u64();
 
@@ -361,8 +367,8 @@ TEST_P(SnapshotOldVersion, IsRejected)
     // per node that v4 dropped. v4 carries leakage and listen cursors
     // where v5 records the supply volts and class-cal digest: the
     // same size, so nothing but the version word tells them apart.
-    // Restamped onto a current encoding, only the version word can
-    // refuse them.
+    // v5 has no profiling flag or profile cells. Restamped onto a
+    // current encoding, only the version word can refuse them.
     const std::uint32_t version = GetParam();
     ASSERT_LT(version, snapshot::kFormatVersion);
     sim::Rng rng(0x0202);
@@ -374,7 +380,7 @@ TEST_P(SnapshotOldVersion, IsRejected)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Past, SnapshotOldVersion, ::testing::Values(2u, 3u, 4u),
+    Past, SnapshotOldVersion, ::testing::Values(2u, 3u, 4u, 5u),
     [](const ::testing::TestParamInfo<std::uint32_t> &info) {
         return "v" + std::to_string(info.param);
     });
