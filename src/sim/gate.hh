@@ -51,7 +51,9 @@ class TickGate
     /** Park until open(); consumes a latched open immediately. */
     WaitAwaiter wait() { return WaitAwaiter{*this}; }
 
-    /** Release the waiter inline, or latch if none is parked yet. */
+    /** Release the waiter inline, or latch if none is parked yet.
+     *  Call it last in its event: the waiter may run on past later
+     *  ticks before open() returns (Kernel::suspendUntil). */
     void
     open()
     {

@@ -101,8 +101,12 @@ class Kernel
      * intervene. Taking it inline advances now(), the sequence counter
      * and eventsDispatched() exactly as the push and pop would have,
      * so dispatch order, lastScheduledSeq() and snapshots are
-     * unchanged. Every caller suspends straight back into run()'s
-     * dispatch: no host frame is left with work after its resume.
+     * unchanged.
+     *
+     * This relies on the suspended coroutine having been resumed by
+     * run()'s dispatch, or by an event that does nothing after the
+     * resume (TickGate::open()): host code left to run after the
+     * resume would otherwise run at a later now().
      */
     bool
     suspendUntil(Tick when, std::coroutine_handle<> h)
