@@ -9,6 +9,9 @@ using core::msgcmd::kTx;
 using core::msgcmd::querySensor;
 using energy::Cat;
 
+/** Sensor (ADC-style) conversion time of a Query command. */
+constexpr sim::Tick kSensorConvTime = 10 * sim::kMicrosecond;
+
 MessageCoproc::MessageCoproc(core::NodeContext &ctx,
                              core::WordFifo &msg_in,
                              core::WordFifo &msg_out,
@@ -231,7 +234,7 @@ MessageCoproc::commandProcess(CmdPhase entry)
             queries_->inc();
             // ADC-style conversion time before the value is ready.
             armWait(CmdPhase::QueryWait,
-                    ctx_.kernel.now() + ctx_.cfg.sensorConvTime,
+                    ctx_.kernel.now() + kSensorConvTime,
                     static_cast<std::uint8_t>(id));
             co_await queryFinish();
         } else {

@@ -5,6 +5,10 @@ namespace snaple::coproc {
 using energy::Cat;
 using isa::TimerFn;
 
+/** Tick period. The timer runs off a calibrated reference, so the
+ *  tick does not scale with the core supply voltage. */
+constexpr sim::Tick kTimerTick = sim::kMicrosecond;
+
 TimerCoproc::TimerCoproc(core::NodeContext &ctx, core::TimerPort &port,
                          core::EventQueue &event_queue)
     : ctx_(ctx), port_(port), eventQueue_(event_queue),
@@ -71,7 +75,7 @@ TimerCoproc::arm(unsigned n, std::uint32_t ticks24)
     const std::uint64_t dur = (ticks24 == 0) ? 1 : ticks24;
     trace_.emit(sim::TraceEvent::TimerSched, n, dur);
     scheduleExpire(static_cast<std::uint8_t>(n), t.generation,
-                   ctx_.kernel.now() + dur * ctx_.cfg.timerTick);
+                   ctx_.kernel.now() + dur * kTimerTick);
 }
 
 void

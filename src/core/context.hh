@@ -41,31 +41,20 @@ struct CoreConfig
      * latency instead of fast units seeing a cheap bus (section 3.1).
      */
     bool flatBus = false;
-    double flatBusGd = 6.0;   ///< per-transfer latency when flat
-    double flatBusPj = 9.0;   ///< per-transfer energy when flat
 
     /** Stop the whole kernel when this core executes `halt`. */
     bool stopOnHalt = true;
 
     std::size_t eventQueueDepth = 8;
     std::size_t msgFifoDepth = 4;
-    std::size_t fetchQueueDepth = 2;
 
     /**
-     * Memory bank sizes in words. The architected size is 2K words
-     * (4 KB) per bank; microbenches that unroll long straight-line
-     * instruction sequences (Figure 4's 1000-instruction blocks) may
-     * enlarge the IMEM.
+     * IMEM size in words. The architected size is 2K words (4 KB), as
+     * for the DMEM (Machine::kDmemWords); microbenches that unroll
+     * long straight-line instruction sequences (Figure 4's
+     * 1000-instruction blocks) may enlarge it.
      */
     std::size_t imemWords = 2048;
-    std::size_t dmemWords = 2048;
-
-    /** Timer-coprocessor tick period (runs off a calibrated reference,
-     *  so it does not scale with the core supply voltage). */
-    sim::Tick timerTick = sim::kMicrosecond;
-
-    /** Sensor (ADC-style) conversion time for Query commands. */
-    sim::Tick sensorConvTime = 10 * sim::kMicrosecond;
 
     /**
      * Transistor-sizing knob (paper section 6: "we plan to redesign

@@ -71,10 +71,7 @@ SnapCore::fetchProcess()
         // event wait as if we had just executed `done`.
         pc = co_await awaitDispatch();
     } else {
-        stats_.lastWake = ctx_.kernel.now();
-        segStart_ = stats_.lastWake;
-        lastRetireTick_ = stats_.lastWake;
-        lastRetirePj_ = ctx_.chargedPj();
+        beginBoot();
     }
     for (;;) {
         // Fetch (and minimally predecode) one instruction.
@@ -111,19 +108,33 @@ SnapCore::fetchProcess()
             pc = r.pc;
             break;
           case Redirect::Kind::Halt:
-            halted_ = true;
-            stats_.handlerTicks[slotOf(currentEvent_)] +=
-                ctx_.kernel.now() - segStart_;
-            stats_.activeTime +=
-                ctx_.kernel.now() - stats_.lastWake;
-            if (ctx_.cfg.stopOnHalt)
-                ctx_.kernel.stop();
+            enterHalt();
             co_return;
           case Redirect::Kind::Done:
             pc = co_await awaitDispatch();
             break;
         }
     }
+}
+
+void
+SnapCore::beginBoot()
+{
+    stats_.lastWake = ctx_.kernel.now();
+    segStart_ = stats_.lastWake;
+    lastRetireTick_ = stats_.lastWake;
+    lastRetirePj_ = ctx_.chargedPj();
+}
+
+void
+SnapCore::enterHalt()
+{
+    halted_ = true;
+    const sim::Tick now = ctx_.kernel.now();
+    stats_.handlerTicks[slotOf(currentEvent_)] += now - segStart_;
+    stats_.activeTime += now - stats_.lastWake;
+    if (ctx_.cfg.stopOnHalt)
+        ctx_.kernel.stop();
 }
 
 Co<std::uint16_t>
@@ -213,6 +224,11 @@ SnapCore::regWriteDelay()
     return ctx_.kernel.delay(ctx_.gd(ctx_.tcal.regWriteGd));
 }
 
+/** Flat-bus ablation (CoreConfig::flatBus): per-transfer latency in
+ *  gate delays and energy in pJ on the one heavily loaded bus. */
+constexpr double kFlatBusGd = 6.0;
+constexpr double kFlatBusPj = 9.0;
+
 sim::Kernel::DelayAwaiter
 SnapCore::busTransfer(Unit u)
 {
@@ -220,8 +236,8 @@ SnapCore::busTransfer(Unit u)
     double pj;
     if (ctx_.cfg.flatBus) {
         // Ablation: every unit hangs off one heavily loaded bus.
-        gd = ctx_.cfg.flatBusGd;
-        pj = ctx_.cfg.flatBusPj;
+        gd = kFlatBusGd;
+        pj = kFlatBusPj;
     } else if (isa::onFastBus(u)) {
         gd = ctx_.tcal.busFastGd;
         pj = ctx_.ecal.busFastPj;

@@ -302,6 +302,14 @@ class SnapCore
      */
     sim::Co<std::uint16_t> awaitDispatch();
 
+    /** Both executors' cold-start bookkeeping: boot code is the first
+     *  active segment, starting now. */
+    void beginBoot();
+
+    /** Both executors' `halt` bookkeeping: close the active segment
+     *  and stop the kernel when the config asks for it. */
+    void enterHalt();
+
     /** Spawn the executor processes for fidelity_. */
     void spawnExecutor();
 

@@ -39,6 +39,9 @@ namespace {
 /** Instructions executed per kernel slice between settlements. */
 constexpr std::uint64_t kFlushBudget = 1024;
 
+/** Depth of the cycle tier's fetch-to-execute instruction queue. */
+constexpr std::size_t kFetchQueueDepth = 2;
+
 /** Statistics class of each fused opcode (PKind order). */
 constexpr isa::InstrClass
 classOfKind(ref::pre::PKind k)
@@ -243,7 +246,7 @@ SnapCore::SnapCore(NodeContext &ctx, mem::Sram &imem, mem::Sram &dmem,
                    std::string name)
     : ctx_(ctx), imem_(imem), dmem_(dmem), eventQueue_(event_queue),
       msgIn_(msg_in), msgOut_(msg_out), timerPort_(timer_port),
-      fetchQ_(ctx.kernel, ctx.cfg.fetchQueueDepth, 0, name + ".fetchq"),
+      fetchQ_(ctx.kernel, kFetchQueueDepth, 0, name + ".fetchq"),
       redirect_(ctx.kernel, 0, name + ".redirect"),
       traceFetch_(ctx.kernel, name + ".fetch"),
       traceExec_(ctx.kernel, name + ".exec"),
@@ -352,6 +355,10 @@ SnapCore::fastProcess()
                  "fast fidelity requires the architected ",
                  ref::pre::kMemWords, "-word memory banks (imem ",
                  imem_.words(), ", dmem ", dmem_.words(), ")");
+    // The class-cal table prices the split fast/slow buses; a flat-bus
+    // node would silently run at their cost.
+    sim::fatalIf(ctx_.cfg.flatBus,
+                 "fast fidelity cannot model flatBus; use cycle fidelity");
     if (!fast_) {
         fast_ = std::make_unique<FastTier>();
         fast_->lines.resize(ref::pre::kMemWords);
@@ -364,10 +371,7 @@ SnapCore::fastProcess()
         // start empty, rebuilding lazily and deterministically.
         ft.pc = co_await awaitDispatch();
     } else {
-        stats_.lastWake = ctx_.kernel.now();
-        segStart_ = stats_.lastWake;
-        lastRetireTick_ = stats_.lastWake;
-        lastRetirePj_ = ctx_.chargedPj();
+        beginBoot();
     }
     FastTier::Env env{*this, ft};
     for (;;) {
@@ -404,16 +408,9 @@ SnapCore::fastProcess()
           case ref::pre::PStop::Done:
             ft.pc = co_await awaitDispatch();
             break;
-          case ref::pre::PStop::Halt: {
-            halted_ = true;
-            const Tick now = ctx_.kernel.now();
-            stats_.handlerTicks[slotOf(currentEvent_)] +=
-                now - segStart_;
-            stats_.activeTime += now - stats_.lastWake;
-            if (ctx_.cfg.stopOnHalt)
-                ctx_.kernel.stop();
+          case ref::pre::PStop::Halt:
+            enterHalt();
             co_return;
-          }
           case ref::pre::PStop::DecodeError:
             sim::fatal("fast tier: illegal instruction at pc ", ft.pc,
                        " (word ", imem_.peek(ft.pc), ")");

@@ -1,16 +1,19 @@
 /**
  * @file
- * A minimal single-processor machine for tests and microbenches.
+ * The processor half of a SNAP/LE node (Figure 1 of the paper).
  *
  * Machine wires together the core, the two memory banks, the hardware
- * event queue, the r15 message FIFOs and the timer coprocessor — but
- * no message coprocessor, radio or sensors, so tests can drive the
- * FIFOs and the event queue directly. Full sensor nodes are assembled
- * by node::SnapNode.
+ * event queue, the r15 message FIFOs and the timer coprocessor. It has
+ * no message coprocessor, radio or sensors, so tests and microbenches
+ * can drive the FIFOs and the event queue directly. node::SnapNode
+ * derives from Machine and adds the message coprocessor, the radio and
+ * the flow tracker; this file is the one place the core half is wired.
  */
 
 #ifndef SNAPLE_CORE_MACHINE_HH
 #define SNAPLE_CORE_MACHINE_HH
+
+#include <string>
 
 #include "asm/program.hh"
 #include "coproc/timer.hh"
@@ -25,17 +28,25 @@ namespace snaple::core {
 class Machine
 {
   public:
-    explicit Machine(sim::Kernel &kernel, const CoreConfig &cfg = {})
+    /** Architected DMEM size: 2K words (4 KB). */
+    static constexpr std::size_t kDmemWords = 2048;
+
+    /**
+     * @param name prefix of the trace scopes: `<name>.evq`, `.msgin`,
+     *        `.msgout`, `.tport` and `.core`.
+     */
+    explicit Machine(sim::Kernel &kernel, const CoreConfig &cfg = {},
+                     const std::string &name = "node")
         : ctx_(kernel, cfg),
           imem_(ctx_, mem::Bank::Imem, cfg.imemWords),
-          dmem_(ctx_, mem::Bank::Dmem, cfg.dmemWords),
+          dmem_(ctx_, mem::Bank::Dmem, kDmemWords),
           eventQueue_(kernel, cfg.eventQueueDepth,
-                      ctx_.gd(ctx_.tcal.eventWakeGd), "event-queue"),
-          msgIn_(kernel, cfg.msgFifoDepth, 0, "msg-in"),
-          msgOut_(kernel, cfg.msgFifoDepth, 0, "msg-out"),
-          timerPort_(kernel, ctx_.gd(4), "timer-port"),
+                      ctx_.gd(ctx_.tcal.eventWakeGd), name + ".evq"),
+          msgIn_(kernel, cfg.msgFifoDepth, 0, name + ".msgin"),
+          msgOut_(kernel, cfg.msgFifoDepth, 0, name + ".msgout"),
+          timerPort_(kernel, ctx_.gd(4), name + ".tport"),
           core_(ctx_, imem_, dmem_, eventQueue_, msgIn_, msgOut_,
-                timerPort_),
+                timerPort_, name + ".core"),
           timer_(ctx_, timerPort_, eventQueue_)
     {}
 
@@ -55,6 +66,19 @@ class Machine
         timer_.start();
     }
 
+    /**
+     * Respawn the processes directly into the parked states a snapshot
+     * captured (docs/CHECKPOINT.md). The caller has already poked the
+     * architectural state back; the spawned coroutines park without
+     * consuming simulated time.
+     */
+    void
+    startRestored()
+    {
+        core_.startRestored();
+        timer_.start();
+    }
+
     /** Inject an event token as an external agent would. */
     bool
     postEvent(isa::EventNum e)
@@ -67,6 +91,7 @@ class Machine
      * Refresh every sampled metric in ctx().metrics (core counters,
      * energy gauges, occupancies). Call at the metrics cadence and
      * once before reading or writing the registry at end of run.
+     * Every value is a read; sampling never changes the run.
      */
     void
     sampleMetrics()
@@ -78,7 +103,9 @@ class Machine
     }
 
     NodeContext &ctx() { return ctx_; }
+    const NodeContext &ctx() const { return ctx_; }
     SnapCore &core() { return core_; }
+    const SnapCore &core() const { return core_; }
     mem::Sram &imem() { return imem_; }
     mem::Sram &dmem() { return dmem_; }
     EventQueue &eventQueue() { return eventQueue_; }

@@ -32,15 +32,13 @@ sim::Tick
 ParallelNetwork::deriveWindow() const
 {
     // Lookahead: the earliest a word transmitted in one shard can
-    // matter in another is one (shortest) word airtime plus the
-    // propagation delay. No radios means no cross-shard traffic at
-    // all; any positive window works, so pick a coarse one.
-    sim::Tick minAirtime = sim::kMaxTick;
+    // matter in another is one word airtime plus the propagation
+    // delay. No radios means no cross-shard traffic at all; any
+    // positive window works, so pick a coarse one.
     for (const auto &s : shards_)
-        if (const radio::Transceiver *t = s->node.transceiver())
-            minAirtime = std::min(minAirtime, t->wordAirtime());
-    if (minAirtime != sim::kMaxTick)
-        return minAirtime + exchange_.propagation();
+        if (s->node.transceiver())
+            return radio::Transceiver::wordAirtime() +
+                   exchange_.propagation();
     if (exchange_.propagation() != 0)
         return exchange_.propagation();
     return sim::kMillisecond;

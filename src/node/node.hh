@@ -1,8 +1,12 @@
 /**
  * @file
- * A complete SNAP/LE sensor-network node (Figure 1 of the paper):
- * processor core, memories, event queue, timer and message
- * coprocessors, radio transceiver and sensors.
+ * A complete SNAP/LE sensor-network node (Figure 1 of the paper).
+ *
+ * SnapNode derives from core::Machine, which wires the processor half:
+ * core, memories, event queue, r15 FIFOs and timer coprocessor. This
+ * class adds only what a networked node has on top: the message
+ * coprocessor, the radio transceiver, the flow tracker and the
+ * node-level metrics. Sensors are attached by the host.
  */
 
 #ifndef SNAPLE_NODE_NODE_HH
@@ -14,11 +18,7 @@
 
 #include "asm/program.hh"
 #include "coproc/message.hh"
-#include "coproc/timer.hh"
-#include "core/context.hh"
-#include "core/core.hh"
-#include "core/ports.hh"
-#include "mem/sram.hh"
+#include "core/machine.hh"
 #include "obs/flow.hh"
 #include "radio/transceiver.hh"
 #include "sim/rng.hh"
@@ -61,7 +61,7 @@ struct NodeConfig
 };
 
 /** One fully assembled sensor node. */
-class SnapNode
+class SnapNode : public core::Machine
 {
   public:
     /**
@@ -73,32 +73,21 @@ class SnapNode
      */
     SnapNode(sim::Kernel &kernel, radio::Medium *medium,
              const NodeConfig &cfg, const assembler::Program &prog)
-        : cfg_(cfg), ctx_(kernel, cfg.core),
-          imem_(ctx_, mem::Bank::Imem, cfg.core.imemWords),
-          dmem_(ctx_, mem::Bank::Dmem, cfg.core.dmemWords),
-          eventQueue_(kernel, cfg.core.eventQueueDepth,
-                      ctx_.gd(ctx_.tcal.eventWakeGd), cfg.name + ".evq"),
-          msgIn_(kernel, cfg.core.msgFifoDepth, 0, cfg.name + ".msgin"),
-          msgOut_(kernel, cfg.core.msgFifoDepth, 0, cfg.name + ".msgout"),
-          timerPort_(kernel, ctx_.gd(4), cfg.name + ".tport"),
-          core_(ctx_, imem_, dmem_, eventQueue_, msgIn_, msgOut_,
-                timerPort_, cfg.name + ".core"),
-          timer_(ctx_, timerPort_, eventQueue_),
-          msgCoproc_(ctx_, msgIn_, msgOut_, eventQueue_),
+        : Machine(kernel, cfg.core, cfg.name), cfg_(cfg),
+          msgCoproc_(ctx(), msgIn(), msgOut(), eventQueue()),
           flowTracker_(cfg.nodeId)
     {
         if (cfg.attachRadio) {
             sim::fatalIf(medium == nullptr,
                          "node wants a radio but no medium given");
-            radio_ = std::make_unique<radio::Transceiver>(ctx_, *medium,
+            radio_ = std::make_unique<radio::Transceiver>(ctx(), *medium,
                                                           cfg.radio);
             radio_->setFlowTracker(&flowTracker_);
             msgCoproc_.attachRadio(*radio_);
         }
-        imem_.load(prog.imem);
-        dmem_.load(prog.dmem);
+        load(prog);
         if (cfg.baseSeed != 0)
-            core_.seedLfsr(static_cast<std::uint16_t>(derivedSeed()));
+            core().seedLfsr(static_cast<std::uint16_t>(derivedSeed()));
     }
 
     /**
@@ -125,39 +114,30 @@ class SnapNode
     void
     start()
     {
-        core_.start(cfg_.fidelity);
-        timer_.start();
+        Machine::start(cfg_.fidelity);
         msgCoproc_.start();
     }
 
-    /**
-     * Respawn the node's processes directly into the parked states a
-     * snapshot captured (docs/CHECKPOINT.md). The caller has already
-     * poked the architectural state back; the spawned coroutines park
-     * without consuming simulated time.
-     */
+    /** Machine::startRestored() plus the message coprocessor. */
     void
     startRestored()
     {
-        core_.startRestored();
-        timer_.start();
+        Machine::startRestored();
         msgCoproc_.startRestored();
     }
 
     /**
-     * Refresh every sampled metric in ctx().metrics to "now": core
-     * counters and histograms, energy gauges, coprocessor occupancies
-     * and radio mode. Call immediately before reading or serializing
-     * the registry; between calls the gauges hold the previous sample.
-     * Every value is a read; sampling never changes the run.
+     * Refresh every sampled metric in ctx().metrics to "now": the
+     * Machine's core, energy and occupancy metrics, then radio mode
+     * and the energest gauges. Call immediately before reading or
+     * serializing the registry; between calls the gauges hold the
+     * previous sample. Every value is a read; sampling never changes
+     * the run.
      */
     void
     sampleMetrics()
     {
-        core_.publishMetrics();
-        ctx_.publishEnergyMetrics();
-        ctx_.publishOccupancy(msgIn_.size(), msgOut_.size(),
-                              timer_.armedCount());
+        Machine::sampleMetrics();
         if (!pub_.cpuActive)
             bindMetrics();
         if (radio_)
@@ -167,44 +147,27 @@ class SnapNode
         // attributed energy per component state (idle listening
         // priced into radio_listen), plus the core's exact
         // active/sleep split from its own stats.
-        const sim::Tick now = ctx_.kernel.now();
-        const obs::Energest &e = ctx_.energest;
+        const sim::Tick now = ctx().kernel.now();
+        const obs::Energest &e = ctx().energest;
         for (std::size_t i = 0; i < obs::kNumComps; ++i) {
             const auto c = static_cast<obs::Comp>(i);
             pub_.energestTicks[i]->set(double(e.ticks(c, now)));
             pub_.energestPj[i]->set(e.pj(c));
         }
         pub_.energestPj[std::size_t(obs::Comp::RadioListen)]->set(
-            e.pj(obs::Comp::RadioListen) + ctx_.staticPj().listen);
-        const sim::Tick active = core_.activeTimeNow();
+            e.pj(obs::Comp::RadioListen) + ctx().staticPj().listen);
+        const sim::Tick active = core().activeTimeNow();
         pub_.cpuActive->set(double(active));
         pub_.cpuSleep->set(double(now - active));
     }
 
-    core::NodeContext &ctx() { return ctx_; }
-    const core::NodeContext &ctx() const { return ctx_; }
-    core::SnapCore &core() { return core_; }
-    const core::SnapCore &core() const { return core_; }
-    coproc::TimerCoproc &timer() { return timer_; }
     coproc::MessageCoproc &msgCoproc() { return msgCoproc_; }
     radio::Transceiver *transceiver() { return radio_.get(); }
-    mem::Sram &imem() { return imem_; }
-    mem::Sram &dmem() { return dmem_; }
     const std::string &name() const { return cfg_.name; }
     /** The execution fidelity this node was configured with. */
     FidelityMode fidelity() const { return cfg_.fidelity; }
-
-    /** @name Snapshot support (src/snapshot/)
-     * The hardware FIFOs between the core and its coprocessors carry
-     * live words across a checkpoint; the snapshot layer serializes
-     * their buffers directly. */
-    ///@{
-    core::EventQueue &eventQueue() { return eventQueue_; }
-    core::WordFifo &msgInFifo() { return msgIn_; }
-    core::WordFifo &msgOutFifo() { return msgOut_; }
     obs::FlowTracker &flowTracker() { return flowTracker_; }
     const obs::FlowTracker &flowTracker() const { return flowTracker_; }
-    ///@}
 
     /**
      * Hash of the node kernel's trace so far; 0 when no sink is
@@ -213,21 +176,12 @@ class SnapNode
     std::uint64_t
     traceHash() const
     {
-        const sim::TraceSink *sink = ctx_.kernel.tracer();
+        const sim::TraceSink *sink = ctx().kernel.tracer();
         return sink ? sink->hash() : 0;
     }
 
   private:
     NodeConfig cfg_;
-    core::NodeContext ctx_;
-    mem::Sram imem_;
-    mem::Sram dmem_;
-    core::EventQueue eventQueue_;
-    core::WordFifo msgIn_;
-    core::WordFifo msgOut_;
-    core::TimerPort timerPort_;
-    core::SnapCore core_;
-    coproc::TimerCoproc timer_;
     coproc::MessageCoproc msgCoproc_;
     obs::FlowTracker flowTracker_;
     std::unique_ptr<radio::Transceiver> radio_;
@@ -247,7 +201,7 @@ class SnapNode
     void
     bindMetrics()
     {
-        sim::MetricsRegistry &m = ctx_.metrics;
+        sim::MetricsRegistry &m = ctx().metrics;
         sim::MetricName name;
         if (radio_)
             pub_.radioMode = &m.gauge("radio.mode", sim::GaugeMerge::Skip);

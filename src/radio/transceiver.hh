@@ -23,27 +23,27 @@
 
 namespace snaple::radio {
 
-/** Radio electrical/air parameters (RFM TR1000 defaults). */
+// RFM TR1000 air and electrical parameters.
+inline constexpr double kBitrateBps = 19200.0; ///< OOK air rate of the motes
+inline constexpr unsigned kWordBits = 16;      ///< word-serial interface width
+
+// Energy per word on the air, in picojoules, from the TR1000 datasheet
+// operating points at 3 V: TX ~12 mA (36 mW), RX ~3.8 mA (11.4 mW);
+// one word takes kWordBits / kBitrateBps = 833 us.
+inline constexpr double kTxPjPerWord = 30.0e6;
+inline constexpr double kRxPjPerWord = 9.5e6;
+
+/**
+ * Continuous receive-mode (idle listening) power, nanowatts. TR1000
+ * RX draws ~3.8 mA at 3 V ~ 11.4 mW whether or not bits arrive — in
+ * real deployments this, not computation, dominates unless the MAC
+ * duty-cycles the receiver. Priced at read time over the node's
+ * energest Rx ticks (NodeContext::staticPj()).
+ */
+inline constexpr double kRxListenNw = 11.4e6;
+
 struct RadioConfig
 {
-    double bitrateBps = 19200.0; ///< OOK air rate used by the motes
-    unsigned wordBits = 16;      ///< word-serial interface width
-
-    // Energy per word on the air, in picojoules, from the TR1000
-    // datasheet operating points at 3 V: TX ~12 mA (36 mW), RX ~3.8 mA
-    // (11.4 mW); one word takes wordBits / bitrate = 833 us.
-    double txPjPerWord = 30.0e6;
-    double rxPjPerWord = 9.5e6;
-
-    /**
-     * Continuous receive-mode (idle listening) power, nanowatts.
-     * TR1000 RX draws ~3.8 mA at 3 V ~ 11.4 mW whether or not bits
-     * arrive — in real deployments this, not computation, dominates
-     * unless the MAC duty-cycles the receiver. Priced at read time
-     * over the node's energest Rx ticks (NodeContext::staticPj()).
-     */
-    double rxListenNw = 11.4e6;
-
     /**
      * Model the self-powered MEMS RF link of the paper's
      * introduction and future work ([13]): the radio draws nothing
@@ -78,16 +78,16 @@ class Transceiver : public coproc::RadioPort
           rxMissedWrongMode_(
               &ctx.metrics.counter("radio.rx_missed_wrong_mode"))
     {
-        ctx_.listenPowerNw = cfg_.selfPowered ? 0.0 : cfg_.rxListenNw;
+        ctx_.listenPowerNw = cfg_.selfPowered ? 0.0 : kRxListenNw;
         accrueRadioDuty();
         medium_.attach(this);
     }
 
-    /** Airtime of one word at the configured bit rate. */
-    sim::Tick
-    wordAirtime() const
+    /** Airtime of one word at the TR1000 bit rate. */
+    static sim::Tick
+    wordAirtime()
     {
-        return sim::fromSec(cfg_.wordBits / cfg_.bitrateBps);
+        return sim::fromSec(kWordBits / kBitrateBps);
     }
 
     /**
@@ -109,7 +109,7 @@ class Transceiver : public coproc::RadioPort
     transmitStart(std::uint16_t word) override
     {
         txWords_->inc();
-        const double pj = cfg_.selfPowered ? 0.0 : cfg_.txPjPerWord;
+        const double pj = cfg_.selfPowered ? 0.0 : kTxPjPerWord;
         ctx_.ledger.add(energy::Cat::Radio, pj);
         ctx_.energest.addPj(obs::Comp::RadioTx, pj);
         // Tag the word before it reaches the medium: the medium reads
@@ -154,8 +154,8 @@ class Transceiver : public coproc::RadioPort
             return DeliverStatus::DroppedMode;
         }
         if (!cfg_.selfPowered) {
-            ctx_.ledger.add(energy::Cat::Radio, cfg_.rxPjPerWord);
-            ctx_.energest.addPj(obs::Comp::RadioListen, cfg_.rxPjPerWord);
+            ctx_.ledger.add(energy::Cat::Radio, kRxPjPerWord);
+            ctx_.energest.addPj(obs::Comp::RadioListen, kRxPjPerWord);
         }
         if (!rxFifo_.tryPush(word)) {
             rxDroppedFifoFull_->inc();
@@ -183,8 +183,6 @@ class Transceiver : public coproc::RadioPort
                      rxDroppedFifoFull_->value(),
                      rxMissedWrongMode_->value()};
     }
-
-    const RadioConfig &config() const { return cfg_; }
 
     sim::Kernel &kernel() const { return ctx_.kernel; }
 

@@ -46,12 +46,13 @@ class FunctionSensor : public coproc::SensorPort
 class TemperatureSensor : public coproc::SensorPort
 {
   public:
+    static constexpr double kBaseCode = 512.0;  ///< mid-scale of a 10-bit ADC
+    static constexpr double kAmplitude = 120.0; ///< swing in ADC codes
+    static constexpr double kNoiseCodes = 4.0;  ///< +/- uniform noise
+
     struct Config
     {
-        double baseCode = 512.0;    ///< mid-scale of a 10-bit ADC
-        double amplitude = 120.0;   ///< swing in ADC codes
         sim::Tick period = 60 * sim::kSecond; ///< one full swing
-        double noiseCodes = 4.0;    ///< +/- uniform noise
         std::uint64_t seed = 1;
     };
 
@@ -66,8 +67,8 @@ class TemperatureSensor : public coproc::SensorPort
     {
         double phase = 2.0 * M_PI * (double(now % cfg_.period) /
                                      double(cfg_.period));
-        double v = cfg_.baseCode + cfg_.amplitude * std::sin(phase) +
-                   (rng_.uniform01() * 2.0 - 1.0) * cfg_.noiseCodes;
+        double v = kBaseCode + kAmplitude * std::sin(phase) +
+                   (rng_.uniform01() * 2.0 - 1.0) * kNoiseCodes;
         if (v < 0)
             v = 0;
         if (v > 1023)

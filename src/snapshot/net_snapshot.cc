@@ -200,8 +200,8 @@ ParallelNetwork::captureShard(Shard &s) const
     ns.imem = captureSram(n.imem());
     ns.dmem = captureSram(n.dmem());
     ns.evq = captureFifo(n.eventQueue());
-    ns.msgIn = captureFifo(n.msgInFifo());
-    ns.msgOut = captureFifo(n.msgOutFifo());
+    ns.msgIn = captureFifo(n.msgIn());
+    ns.msgOut = captureFifo(n.msgOut());
     ns.timers = n.timer().timerState();
     ns.timerExpires = n.timer().pendingExpires();
     ns.msg = n.msgCoproc().saveState(s.halted);
@@ -266,8 +266,8 @@ ParallelNetwork::restoreShard(Shard &s, const snapshot::NodeState &ns,
     n.imem().load(ns.imem);
     n.dmem().load(ns.dmem);
     restoreFifo(n.eventQueue(), ns.evq);
-    restoreFifo(n.msgInFifo(), ns.msgIn);
-    restoreFifo(n.msgOutFifo(), ns.msgOut);
+    restoreFifo(n.msgIn(), ns.msgIn);
+    restoreFifo(n.msgOut(), ns.msgOut);
     n.core().restoreState(ns.core);
     n.timer().restoreTimerState(ns.timers);
     if (live)

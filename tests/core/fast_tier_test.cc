@@ -187,4 +187,23 @@ TEST(FastTierTest, R15ReadsStallAndResume)
     }
 }
 
+TEST(FastTierTest, RefusesFlatBus)
+{
+    // The class-cal table prices the split buses, so a flat-bus fast
+    // node would run at hierarchical-bus cost: it must refuse instead.
+    sim::Kernel k;
+    CoreConfig cfg;
+    cfg.flatBus = true;
+    Machine m(k, cfg);
+    m.load(assembler::assembleSnap("li r1, 1\n add r1, r1\n halt\n"));
+    m.start(FidelityMode::Fast);
+    try {
+        k.run(k.now() + sim::kMillisecond);
+        FAIL() << "fast flat-bus run was not refused";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("flatBus"), std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace

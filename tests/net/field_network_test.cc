@@ -243,7 +243,7 @@ TEST(FieldNetworkTest, ListenEnergyFlushedAtMetricsSampleBarriers)
     // 20 ms); a read at the end covers the 25 ms run.
     const radio::Transceiver *t = net.node(0).transceiver();
     ASSERT_NE(t, nullptr);
-    const double nwToPj = t->config().rxListenNw * 1e-9 * 1e12;
+    const double nwToPj = radio::kRxListenNw * 1e-9 * 1e12;
     const double sampledPj =
         net.node(0).ctx().metrics.gauge("energy.radio_pj").value();
     EXPECT_GE(sampledPj, nwToPj * 0.019);

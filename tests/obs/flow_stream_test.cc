@@ -235,7 +235,7 @@ TEST(FlowStreamTest, EnergestMatchesHandComputedRadioAccounting)
     const sim::Tick airtime = tx.transceiver()->wordAirtime();
 
     // Attributed tx energy is exactly words x per-word cost.
-    const double perWord = node::NodeConfig{}.radio.txPjPerWord;
+    const double perWord = radio::kTxPjPerWord;
     EXPECT_DOUBLE_EQ(tx.ctx().energest.pj(obs::Comp::RadioTx),
                      3.0 * perWord);
 

@@ -101,11 +101,10 @@ TEST(RadioTest, RadioEnergyChargedPerWord)
     r.b.setMode(RadioMode::Rx);
     r.transmit(0, {1, 2, 3});
     r.net.runFor(5 * sim::kMillisecond);
-    RadioConfig cfg;
     EXPECT_DOUBLE_EQ(r.ctx(0).ledger.pj(energy::Cat::Radio),
-                     3 * cfg.txPjPerWord);
+                     3 * radio::kTxPjPerWord);
     EXPECT_DOUBLE_EQ(r.ctx(1).ledger.pj(energy::Cat::Radio),
-                     3 * cfg.rxPjPerWord);
+                     3 * radio::kRxPjPerWord);
 }
 
 TEST(RadioTest, FlightStorageStaysBoundedOverManyWords)
@@ -196,9 +195,8 @@ TEST(RadioTest, DuplicateAttachIsIgnored)
     EXPECT_EQ(r.b.rxWords().size(), 1u);
     EXPECT_EQ(r.b.stats().rxWords, 1u);
     EXPECT_EQ(r.net.stats().wordsDelivered, 1u);
-    RadioConfig cfg;
     EXPECT_DOUBLE_EQ(r.ctx(1).ledger.pj(energy::Cat::Radio),
-                     cfg.rxPjPerWord);
+                     radio::kRxPjPerWord);
 }
 
 TEST(RadioTest, BackToBackWordsSpaceByAirtime)

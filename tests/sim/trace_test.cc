@@ -428,8 +428,8 @@ TEST_F(TraceExportTest, ChromeJsonIsWellFormed)
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos); // instants
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos); // counters
     // The acceptance triple: channel, event-queue and energy activity.
-    EXPECT_NE(json.find("timer-port"), std::string::npos);
-    EXPECT_NE(json.find("event-queue"), std::string::npos);
+    EXPECT_NE(json.find(".tport"), std::string::npos);
+    EXPECT_NE(json.find(".evq"), std::string::npos);
     EXPECT_NE(json.find("energy."), std::string::npos);
 }
 
