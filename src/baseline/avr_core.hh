@@ -112,8 +112,6 @@ class AvrMcu
         return sim::fromUs(1.0 / cfg_.clockMhz);
     }
 
-    std::uint8_t sramByte(std::uint16_t a) const { return sram_[a]; }
-
   private:
     sim::Co<void> run();
 

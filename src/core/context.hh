@@ -46,7 +46,6 @@ struct CoreConfig
     bool stopOnHalt = true;
 
     std::size_t eventQueueDepth = 8;
-    std::size_t msgFifoDepth = 4;
 
     /**
      * IMEM size in words. The architected size is 2K words (4 KB), as

@@ -47,7 +47,7 @@ namespace snaple::core {
 /**
  * Execution fidelity of one core. Cycle is the CHP two-process model
  * with per-operation timing; Fast is the statistical tier: the
- * predecoded ref engine executing the same architectural semantics,
+ * predecoded engine executing the same architectural semantics,
  * with time and energy charged from per-instruction-class calibration
  * coefficients (energy/class_cal.hh). Chosen per node by start() or
  * restored from a snapshot, and fixed for the core's life.
@@ -142,7 +142,6 @@ class SnapCore
     void setCarry(bool c) { carry_ = c; }
     std::uint16_t handler(isa::EventNum e) const;
     void setHandler(isa::EventNum e, std::uint16_t addr);
-    std::uint16_t lfsrState() const { return lfsr_.state(); }
     /** Reseed the guest-visible LFSR (determinism experiments). */
     void seedLfsr(std::uint16_t s) { lfsr_.seed(s); }
     ///@}
@@ -150,7 +149,8 @@ class SnapCore
     /**
      * Attach a commit sink for differential co-simulation (see
      * ref/commit_log.hh); nullptr detaches. The core then emits one
-     * record per retired instruction and per event dispatch. The
+     * record per retired instruction and per event dispatch, at either
+     * fidelity (a fast core picks the sink up at its next slice). The
      * caller keeps the sink alive for the duration of the run.
      */
     void setCommitSink(ref::CommitSink *sink) { commitSink_ = sink; }

@@ -3,23 +3,26 @@
  * The fast fidelity tier: one process executing predecoded
  * instructions natively and charging statistical time/energy.
  *
- * Architectural semantics come from the shared predecoded engine
- * (ref/predecode.hh) — the same code audited against the cycle tier by
- * the snap_diff lockstep harness — driven here by an Env bound to the
- * live core: real register file, real memories, real coprocessor
- * FIFOs. The CHP fetch/execute pair is replaced by a single coroutine
- * that runs up to kFlushBudget instructions per kernel slice and then
- * settles the books: per-instruction-class counts are converted to one
- * delay and a handful of ledger charges through the CoreConfig
- * calibration table (energy/class_cal.hh). Books are also settled
- * before anything externally visible — an r15 FIFO access, a timer
- * command, the event wait at `done` — so inter-node interactions
- * happen at statistically correct times.
+ * Architectural semantics come from the predecoded engine
+ * (ref/predecode.hh), driven here by an Env bound to the live core:
+ * real register file, real memories, real coprocessor FIFOs. The CHP
+ * fetch/execute pair is replaced by a single coroutine that runs up to
+ * kFlushBudget instructions per kernel slice and then settles the
+ * books: per-instruction-class counts are converted to one delay and a
+ * handful of ledger charges through the CoreConfig calibration table
+ * (energy/class_cal.hh). Books are also settled before anything
+ * externally visible — an r15 FIFO access, a timer command, the event
+ * wait at `done` — so inter-node interactions happen at statistically
+ * correct times.
+ *
+ * With a commit sink attached the core emits the same per-instruction
+ * and dispatch ref::CommitRecords as the cycle tier, so the snap_diff
+ * lockstep harness checks this Env against the golden model. Env is
+ * templated on whether it commits: the instantiation is picked per
+ * slice, and a run without a sink compiles the record-building away.
  *
  * Deliberately not modeled at this tier: per-instruction trace events
- * (CoreFetch/CoreExec), the per-PC flat profile, and per-instruction
- * commit records (the sink still sees Dispatch records from the shared
- * handler-boundary path).
+ * (CoreFetch/CoreExec) and the per-PC flat profile.
  */
 
 #include "core/core.hh"
@@ -150,11 +153,18 @@ struct SnapCore::FastTier
         return total;
     }
 
-    /** The predecoded engine's environment, bound to the live core. */
+    /**
+     * The predecoded engine's environment, bound to the live core.
+     * With Commit set it also builds one ref::CommitRecord per
+     * retirement into the core's commit sink; a stalled instruction
+     * rebuilds its record when it re-executes.
+     */
+    template <bool Commit>
     struct Env
     {
         SnapCore &c;
         FastTier &t;
+        ref::CommitRecord rec{};
 
         std::uint16_t *regs() { return c.regs_.data(); }
         std::uint16_t *handlers() { return c.handlerTable_.data(); }
@@ -167,12 +177,17 @@ struct SnapCore::FastTier
         void setCarry(bool v) { c.carry_ = v; }
         std::uint16_t lfsr() { return c.lfsr_.state(); }
         void setLfsr(std::uint16_t v) { c.lfsr_.seed(v); }
-        unsigned mutation() { return 0; }
 
         void
-        beginInstr(std::uint16_t, const ref::pre::PLine &)
+        beginInstr(std::uint16_t pc, const ref::pre::PLine &ln)
         {
             t.replayCursor = 0;
+            if constexpr (Commit) {
+                rec = ref::CommitRecord{};
+                rec.pc = pc;
+                rec.word = ln.word;
+                rec.imm = ln.imm;
+            }
         }
 
         bool
@@ -180,6 +195,8 @@ struct SnapCore::FastTier
         {
             if (t.replayCursor < t.replay.size()) {
                 v = t.replay[t.replayCursor++];
+                if constexpr (Commit)
+                    rec.fifoRead[rec.fifoReads++] = v;
                 return true;
             }
             t.stallKind = StallKind::R15Read;
@@ -191,6 +208,10 @@ struct SnapCore::FastTier
         {
             if (t.ioDone) {
                 t.ioDone = false;
+                if constexpr (Commit) {
+                    rec.fifoWrite = true;
+                    rec.fifoWriteValue = v;
+                }
                 return true;
             }
             t.pendingWord = v;
@@ -203,6 +224,12 @@ struct SnapCore::FastTier
         {
             if (t.ioDone) {
                 t.ioDone = false;
+                if constexpr (Commit) {
+                    rec.timerCmd = true;
+                    rec.timerFn = fn;
+                    rec.timerReg = reg;
+                    rec.timerValue = v;
+                }
                 return true;
             }
             t.pendingTimer =
@@ -211,29 +238,42 @@ struct SnapCore::FastTier
             return false;
         }
 
-        void noteRegWrite(unsigned, std::uint16_t) {}
-        void noteMemWrite(bool, std::uint16_t, std::uint16_t) {}
+        void
+        noteRegWrite(unsigned idx, std::uint16_t v)
+        {
+            if constexpr (Commit) {
+                rec.regWrite = true;
+                rec.regIndex = static_cast<std::uint8_t>(idx);
+                rec.regValue = v;
+            }
+        }
+
+        void
+        noteMemWrite(bool isImem, std::uint16_t a, std::uint16_t v)
+        {
+            if constexpr (Commit) {
+                rec.memWrite = true;
+                rec.memIsImem = isImem;
+                rec.memAddr = a;
+                rec.memValue = v;
+            }
+        }
+
         void dbgout(std::uint16_t v) { c.debugOut_.push_back(v); }
 
         void
-        retire(const ref::pre::PLine &ln, std::uint16_t, bool)
+        retire(const ref::pre::PLine &ln, bool carry)
         {
             ++t.counts[static_cast<std::size_t>(classOfKind(ln.kind))];
             t.words += ln.len;
             ++t.instrs;
             t.replay.clear();
             t.stallKind = StallKind::None;
+            if constexpr (Commit) {
+                rec.carry = carry;
+                c.commitSink_->commit(rec);
+            }
         }
-
-        void
-        retireDone(const ref::pre::PLine &ln, std::uint16_t pc, bool carry)
-        {
-            retire(ln, pc, carry);
-        }
-
-        /** The process loop dispatches through awaitDispatch(). */
-        int nextEvent() { return ref::pre::kEventsAsync; }
-        void noteDispatch(std::uint8_t, std::uint16_t) {}
     };
 };
 
@@ -373,10 +413,14 @@ SnapCore::fastProcess()
     } else {
         beginBoot();
     }
-    FastTier::Env env{*this, ft};
+    FastTier::Env<false> env{*this, ft};
+    FastTier::Env<true> commitEnv{*this, ft};
     for (;;) {
+        // Chosen per slice: a sink attached mid-run takes effect at
+        // the next slice.
         const ref::pre::PStop stop =
-            ref::pre::runPredecoded(env, kFlushBudget);
+            commitSink_ ? ref::pre::runPredecoded(commitEnv, kFlushBudget)
+                        : ref::pre::runPredecoded(env, kFlushBudget);
         const Tick cost = ft.flush(*this);
         if (cost)
             co_await ctx_.kernel.delay(cost);
@@ -414,8 +458,6 @@ SnapCore::fastProcess()
           case ref::pre::PStop::DecodeError:
             sim::fatal("fast tier: illegal instruction at pc ", ft.pc,
                        " (word ", imem_.peek(ft.pc), ")");
-          case ref::pre::PStop::EventsExhausted:
-            sim::panic("fast tier: unexpected engine stop");
         }
     }
 }

@@ -31,6 +31,9 @@ class Machine
     /** Architected DMEM size: 2K words (4 KB). */
     static constexpr std::size_t kDmemWords = 2048;
 
+    /** Depth of each r15 message FIFO (core <-> message coprocessor). */
+    static constexpr std::size_t kMsgFifoDepth = 4;
+
     /**
      * @param name prefix of the trace scopes: `<name>.evq`, `.msgin`,
      *        `.msgout`, `.tport` and `.core`.
@@ -42,8 +45,8 @@ class Machine
           dmem_(ctx_, mem::Bank::Dmem, kDmemWords),
           eventQueue_(kernel, cfg.eventQueueDepth,
                       ctx_.gd(ctx_.tcal.eventWakeGd), name + ".evq"),
-          msgIn_(kernel, cfg.msgFifoDepth, 0, name + ".msgin"),
-          msgOut_(kernel, cfg.msgFifoDepth, 0, name + ".msgout"),
+          msgIn_(kernel, kMsgFifoDepth, 0, name + ".msgin"),
+          msgOut_(kernel, kMsgFifoDepth, 0, name + ".msgout"),
           timerPort_(kernel, ctx_.gd(4), name + ".tport"),
           core_(ctx_, imem_, dmem_, eventQueue_, msgIn_, msgOut_,
                 timerPort_, name + ".core"),

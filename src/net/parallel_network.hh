@@ -285,12 +285,6 @@ class ParallelNetwork
     std::uint64_t airDropsDead() const { return exchange_.dropsDead(); }
     ///@}
 
-    /** Offers the receiver missed in the wrong mode ("air.drops_mode"). */
-    std::uint64_t airDropsMode() const { return exchange_.dropsMode(); }
-
-    /** Offers lost to a full RX FIFO ("air.drops_fifo"). */
-    std::uint64_t airDropsFifo() const { return exchange_.dropsFifo(); }
-
     /** Field mode: (flight, in-range receiver) opportunities. */
     std::uint64_t airRxInRange() const { return exchange_.rxInRange(); }
 

@@ -189,12 +189,6 @@ class AirExchange
     /** Deliveries suppressed by a dead receiver ("air.drops_dead"). */
     std::uint64_t dropsDead() const { return dropsDead_->value(); }
 
-    /** Offers the receiver missed in the wrong mode ("air.drops_mode"). */
-    std::uint64_t dropsMode() const { return dropsMode_->value(); }
-
-    /** Offers lost to a full RX FIFO ("air.drops_fifo"). */
-    std::uint64_t dropsFifo() const { return dropsFifo_->value(); }
-
     /** Field mode: (flight, in-range receiver) opportunities. */
     std::uint64_t rxInRange() const { return rxInRange_->value(); }
 

@@ -2,8 +2,8 @@
  * @file
  * Per-retired-instruction commit records for differential co-simulation.
  *
- * Both executors of the SNAP ISA — the CHP machine model
- * (core::SnapCore) and the architectural reference interpreter
+ * Both executors of the SNAP ISA — the machine model (core::SnapCore,
+ * at either fidelity) and the architectural reference interpreter
  * (ref::RefMachine) — emit one CommitRecord per retired instruction
  * plus one per event-handler dispatch into a CommitSink. The lockstep
  * checker (ref/diff.hh) compares the two streams record by record; the

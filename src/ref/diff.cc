@@ -54,8 +54,8 @@ reproCommand(std::uint64_t seed, const DiffConfig &cfg)
         cmd += " --blocks " + std::to_string(cfg.gen.blocks);
     if (cfg.mutation)
         cmd += " --mutation " + std::to_string(cfg.mutation);
-    if (cfg.engine == RefOptions::Engine::Predecoded)
-        cmd += " --engine predecoded";
+    if (cfg.fidelity == core::FidelityMode::Fast)
+        cmd += " --fidelity fast";
     return cmd;
 }
 
@@ -110,20 +110,26 @@ diffOne(std::uint64_t seed, const DiffConfig &cfg)
         return out;
     }
 
-    // --- Timed run on the CHP machine, commit log attached. ---
+    // --- Timed run on the core, commit log attached. ---
     sim::Kernel kernel;
     core::Machine machine(kernel);
-    machine.load(prog);
+    try {
+        machine.load(prog);
+    } catch (const sim::FatalError &e) {
+        out.report = std::string("generated program does not fit (") +
+                     e.what() + ")\n  " + reproCommand(seed, cfg);
+        return out;
+    }
     CommitSink coreSink;
     machine.core().setCommitSink(&coreSink);
-    machine.start();
+    machine.start(cfg.fidelity);
     if (gp.usesMsgIo)
         kernel.spawn(echoProcess(machine), "r15-echo");
 
     try {
         kernel.run(cfg.maxSimTime);
     } catch (const sim::FatalError &e) {
-        out.report = std::string("CHP run failed (") + e.what() + ")\n  " +
+        out.report = std::string("core run failed (") + e.what() + ")\n  " +
                      reproCommand(seed, cfg);
         return out;
     }
@@ -148,7 +154,6 @@ diffOne(std::uint64_t seed, const DiffConfig &cfg)
 
     RefOptions ropt;
     ropt.mutation = cfg.mutation;
-    ropt.engine = cfg.engine;
     RefMachine ref(prog, ropt);
     CommitSink refSink;
     const RefMachine::Stop stop = ref.run(inj, refSink);

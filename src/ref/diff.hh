@@ -1,10 +1,14 @@
 /**
  * @file
- * Lockstep differential checker: CHP machine model vs golden model.
+ * Lockstep differential checker: the core at either fidelity vs the
+ * golden model.
  *
  * One diffOne() call is one experiment: a seeded random program is
- * generated, assembled, and run to completion on the timed CHP machine
- * (core::Machine) with a commit sink attached. The nondeterministic
+ * generated, assembled, and run to completion on the timed machine
+ * (core::Machine) with a commit sink attached, at the fidelity the
+ * config names: the CHP two-process core (cycle) or the predecoded
+ * statistical core (fast), each exactly as production runs it. The
+ * nondeterministic
  * inputs that run observed — every word dequeued from the r15 FIFO and
  * every event token dispatched at a `done` — are extracted from its
  * commit log and replayed into the untimed reference interpreter
@@ -25,8 +29,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/core.hh"
 #include "ref/progen.hh"
-#include "ref/ref_machine.hh"
 #include "sim/ticks.hh"
 
 namespace snaple::ref {
@@ -42,9 +46,8 @@ struct DiffConfig
     /** Seeded bug planted in the *reference* (RefOptions::mutation). */
     unsigned mutation = 0;
 
-    /** Reference engine to check the CHP core against. Predecoded
-     *  turns the sweep into a validator of the fast tier itself. */
-    RefOptions::Engine engine = RefOptions::Engine::Classic;
+    /** Which tier of the core is checked against the reference. */
+    core::FidelityMode fidelity = core::FidelityMode::Cycle;
 
     /** Pick the program class from the seed (default) or fix it. */
     bool anyClass = true;

@@ -1,23 +1,22 @@
 /**
  * @file
- * Predecoded fast-execution engine for the SNAP ISA.
+ * Predecoded execution engine for the SNAP ISA: the fast fidelity
+ * tier's interpreter (core/fast_core.cc).
  *
- * The classic reference interpreter (ref_machine.cc) hand-decodes
- * every instruction word on every visit. This header provides the
- * fast tier built on top of the same architectural semantics: a
- * per-PC predecode cache (PLine) filled lazily the first time a PC
- * executes, and a dispatch loop over a dense fused-opcode index
- * (PKind) — computed-goto threaded dispatch on GCC/Clang, a dense
+ * A per-PC predecode cache (PLine) is filled lazily the first time a
+ * PC executes, and the dispatch loop runs over a dense fused-opcode
+ * index (PKind): computed-goto threaded dispatch on GCC/Clang, a dense
  * switch elsewhere. Hot state (pc, carry flag, LFSR) lives in locals
  * for the whole engine entry and is written back on return.
  *
- * The engine is semantics-only and time-free; everything environment
- * specific — where the r15 message-FIFO words come from, what a timer
- * command does, how retirements are counted or committed — is behind
- * an Env policy type, so one audited implementation of the ISA backs
- * both the predecoded RefMachine engine (injection replay for the
- * differential checker) and the fast-fidelity node core (live
- * coprocessor FIFOs with statistical timing).
+ * The engine is semantics-only and time-free. Everything the live core
+ * supplies (where the r15 message-FIFO words come from, what a timer
+ * command does, how retirements are counted and whether they are
+ * committed as ref::CommitRecords) is behind an Env policy type. The
+ * fast core's Env emits the same per-instruction commit stream as the
+ * cycle core, so the snap_diff lockstep harness checks this engine,
+ * as production runs it, against the classic golden model
+ * (ref/ref_machine.hh).
  *
  * An Env provides:
  *
@@ -29,30 +28,27 @@
  *   std::uint16_t pc();  void setPc(std::uint16_t);
  *   bool carry();        void setCarry(bool);
  *   std::uint16_t lfsr(); void setLfsr(std::uint16_t);
- *   unsigned mutation();        // seeded-bug id, 0 = faithful
  *
  *   void beginInstr(std::uint16_t pc, const PLine &ln);
- *   bool readR15(std::uint16_t &v);        // false = stall/exhausted
+ *   bool readR15(std::uint16_t &v);        // false = stall
  *   bool writeR15(std::uint16_t v);        // false = stall
  *   bool timerCmd(std::uint8_t fn, std::uint8_t reg, std::uint16_t v);
  *   void noteRegWrite(unsigned idx, std::uint16_t v);
  *   void noteMemWrite(bool isImem, std::uint16_t a, std::uint16_t v);
  *   void dbgout(std::uint16_t v);
- *   void retire(const PLine &ln, std::uint16_t pc, bool carry);
- *   void retireDone(const PLine &ln, std::uint16_t pc, bool carry);
- *   int  nextEvent();   // >= 0 event, or kEvents{Exhausted,Async,Bad}
- *   void noteDispatch(std::uint8_t ev, std::uint16_t handlerPc);
+ *   void retire(const PLine &ln, bool carry);
  *
  * Stall protocol: when readR15 / writeR15 / timerCmd return false the
  * engine returns PStop::Stall with NO architectural state mutated and
  * the pc still pointing at the stalled instruction. The environment
- * resolves the I/O (or treats the stall as terminal) and may re-enter
- * the engine, which re-executes the instruction from scratch; an Env
- * that resumes must therefore replay operand reads it has already
- * satisfied (beginInstr marks the instruction boundary for that).
- * Persistent state (registers, carry, LFSR, memories, handler table)
- * is only written once every stallable step of an instruction has
- * succeeded, so re-execution is always safe.
+ * resolves the I/O and re-enters the engine, which re-executes the
+ * instruction from scratch; the Env must therefore replay operand
+ * reads it has already satisfied (beginInstr marks the instruction
+ * boundary for that). Persistent state (registers, carry, LFSR,
+ * memories, handler table) is only written once every stallable step
+ * of an instruction has succeeded, so re-execution is always safe.
+ * A retired `done` returns PStop::Done; the Env's owner performs the
+ * event dispatch and re-enters at the handler.
  */
 
 #ifndef SNAPLE_REF_PREDECODE_HH
@@ -69,11 +65,6 @@ inline constexpr std::uint16_t kLfsrTaps = 0xB400;
 inline constexpr std::uint16_t kLfsrDefaultSeed = 0xACE1;
 inline constexpr std::uint16_t kMemWords = 2048;
 inline constexpr unsigned kNumEvents = 7;
-
-/** Env::nextEvent() out-of-band results. */
-inline constexpr int kEventsExhausted = -1; ///< injection ran dry
-inline constexpr int kEventsAsync = -2;     ///< env dispatches itself
-inline constexpr int kEventBad = -3;        ///< event number >= 7
 
 /**
  * Dense fused opcode: one index per (op, fn, addressing-mode)
@@ -120,12 +111,11 @@ struct PLine
 /** Why the engine returned. */
 enum class PStop : std::uint8_t
 {
-    Halt,            ///< `halt` retired
-    EventsExhausted, ///< `done` and Env::nextEvent ran dry
-    Done,            ///< `done` and the env dispatches asynchronously
-    Stall,           ///< an Env I/O could not complete (pc unchanged)
-    StepLimit,       ///< step budget spent without another stop
-    DecodeError,     ///< illegal encoding reached
+    Halt,        ///< `halt` retired
+    Done,        ///< `done` retired; the env dispatches the next event
+    Stall,       ///< an Env I/O could not complete (pc unchanged)
+    StepLimit,   ///< step budget spent without another stop
+    DecodeError, ///< illegal encoding reached
 };
 
 /**
@@ -230,12 +220,8 @@ decodeLine(const std::uint16_t *imem, std::uint32_t imemWords,
 #define SNAPLE_PRE_THREADED 0
 #endif
 
-/**
- * Run up to @p maxSteps architectural steps against @p env. One step
- * is one retired instruction; the event dispatch following a `done`
- * rides along with the `done` step, exactly like the classic
- * interpreter's accounting.
- */
+/** Run up to @p maxSteps architectural steps (retired instructions)
+ *  against @p env. */
 template <class Env>
 PStop
 runPredecoded(Env &env, std::uint64_t maxSteps)
@@ -245,7 +231,6 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
     std::uint16_t *const imem = env.imem();
     std::uint16_t *const dmem = env.dmem();
     PLine *const lines = env.lines();
-    const unsigned mut = env.mutation();
 
     // Hot state in locals; written back through PRE_RET on every exit.
     std::uint16_t pc = env.pc();
@@ -289,7 +274,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
 
 #define PRE_RETIRE()                                                   \
     do {                                                               \
-        env.retire(*ln, pc, carry);                                    \
+        env.retire(*ln, carry);                                        \
         pc = pcNext;                                                   \
     } while (0)
 
@@ -371,19 +356,11 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
     PRE_CASE(SubR) : {
         PRE_ALU_R_OPERANDS();
         // a - b as a + ~b + 1; the carry out is "no borrow".
-        const std::uint32_t wide =
-            std::uint32_t(vd) + (~b & 0xffffu) + 1;
-        PRE_WRITE_RD(static_cast<std::uint16_t>(wide));
-        carry = (wide >> 16) & 1;
-        if (mut == 2)
-            carry = !carry;
-        PRE_RETIRE();
-        PRE_NEXT();
+        PRE_ARITH(std::uint32_t(vd) + (~b & 0xffffu) + 1);
     }
     PRE_CASE(AddcR) : {
         PRE_ALU_R_OPERANDS();
-        const std::uint32_t cin = (mut == 1) ? 0 : (carry ? 1 : 0);
-        PRE_ARITH(std::uint32_t(vd) + b + cin);
+        PRE_ARITH(std::uint32_t(vd) + b + (carry ? 1 : 0));
     }
     PRE_CASE(SubcR) : {
         PRE_ALU_R_OPERANDS();
@@ -417,12 +394,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
     }
     PRE_CASE(SraR) : {
         PRE_ALU_R_OPERANDS();
-        const std::uint16_t r =
-            (mut == 3)
-                ? static_cast<std::uint16_t>(vd >> (b & 15))
-                : static_cast<std::uint16_t>(
-                      static_cast<std::int16_t>(vd) >> (b & 15));
-        PRE_PLAIN(r);
+        PRE_PLAIN(static_cast<std::int16_t>(vd) >> (b & 15));
     }
     PRE_CASE(MovR) : {
         std::uint16_t b = 0;
@@ -435,12 +407,11 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         PRE_PLAIN(-b);
     }
     PRE_CASE(RandR) : {
-        const std::uint16_t taps = (mut == 5) ? 0xA001 : kLfsrTaps;
         std::uint16_t nl = lfsr;
         const std::uint16_t lsb = nl & 1u;
         nl = static_cast<std::uint16_t>(nl >> 1);
         if (lsb)
-            nl ^= taps;
+            nl ^= kLfsrTaps;
         PRE_WRITE_RD(nl);
         lfsr = nl;
         PRE_RETIRE();
@@ -471,19 +442,11 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
     }
     PRE_CASE(SubI) : {
         PRE_ALU_I_OPERANDS();
-        const std::uint32_t wide =
-            std::uint32_t(vd) + (~b & 0xffffu) + 1;
-        PRE_WRITE_RD(static_cast<std::uint16_t>(wide));
-        carry = (wide >> 16) & 1;
-        if (mut == 2)
-            carry = !carry;
-        PRE_RETIRE();
-        PRE_NEXT();
+        PRE_ARITH(std::uint32_t(vd) + (~b & 0xffffu) + 1);
     }
     PRE_CASE(AddcI) : {
         PRE_ALU_I_OPERANDS();
-        const std::uint32_t cin = (mut == 1) ? 0 : (carry ? 1 : 0);
-        PRE_ARITH(std::uint32_t(vd) + b + cin);
+        PRE_ARITH(std::uint32_t(vd) + b + (carry ? 1 : 0));
     }
     PRE_CASE(SubcI) : {
         PRE_ALU_I_OPERANDS();
@@ -512,12 +475,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
     }
     PRE_CASE(SraI) : {
         PRE_ALU_I_OPERANDS();
-        const std::uint16_t r =
-            (mut == 3)
-                ? static_cast<std::uint16_t>(vd >> (b & 15))
-                : static_cast<std::uint16_t>(
-                      static_cast<std::int16_t>(vd) >> (b & 15));
-        PRE_PLAIN(r);
+        PRE_PLAIN(static_cast<std::int16_t>(vd) >> (b & 15));
     }
     PRE_CASE(MovI) : {
         PRE_PLAIN(ln->imm);
@@ -587,8 +545,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         std::uint16_t vd = 0;
         PRE_READ(ln->rd, vd);
         if (vd == 0)
-            pcNext = static_cast<std::uint16_t>(
-                ((mut == 6) ? pc : pcNext) + ln->off8);
+            pcNext = static_cast<std::uint16_t>(pcNext + ln->off8);
         PRE_RETIRE();
         PRE_NEXT();
     }
@@ -596,8 +553,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         std::uint16_t vd = 0;
         PRE_READ(ln->rd, vd);
         if (vd != 0)
-            pcNext = static_cast<std::uint16_t>(
-                ((mut == 6) ? pc : pcNext) + ln->off8);
+            pcNext = static_cast<std::uint16_t>(pcNext + ln->off8);
         PRE_RETIRE();
         PRE_NEXT();
     }
@@ -605,8 +561,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         std::uint16_t vd = 0;
         PRE_READ(ln->rd, vd);
         if (static_cast<std::int16_t>(vd) < 0)
-            pcNext = static_cast<std::uint16_t>(
-                ((mut == 6) ? pc : pcNext) + ln->off8);
+            pcNext = static_cast<std::uint16_t>(pcNext + ln->off8);
         PRE_RETIRE();
         PRE_NEXT();
     }
@@ -614,8 +569,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         std::uint16_t vd = 0;
         PRE_READ(ln->rd, vd);
         if (static_cast<std::int16_t>(vd) >= 0)
-            pcNext = static_cast<std::uint16_t>(
-                ((mut == 6) ? pc : pcNext) + ln->off8);
+            pcNext = static_cast<std::uint16_t>(pcNext + ln->off8);
         PRE_RETIRE();
         PRE_NEXT();
     }
@@ -651,10 +605,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         std::uint16_t vd = 0, vs = 0;
         PRE_READ(ln->rd, vd);
         PRE_READ(ln->rs, vs);
-        const std::uint16_t mask =
-            (mut == 4) ? static_cast<std::uint16_t>(~ln->imm)
-                       : ln->imm;
-        PRE_PLAIN((vd & ~mask) | (vs & mask));
+        PRE_PLAIN((vd & ~ln->imm) | (vs & ln->imm));
     }
     PRE_CASE(Timer) : {
         std::uint16_t vd = 0, vs = 0;
@@ -669,22 +620,8 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         PRE_NEXT();
     }
     PRE_CASE(Done) : {
-        // Commit the `done`, then turn to the event queue.
-        env.retireDone(*ln, pc, carry);
-        const int ev = env.nextEvent();
-        if (ev == kEventsExhausted) {
-            pc = pcNext;
-            PRE_RET(EventsExhausted);
-        }
-        if (ev == kEventsAsync) {
-            pc = pcNext;
-            PRE_RET(Done);
-        }
-        if (ev < 0)
-            PRE_RET(DecodeError); // bad event number, pc unchanged
-        pc = handlers[ev];
-        env.noteDispatch(static_cast<std::uint8_t>(ev), pc);
-        PRE_NEXT();
+        PRE_RETIRE();
+        PRE_RET(Done);
     }
     PRE_CASE(SetAddr) : {
         std::uint16_t vd = 0, vs = 0;
@@ -692,8 +629,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         PRE_READ(ln->rs, vs);
         if (vd >= kNumEvents)
             PRE_RET(DecodeError);
-        const unsigned idx = (mut == 7) ? (vd + 1) % kNumEvents : vd;
-        handlers[idx] = vs;
+        handlers[vd] = vs;
         PRE_RETIRE();
         PRE_NEXT();
     }

@@ -27,22 +27,14 @@ RefMachine::RefMachine(const assembler::Program &prog,
         dmem_[i] = prog.dmem[i];
 }
 
-RefMachine::Stop
-RefMachine::run(Injection &inj, CommitSink &sink)
-{
-    if (opt_.engine == RefOptions::Engine::Predecoded)
-        return runPredecoded(inj, sink);
-    return runClassic(inj, sink);
-}
-
 /**
- * The classic interpreter. One architectural step per loop iteration:
- * fetch, hand-decode, execute, commit. Everything is in this one
- * function so the whole semantics of the ISA can be audited in a
- * single read-through against docs/ISA.md.
+ * One architectural step per loop iteration: fetch, hand-decode,
+ * execute, commit. Everything is in this one function so the whole
+ * semantics of the ISA can be audited in a single read-through
+ * against docs/ISA.md.
  */
 RefMachine::Stop
-RefMachine::runClassic(Injection &inj, CommitSink &sink)
+RefMachine::run(Injection &inj, CommitSink &sink)
 {
     const unsigned mut = opt_.mutation;
 
@@ -384,150 +376,6 @@ RefMachine::runClassic(Injection &inj, CommitSink &sink)
             return Stop::Halt;
     }
     return Stop::StepLimit;
-}
-
-/**
- * Environment binding the predecoded engine of ref/predecode.hh to
- * this machine's state, the replayed Injection and the commit log.
- * All I/O hooks are synchronous: an r15 read that finds the injection
- * dry reports a (terminal) stall, r15/timer writes are recorded into
- * the in-flight CommitRecord and always succeed.
- */
-struct RefMachine::PreEnv
-{
-    RefMachine &m;
-    Injection &inj;
-    CommitSink &sink;
-    CommitRecord rec;
-
-    std::uint16_t *regs() { return m.regs_.data(); }
-    std::uint16_t *handlers() { return m.handlers_.data(); }
-    std::uint16_t *imem() { return m.imem_.data(); }
-    std::uint16_t *dmem() { return m.dmem_.data(); }
-    pre::PLine *lines() { return m.plines_.data(); }
-    std::uint16_t pc() const { return m.pc_; }
-    void setPc(std::uint16_t v) { m.pc_ = v; }
-    bool carry() const { return m.carry_; }
-    void setCarry(bool c) { m.carry_ = c; }
-    std::uint16_t lfsr() const { return m.lfsr_; }
-    void setLfsr(std::uint16_t v) { m.lfsr_ = v; }
-    unsigned mutation() const { return m.opt_.mutation; }
-
-    void
-    beginInstr(std::uint16_t pc, const pre::PLine &ln)
-    {
-        rec = CommitRecord{};
-        rec.pc = pc;
-        rec.word = ln.word;
-        rec.imm = ln.imm;
-    }
-
-    bool
-    readR15(std::uint16_t &v)
-    {
-        if (inj.r15.empty())
-            return false;
-        v = inj.r15.front();
-        inj.r15.pop_front();
-        rec.fifoRead[rec.fifoReads++] = v;
-        return true;
-    }
-
-    bool
-    writeR15(std::uint16_t v)
-    {
-        rec.fifoWrite = true;
-        rec.fifoWriteValue = v;
-        return true;
-    }
-
-    void
-    noteRegWrite(unsigned idx, std::uint16_t v)
-    {
-        rec.regWrite = true;
-        rec.regIndex = static_cast<std::uint8_t>(idx);
-        rec.regValue = v;
-    }
-
-    void
-    noteMemWrite(bool isImem, std::uint16_t addr, std::uint16_t v)
-    {
-        rec.memWrite = true;
-        rec.memIsImem = isImem;
-        rec.memAddr = addr;
-        rec.memValue = v;
-    }
-
-    bool
-    timerCmd(std::uint8_t fn, std::uint8_t treg, std::uint16_t value)
-    {
-        rec.timerCmd = true;
-        rec.timerFn = fn;
-        rec.timerReg = treg;
-        rec.timerValue = value;
-        return true;
-    }
-
-    void dbgout(std::uint16_t v) { m.dbg_.push_back(v); }
-
-    void
-    retire(const pre::PLine &, std::uint16_t, bool carry)
-    {
-        rec.carry = carry;
-        sink.commit(rec);
-    }
-
-    void
-    retireDone(const pre::PLine &ln, std::uint16_t pc, bool carry)
-    {
-        retire(ln, pc, carry);
-    }
-
-    int
-    nextEvent()
-    {
-        if (inj.events.empty())
-            return pre::kEventsExhausted;
-        const std::uint8_t ev = inj.events.front();
-        inj.events.pop_front();
-        if (ev >= pre::kNumEvents)
-            return pre::kEventBad;
-        return ev;
-    }
-
-    void
-    noteDispatch(std::uint8_t ev, std::uint16_t handlerPc)
-    {
-        CommitRecord disp;
-        disp.kind = CommitKind::Dispatch;
-        disp.event = ev;
-        disp.pc = handlerPc;
-        sink.commit(disp);
-    }
-};
-
-RefMachine::Stop
-RefMachine::runPredecoded(Injection &inj, CommitSink &sink)
-{
-    if (plines_.empty())
-        plines_.resize(kMemWords);
-    PreEnv env{*this, inj, sink, CommitRecord{}};
-    switch (pre::runPredecoded(env, opt_.maxSteps)) {
-      case pre::PStop::Halt:
-        return Stop::Halt;
-      case pre::PStop::EventsExhausted:
-        return Stop::EventsExhausted;
-      case pre::PStop::Stall:
-        // The only stallable I/O an Injection can refuse is an r15
-        // read; writes and timer commands always land in the record.
-        return Stop::R15Exhausted;
-      case pre::PStop::StepLimit:
-        return Stop::StepLimit;
-      case pre::PStop::Done: // PreEnv never asks for async dispatch
-      case pre::PStop::DecodeError:
-        break;
-    }
-    return Stop::DecodeError;
 }
 
 } // namespace snaple::ref

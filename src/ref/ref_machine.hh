@@ -19,7 +19,9 @@
  *
  * A nonzero `mutation` plants a known semantic bug (wrong carry
  * polarity, shift mishandling, LFSR taps, ...) used to prove the
- * differential harness actually detects divergences.
+ * differential harness actually detects divergences. Both fidelity
+ * tiers of the core are checked against this one interpreter, so a
+ * seeded bug here must be caught on either side.
  */
 
 #ifndef SNAPLE_REF_REF_MACHINE_HH
@@ -32,7 +34,6 @@
 
 #include "asm/program.hh"
 #include "ref/commit_log.hh"
-#include "ref/predecode.hh"
 
 namespace snaple::ref {
 
@@ -46,24 +47,7 @@ struct Injection
 /** Knobs for one reference run. */
 struct RefOptions
 {
-    /**
-     * Which execution engine interprets the program. Classic is the
-     * original hand-decoded loop (the golden model proper);
-     * Predecoded is the fast tier of ref/predecode.hh — same
-     * architectural semantics behind a per-PC predecode cache and
-     * threaded dispatch. The differential harness can run either, so
-     * the predecoded engine is itself validated by the same lockstep
-     * sweep that checks the CHP core.
-     */
-    enum class Engine
-    {
-        Classic,
-        Predecoded,
-    };
-
     std::uint64_t maxSteps = 2000000; ///< runaway guard
-
-    Engine engine = Engine::Classic;
 
     /**
      * Seeded-bug selector, 0 = faithful. Each id is one plausible
@@ -113,17 +97,11 @@ class RefMachine
     ///@}
 
   private:
-    struct PreEnv;
-
-    Stop runClassic(Injection &inj, CommitSink &sink);
-    Stop runPredecoded(Injection &inj, CommitSink &sink);
-
     std::vector<std::uint16_t> imem_;
     std::vector<std::uint16_t> dmem_;
     std::array<std::uint16_t, 15> regs_{};
     std::array<std::uint16_t, 7> handlers_{};
     std::vector<std::uint16_t> dbg_;
-    std::vector<pre::PLine> plines_; ///< lazily sized (Predecoded only)
     std::uint16_t pc_ = 0;
     std::uint16_t lfsr_;
     bool carry_ = false;

@@ -57,7 +57,6 @@ class FramePool
             lists_[cls].pop_back();
             return p;
         }
-        ++mallocs_;
         return ::operator new(classBytes(cls));
     }
 
@@ -76,9 +75,6 @@ class FramePool
             ::operator delete(p);
         }
     }
-
-    /** Allocations that had to fall through to the host allocator. */
-    std::uint64_t hostAllocations() const { return mallocs_; }
 
   private:
     /// Frames are rounded up to 64-byte classes; frames above 2 KB
@@ -99,7 +95,6 @@ class FramePool
     }
 
     std::vector<void *> lists_[kClasses];
-    std::uint64_t mallocs_ = 0;
 };
 
 inline FramePool *&

@@ -121,14 +121,15 @@ TEST(CoreEdgeTest, JalrRoundTripThroughRegister)
 
 TEST(CoreEdgeTest, WriteToR15StallsWhenFifoFull)
 {
-    CoreConfig cfg;
-    cfg.msgFifoDepth = 2;
+    static_assert(Machine::kMsgFifoDepth == 4);
     sim::Kernel k;
-    Machine m(k, cfg);
+    Machine m(k);
     m.load(assembler::assembleSnap(R"(
         li r15, 1
         li r15, 2
-        li r15, 3      ; fifo full: core stalls here
+        li r15, 3
+        li r15, 4
+        li r15, 5      ; fifo full: core stalls here
         li r1, 0xAA
         dbgout r1
         halt

@@ -5,17 +5,20 @@
  * CHP cycle tier — same registers, same dbgout stream, same message
  * and timer traffic, same instruction counts — with only time and
  * energy modeled statistically. Also pins the `sti` predecode-line
- * invalidation (self-modifying code).
+ * invalidation (self-modifying code) and that recording commit records
+ * changes nothing about a fast run.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "asm/snap_backend.hh"
 #include "core/machine.hh"
+#include "ref/commit_log.hh"
 #include "sim/kernel.hh"
 
 namespace {
@@ -204,6 +207,102 @@ TEST(FastTierTest, RefusesFlatBus)
         EXPECT_NE(std::string(e.what()).find("flatBus"), std::string::npos)
             << e.what();
     }
+}
+
+/** What a fast run leaves behind, for comparing runs. */
+struct FastRun
+{
+    sim::Tick end = 0;
+    core::SnapCore::Stats stats;
+    std::array<double, energy::kNumCats> pj{};
+    std::vector<std::uint16_t> dbg;
+    std::size_t records = 0;
+    std::size_t dispatches = 0;
+};
+
+/**
+ * Run a program that spans several fast-tier slices, stalls on an r15
+ * write and an r15 read, sends a timer command and dispatches its
+ * event. With @p attachAt a commit sink is attached once the kernel
+ * reaches that time (0 = before start, kMaxTick = never).
+ */
+FastRun
+runFastWithSink(sim::Tick attachAt)
+{
+    const char *src = R"(
+        li r1, 0
+        la r2, h
+        setaddr r1, r2
+        li r3, 700
+    loop:
+        add r4, r3
+        xori r4, 0x1234
+        dec r3
+        bnez r3, loop
+        mov r15, r4
+        mov r5, r15
+        dbgout r5
+        li r1, 0
+        li r2, 2000
+        schedlo r1, r2
+        done
+    h:
+        dbgout r4
+        halt
+    )";
+    sim::Kernel k;
+    Machine m(k);
+    m.load(assembler::assembleSnap(src));
+    ref::CommitSink sink;
+    if (attachAt == 0)
+        m.core().setCommitSink(&sink);
+    m.start(FidelityMode::Fast);
+    k.spawn([](Machine &mm) -> sim::Co<void> {
+        for (;;) {
+            const std::uint16_t w = co_await mm.msgIn().recv();
+            co_await mm.msgOut().send(static_cast<std::uint16_t>(~w));
+        }
+    }(m));
+    if (attachAt != 0 && attachAt != sim::kMaxTick) {
+        k.run(attachAt);
+        EXPECT_GT(m.core().stats().instructions, 0u);
+        EXPECT_FALSE(m.core().halted());
+        m.core().setCommitSink(&sink);
+    }
+    k.run(k.now() + 100 * sim::kMillisecond);
+    EXPECT_TRUE(m.core().halted());
+
+    FastRun r;
+    r.end = k.now();
+    r.stats = m.core().stats();
+    for (std::size_t c = 0; c < energy::kNumCats; ++c)
+        r.pj[c] = m.ctx().ledger.pj(static_cast<energy::Cat>(c));
+    r.dbg = m.core().debugOut();
+    r.records = sink.size();
+    for (const ref::CommitRecord &rec : sink.log())
+        r.dispatches += rec.kind == ref::CommitKind::Dispatch;
+    return r;
+}
+
+TEST(FastTierTest, CommitSinkChangesNothing)
+{
+    // The fast tier builds commit records in a separate instantiation
+    // of its engine environment; both must run the same machine.
+    const FastRun plain = runFastWithSink(sim::kMaxTick);
+    const FastRun sunk = runFastWithSink(0);
+    const FastRun late = runFastWithSink(sim::kMicrosecond);
+    EXPECT_EQ(plain.records, 0u);
+    EXPECT_EQ(sunk.records, sunk.stats.instructions + sunk.dispatches);
+    EXPECT_EQ(sunk.dispatches, 1u);
+    EXPECT_GT(late.records, 0u);
+    EXPECT_LT(late.records, sunk.records);
+    for (const FastRun *r : {&sunk, &late}) {
+        EXPECT_EQ(r->end, plain.end);
+        EXPECT_EQ(r->stats, plain.stats);
+        EXPECT_EQ(r->pj, plain.pj);
+        EXPECT_EQ(r->dbg, plain.dbg);
+    }
+    EXPECT_EQ(plain.dbg.size(), 2u);
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the differential co-simulation harness: per-class and
- * mixed random sweeps must agree, every seeded reference mutation must
- * be caught with a usable report, and the commit streams of both
- * executors must carry event-dispatch records.
+ * mixed random sweeps must agree at both core fidelities, every seeded
+ * reference mutation must be caught on either side with a usable
+ * report, and the commit streams of both executors must carry
+ * event-dispatch records.
  */
 
 #include <gtest/gtest.h>
@@ -59,18 +60,17 @@ TEST(DiffTest, MixedSweepAgrees)
     }
 }
 
-/** The predecoded engine (the fast tier's interpreter) must survive
- *  the same per-class sweep the classic reference does — including
- *  the self-modifying-code class, which exercises line invalidation
- *  on `sti`. */
-class PredecodedClassSweep
-    : public ::testing::TestWithParam<ref::ProgClass>
+/** The fast tier, as production runs it (live FIFOs, stall/replay,
+ *  the timer port), must survive the same per-class sweep the cycle
+ *  core does — including the self-modifying-code class, which
+ *  exercises predecoded-line invalidation on `sti`. */
+class FastTierClassSweep : public ::testing::TestWithParam<ref::ProgClass>
 {};
 
-TEST_P(PredecodedClassSweep, TwentySeedsAgree)
+TEST_P(FastTierClassSweep, TwentySeedsAgree)
 {
     ref::DiffConfig cfg;
-    cfg.engine = ref::RefOptions::Engine::Predecoded;
+    cfg.fidelity = core::FidelityMode::Fast;
     cfg.anyClass = false;
     cfg.cls = GetParam();
     for (std::uint64_t i = 0; i < 20; ++i) {
@@ -83,7 +83,7 @@ TEST_P(PredecodedClassSweep, TwentySeedsAgree)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllClasses, PredecodedClassSweep,
+    AllClasses, FastTierClassSweep,
     ::testing::Values(ref::ProgClass::Alu, ref::ProgClass::Memory,
                       ref::ProgClass::Control, ref::ProgClass::MsgIo,
                       ref::ProgClass::TimerEvent, ref::ProgClass::Smc),
@@ -91,32 +91,14 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(ref::className(info.param));
     });
 
-/** Mutations live in shared semantic helpers, so the predecoded
- *  dispatch loop must catch every one of them too — this pins that
- *  the fused-opcode paths go through the mutated helpers rather than
- *  reimplementing (and silently fixing) them. */
-TEST(DiffTest, EverySeededMutationIsCaughtByPredecoded)
-{
-    for (unsigned m = 1; m <= 7; ++m) {
-        ref::DiffConfig cfg;
-        cfg.engine = ref::RefOptions::Engine::Predecoded;
-        cfg.mutation = m;
-        bool caught = false;
-        for (std::uint64_t i = 0; i < 60 && !caught; ++i) {
-            const std::uint64_t seed = sim::deriveSeed(0xB06, i);
-            caught = !ref::diffOne(seed, cfg).ok;
-        }
-        EXPECT_TRUE(caught)
-            << "mutation " << m << " survived 60 random programs";
-    }
-}
-
 /** Find the first seed a mutated reference diverges on, if any. */
 std::uint64_t
-firstDivergingSeed(unsigned mutation, ref::DiffOutcome *out)
+firstDivergingSeed(unsigned mutation, ref::DiffOutcome *out,
+                   core::FidelityMode fidelity = core::FidelityMode::Cycle)
 {
     ref::DiffConfig cfg;
     cfg.mutation = mutation;
+    cfg.fidelity = fidelity;
     for (std::uint64_t i = 0; i < 60; ++i) {
         const std::uint64_t seed = sim::deriveSeed(0xB06, i);
         *out = ref::diffOne(seed, cfg);
@@ -148,6 +130,25 @@ TEST(DiffTest, EverySeededMutationIsCaught)
     }
 }
 
+/** The seeded bugs live in the classic reference only, so the harness
+ *  must catch each of them against the fast tier too, and the repro
+ *  line must re-run the fast tier. */
+TEST(DiffTest, EverySeededMutationIsCaughtAtFastFidelity)
+{
+    for (unsigned m = 1; m <= 7; ++m) {
+        ref::DiffOutcome out;
+        const std::uint64_t seed =
+            firstDivergingSeed(m, &out, core::FidelityMode::Fast);
+        ASSERT_NE(seed, 0u)
+            << "mutation " << m << " survived 60 random programs";
+        EXPECT_TRUE(out.divergence) << "mutation " << m;
+        EXPECT_NE(out.report.find("--mutation " + std::to_string(m) +
+                                  " --fidelity fast"),
+                  std::string::npos)
+            << out.report;
+    }
+}
+
 TEST(DiffTest, DivergenceReportsAreDeterministic)
 {
     ref::DiffOutcome first;
@@ -168,6 +169,23 @@ TEST(DiffTest, HarnessFailureIsNotADivergence)
     cfg.mutation = 99;
     ref::DiffOutcome out = ref::diffOne(sim::deriveSeed(0xB06, 0), cfg);
     EXPECT_TRUE(out.ok) << out.report;
+}
+
+TEST(DiffTest, OversizedProgramIsAHarnessFailure)
+{
+    // More blocks than the 2K-word IMEM holds: a clean report, not an
+    // uncaught FatalError out of the loader.
+    ref::DiffConfig cfg;
+    cfg.anyClass = false;
+    cfg.cls = ref::ProgClass::Control;
+    cfg.gen.blocks = 1024;
+    ref::DiffOutcome out = ref::diffOne(sim::deriveSeed(0xB06, 0), cfg);
+    EXPECT_FALSE(out.ok);
+    EXPECT_FALSE(out.divergence);
+    EXPECT_NE(out.report.find("does not fit"), std::string::npos)
+        << out.report;
+    EXPECT_NE(out.report.find("--blocks 1024"), std::string::npos)
+        << out.report;
 }
 
 /**

@@ -3,13 +3,13 @@
  * snap-diff: differential co-simulation fuzzer for the SNAP ISA.
  *
  * Usage: snap-diff [--seed S] [--count N] [--class C] [--no-smc]
- *                  [--blocks B] [--mutation M] [--engine E]
+ *                  [--blocks B] [--mutation M] [--fidelity F]
  *                  [--max-seconds T] [--replay SEED] [--dump-asm]
  *                  [--quiet]
  *
  * Generates N seeded random programs (per-program seed i is
- * sim::deriveSeed(S, i)), runs each on the timed CHP machine model and
- * on the untimed architectural reference, and diffs the two per-
+ * sim::deriveSeed(S, i)), runs each on the timed machine model and on
+ * the untimed architectural reference, and diffs the two per-
  * instruction commit streams plus the final architectural state. The
  * first divergence stops the run and prints a self-contained report:
  * both commit records, a disassembly window around the divergent pc,
@@ -17,15 +17,17 @@
  *
  * --class fixes the generator class (alu, memory, control, msgio,
  * timer, smc); by default the class is picked from each program's
- * seed, with smc included. --mutation M plants seeded bug M in the
- * *reference* (see ref/ref_machine.hh), so a passing sweep under
- * --mutation is itself a failure of the harness. --engine picks the
- * reference execution engine (classic, the original hand-decoded
- * interpreter, or predecoded, the fast tier's predecode-cache loop) —
- * sweeping with --engine predecoded validates the fast tier against
- * the CHP core with the same rigor. --max-seconds
- * time-boxes long fuzz runs (nightly CI): the sweep stops cleanly
- * after the current program once the budget is spent.
+ * seed, with smc included. --mutation M (1-7) plants seeded bug M in
+ * the *reference* (see ref/ref_machine.hh), so a passing sweep under
+ * --mutation is itself a failure of the harness. --fidelity picks the
+ * core tier under test, in snap-run's vocabulary: cycle (default, the
+ * CHP two-process core) or fast (the predecoded statistical core).
+ * --max-seconds time-boxes long fuzz runs (nightly CI): the sweep
+ * stops cleanly after the current program once the budget is spent.
+ *
+ * Numbers are read strictly: a value that is not a whole non-negative
+ * number in range exits 2 naming the flag. Seeds may also be written
+ * in the 0x... hex that the repro lines print.
  *
  * Exit status: 0 all programs agreed, 1 divergence or harness failure,
  * 2 usage error.
@@ -37,14 +39,41 @@
 #include <ctime>
 #include <string>
 
+#include "jsonl.hh"
 #include "ref/diff.hh"
 #include "ref/progen.hh"
 #include "sim/rng.hh"
+
+namespace {
+
+/** Largest --blocks: well past what fits the 2K-word IMEM (an
+ *  oversized program is reported as a harness failure). */
+constexpr unsigned kMaxBlocks = 1024;
+
+/** Highest seeded mutation id (ref::RefOptions::mutation). */
+constexpr unsigned kMaxMutation = 7;
+
+/** A seed: decimal, or the 0x... hex the repro lines print; anything
+ *  else exits 2 naming @p flag. */
+std::uint64_t
+seedValue(const char *flag, const char *text)
+{
+    if (text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+        const char *hex = text + 2;
+        const std::size_t n = std::strspn(hex, "0123456789abcdefABCDEF");
+        if (n > 0 && n <= 16 && hex[n] == '\0')
+            return std::strtoull(hex, nullptr, 16);
+    }
+    return snaple::tools::flagValue<std::uint64_t>(flag, text);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace snaple;
+    using tools::flagValue;
 
     std::uint64_t seed = 1;
     std::uint64_t count = 1000;
@@ -56,14 +85,16 @@ main(int argc, char **argv)
     ref::DiffConfig cfg;
 
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-            seed = std::strtoull(argv[++i], nullptr, 0);
-        else if (!std::strcmp(argv[i], "--count") && i + 1 < argc)
-            count = std::strtoull(argv[++i], nullptr, 0);
-        else if (!std::strcmp(argv[i], "--replay") && i + 1 < argc) {
+        const char *arg = argv[i];
+        const bool hasValue = i + 1 < argc;
+        if (!std::strcmp(arg, "--seed") && hasValue)
+            seed = seedValue(arg, argv[++i]);
+        else if (!std::strcmp(arg, "--count") && hasValue)
+            count = flagValue<std::uint64_t>(arg, argv[++i]);
+        else if (!std::strcmp(arg, "--replay") && hasValue) {
             replay = true;
-            replaySeed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--class") && i + 1 < argc) {
+            replaySeed = seedValue(arg, argv[++i]);
+        } else if (!std::strcmp(arg, "--class") && hasValue) {
             auto c = ref::classByName(argv[++i]);
             if (!c) {
                 std::fprintf(stderr, "unknown class '%s'\n", argv[i]);
@@ -71,35 +102,38 @@ main(int argc, char **argv)
             }
             cfg.anyClass = false;
             cfg.cls = *c;
-        } else if (!std::strcmp(argv[i], "--no-smc"))
+        } else if (!std::strcmp(arg, "--no-smc"))
             cfg.includeSmc = false;
-        else if (!std::strcmp(argv[i], "--blocks") && i + 1 < argc)
-            cfg.gen.blocks = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--mutation") && i + 1 < argc)
-            cfg.mutation =
-                static_cast<unsigned>(std::atoi(argv[++i]));
-        else if (!std::strcmp(argv[i], "--engine") && i + 1 < argc) {
-            const char *e = argv[++i];
-            if (!std::strcmp(e, "classic"))
-                cfg.engine = ref::RefOptions::Engine::Classic;
-            else if (!std::strcmp(e, "predecoded"))
-                cfg.engine = ref::RefOptions::Engine::Predecoded;
+        else if (!std::strcmp(arg, "--blocks") && hasValue)
+            cfg.gen.blocks =
+                static_cast<int>(flagValue(arg, argv[++i], kMaxBlocks));
+        else if (!std::strcmp(arg, "--mutation") && hasValue)
+            cfg.mutation = flagValue(arg, argv[++i], kMaxMutation);
+        else if (!std::strcmp(arg, "--fidelity") && hasValue) {
+            const char *f = argv[++i];
+            if (!std::strcmp(f, "cycle"))
+                cfg.fidelity = core::FidelityMode::Cycle;
+            else if (!std::strcmp(f, "fast"))
+                cfg.fidelity = core::FidelityMode::Fast;
             else {
-                std::fprintf(stderr, "unknown engine '%s'\n", e);
+                std::fprintf(stderr,
+                             "unknown fidelity '%s' (expected fast or "
+                             "cycle)\n",
+                             f);
                 return 2;
             }
-        } else if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
-            maxSeconds = std::atof(argv[++i]);
-        else if (!std::strcmp(argv[i], "--dump-asm"))
+        } else if (!std::strcmp(arg, "--max-seconds") && hasValue)
+            maxSeconds = flagValue<double>(arg, argv[++i]);
+        else if (!std::strcmp(arg, "--dump-asm"))
             dumpAsm = true;
-        else if (!std::strcmp(argv[i], "--quiet"))
+        else if (!std::strcmp(arg, "--quiet"))
             quiet = true;
         else {
             std::fprintf(
                 stderr,
                 "usage: snap-diff [--seed S] [--count N] [--class C] "
-                "[--no-smc] [--blocks B] [--mutation M] "
-                "[--engine classic|predecoded] [--max-seconds T] "
+                "[--no-smc] [--blocks B] [--mutation 0-7] "
+                "[--fidelity fast|cycle] [--max-seconds T] "
                 "[--replay SEED] [--dump-asm] [--quiet]\n");
             return 2;
         }
