@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -68,12 +69,15 @@ struct CoreConfig
 
     /**
      * Per-instruction-class coefficients for the fast fidelity tier
-     * (nominal units; see energy/class_cal.hh). Defaults to the
-     * analytic derivation from the cycle tier's charge sequence;
-     * replace with a `snap-report --calibrate` table to track a
-     * measured workload mix.
+     * (nominal units; see energy/class_cal.hh), never null. An
+     * immutable table shared by every node built from this config:
+     * defaults to the process-wide analytic derivation from the cycle
+     * tier's charge sequence; point it at a loaded
+     * `snap-report --calibrate` table to track a measured workload
+     * mix.
      */
-    energy::ClassCal classCal = energy::ClassCal::analytic();
+    std::shared_ptr<const energy::ClassCal> classCal =
+        energy::ClassCal::analyticShared();
 
     /** A preset matching the paper's future-work direction. */
     static CoreConfig

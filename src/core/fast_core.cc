@@ -131,7 +131,7 @@ struct SnapCore::FastTier
             const std::uint64_t n = counts[k];
             if (n == 0)
                 continue;
-            const energy::ClassCost &cc = c.ctx_.cfg.classCal.cost[k];
+            const energy::ClassCost &cc = c.ctx_.cfg.classCal->cost[k];
             const double before = c.ctx_.chargedPj();
             for (std::size_t cat = 0; cat < energy::kNumCats; ++cat)
                 if (cc.pj[cat] != 0)

@@ -105,6 +105,14 @@ catByName(std::string_view name)
 
 } // namespace
 
+const std::shared_ptr<const ClassCal> &
+ClassCal::analyticShared()
+{
+    static const std::shared_ptr<const ClassCal> cal =
+        std::make_shared<const ClassCal>(analytic());
+    return cal;
+}
+
 ClassCal
 ClassCal::analytic(const EnergyCal &e, const TimingCal &t)
 {

@@ -33,6 +33,7 @@
 #define SNAPLE_ENERGY_CLASS_CAL_HH
 
 #include <array>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -73,6 +74,13 @@ struct ClassCal
     /** Coefficients derived from the cycle tier's charge sequence. */
     static ClassCal analytic(const EnergyCal &e = {},
                              const TimingCal &t = {});
+
+    /**
+     * analytic() with the default calibration, built once per process
+     * and shared, read-only, by every configuration that does not
+     * load its own table.
+     */
+    static const std::shared_ptr<const ClassCal> &analyticShared();
 };
 
 /** Render @p cal as the calibration-table text format. */

@@ -73,7 +73,9 @@ class SnapNode : public core::Machine
      */
     SnapNode(sim::Kernel &kernel, radio::Medium *medium,
              const NodeConfig &cfg, const assembler::Program &prog)
-        : Machine(kernel, cfg.core, cfg.name), cfg_(cfg),
+        : Machine(kernel, cfg.core, cfg.name), name_(cfg.name),
+          nodeId_(cfg.nodeId), baseSeed_(cfg.baseSeed),
+          fidelity_(cfg.fidelity),
           msgCoproc_(ctx(), msgIn(), msgOut(), eventQueue()),
           flowTracker_(cfg.nodeId)
     {
@@ -99,8 +101,7 @@ class SnapNode : public core::Machine
     std::uint64_t
     derivedSeed() const
     {
-        return cfg_.baseSeed ? sim::deriveSeed(cfg_.baseSeed, cfg_.nodeId)
-                             : 0;
+        return baseSeed_ ? sim::deriveSeed(baseSeed_, nodeId_) : 0;
     }
 
     /** Attach a sensor under a Query-addressable id. */
@@ -114,7 +115,7 @@ class SnapNode : public core::Machine
     void
     start()
     {
-        Machine::start(cfg_.fidelity);
+        Machine::start(fidelity_);
         msgCoproc_.start();
     }
 
@@ -163,9 +164,9 @@ class SnapNode : public core::Machine
 
     coproc::MessageCoproc &msgCoproc() { return msgCoproc_; }
     radio::Transceiver *transceiver() { return radio_.get(); }
-    const std::string &name() const { return cfg_.name; }
+    const std::string &name() const { return name_; }
     /** The execution fidelity this node was configured with. */
-    FidelityMode fidelity() const { return cfg_.fidelity; }
+    FidelityMode fidelity() const { return fidelity_; }
     obs::FlowTracker &flowTracker() { return flowTracker_; }
     const obs::FlowTracker &flowTracker() const { return flowTracker_; }
 
@@ -181,7 +182,13 @@ class SnapNode : public core::Machine
     }
 
   private:
-    NodeConfig cfg_;
+    /** The NodeConfig fields read after construction; the core
+     *  config lives on in ctx().cfg and the radio's in its
+     *  transceiver. */
+    std::string name_;
+    std::uint32_t nodeId_;
+    std::uint64_t baseSeed_;
+    FidelityMode fidelity_;
     coproc::MessageCoproc msgCoproc_;
     obs::FlowTracker flowTracker_;
     std::unique_ptr<radio::Transceiver> radio_;

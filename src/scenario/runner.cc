@@ -163,7 +163,7 @@ nodeConfig(const Scenario &sc, std::size_t i, const RunOptions &opt)
     cfg.fidelity =
         fast ? node::FidelityMode::Fast : node::FidelityMode::Cycle;
     if (opt.classCal)
-        cfg.core.classCal = *opt.classCal;
+        cfg.core.classCal = opt.classCal;
     return cfg;
 }
 

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -76,10 +77,10 @@ struct RunOptions
 
     /**
      * Fast-tier cost table (`snap-run --cal=FILE`): replaces the
-     * analytic per-class coefficients on every node. Unset keeps
-     * energy::ClassCal::analytic().
+     * analytic per-class coefficients on every node, which all share
+     * this one table. Null keeps energy::ClassCal::analyticShared().
      */
-    std::optional<energy::ClassCal> classCal;
+    std::shared_ptr<const energy::ClassCal> classCal;
 
     /** Per-PC flat profiling on every node (`snap-run --profile`):
      *  its rows close the metrics stream. */

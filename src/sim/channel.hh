@@ -17,12 +17,15 @@
 #ifndef SNAPLE_SIM_CHANNEL_HH
 #define SNAPLE_SIM_CHANNEL_HH
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
-#include <deque>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "kernel.hh"
 #include "logging.hh"
@@ -47,8 +50,8 @@ class Channel
      */
     Channel(Kernel &kernel, Tick handshake_delay = 0,
             std::string name = "chan")
-        : kernel_(kernel), delay_(handshake_delay), name_(std::move(name)),
-          trace_(kernel, name_)
+        : kernel_(kernel), delay_(handshake_delay),
+          trace_(kernel, std::move(name))
     {}
 
     Channel(const Channel &) = delete;
@@ -73,7 +76,7 @@ class Channel
         await_suspend(std::coroutine_handle<> h)
         {
             panicIf(chan.sender_.has_value(),
-                    "two senders on channel ", chan.name_);
+                    "two senders on channel ", chan.trace_.name());
             if (chan.receiver_) {
                 auto r = *chan.receiver_;
                 chan.receiver_.reset();
@@ -102,7 +105,7 @@ class Channel
         await_suspend(std::coroutine_handle<> h)
         {
             panicIf(chan.receiver_.has_value(),
-                    "two receivers on channel ", chan.name_);
+                    "two receivers on channel ", chan.trace_.name());
             if (chan.sender_) {
                 slot = std::move(chan.sender_->value);
                 auto s = chan.sender_->h;
@@ -121,7 +124,7 @@ class Channel
         await_resume()
         {
             panicIf(!slot.has_value(),
-                    "recv resumed without a value on ", chan.name_);
+                    "recv resumed without a value on ", chan.trace_.name());
             return std::move(*slot);
         }
     };
@@ -147,7 +150,6 @@ class Channel
 
     Kernel &kernel_;
     Tick delay_;
-    std::string name_;
     TraceScope trace_;
     std::optional<PendingSend> sender_;
     std::optional<PendingRecv> receiver_;
@@ -160,6 +162,10 @@ class Channel
  * complete immediately while it is non-empty. Waiters on either side
  * queue in FIFO order. tryPush() supports drop-on-full producers (the
  * hardware event queue drops events when full, per the paper).
+ *
+ * The buffer is a ring of exactly `capacity` slots, allocated once at
+ * construction, like the fixed-depth hardware FIFO it models; the
+ * waiter queues allocate only once someone waits.
  */
 template <typename T>
 class Fifo
@@ -168,18 +174,20 @@ class Fifo
     Fifo(Kernel &kernel, std::size_t capacity, Tick op_delay = 0,
          std::string name = "fifo")
         : kernel_(kernel), capacity_(capacity), delay_(op_delay),
-          name_(std::move(name)), trace_(kernel, name_)
+          trace_(kernel, std::move(name)),
+          ring_(std::make_unique<T[]>(capacity))
     {
-        panicIf(capacity_ == 0, "fifo capacity must be > 0: ", name_);
+        panicIf(capacity_ == 0, "fifo capacity must be > 0: ",
+                trace_.name());
     }
 
     Fifo(const Fifo &) = delete;
     Fifo &operator=(const Fifo &) = delete;
 
-    std::size_t size() const { return buffer_.size(); }
+    std::size_t size() const { return count_; }
     std::size_t capacity() const { return capacity_; }
-    bool empty() const { return buffer_.empty(); }
-    bool full() const { return buffer_.size() >= capacity_; }
+    bool empty() const { return count_ == 0; }
+    bool full() const { return count_ >= capacity_; }
     void setDelay(Tick d) { delay_ = d; }
 
     /** Total values accepted (pushed or sent) over the run. */
@@ -196,7 +204,7 @@ class Fifo
     {
         if (full() && recvWaiters_.empty()) {
             ++dropped_;
-            trace_.emit(TraceEvent::FifoDrop, buffer_.size());
+            trace_.emit(TraceEvent::FifoDrop, count_);
             return false;
         }
         ++accepted_;
@@ -223,8 +231,7 @@ class Fifo
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            fifo.trace_.emit(TraceEvent::FifoBlockSend,
-                             fifo.buffer_.size());
+            fifo.trace_.emit(TraceEvent::FifoBlockSend, fifo.count_);
             fifo.sendWaiters_.push_back({h, std::move(value)});
         }
 
@@ -239,11 +246,9 @@ class Fifo
         bool
         await_ready()
         {
-            if (!fifo.buffer_.empty()) {
-                slot = std::move(fifo.buffer_.front());
-                fifo.buffer_.pop_front();
-                fifo.trace_.emit(TraceEvent::FifoDequeue,
-                                 fifo.buffer_.size());
+            if (fifo.count_ != 0) {
+                slot = fifo.popFront();
+                fifo.trace_.emit(TraceEvent::FifoDequeue, fifo.count_);
                 fifo.refill();
                 return true;
             }
@@ -260,8 +265,8 @@ class Fifo
         T
         await_resume()
         {
-            panicIf(!slot.has_value(),
-                    "fifo recv resumed without a value on ", fifo.name_);
+            panicIf(!slot.has_value(), "fifo recv resumed without a value on ",
+                    fifo.trace_.name());
             return std::move(*slot);
         }
     };
@@ -273,21 +278,33 @@ class Fifo
     RecvAwaiter recv() { return RecvAwaiter{*this, std::nullopt}; }
 
     /** @name Snapshot support (src/snapshot/)
-     * Buffer contents and accept/drop counters, saved and poked back
-     * verbatim. Waiter queues are never serialized: restored
-     * processes re-register by re-awaiting, and checkpoint
+     * Buffer contents (oldest first) and accept/drop counters, saved
+     * and poked back verbatim. Waiter queues are never serialized:
+     * restored processes re-register by re-awaiting, and checkpoint
      * eligibility (docs/CHECKPOINT.md) guarantees no deposit/refill
      * wake-up event is in flight — a parked receiver therefore
      * implies an empty buffer and a parked sender a full one. */
     ///@{
-    const std::deque<T> &bufferState() const { return buffer_; }
+    std::vector<T>
+    bufferState() const
+    {
+        std::vector<T> out;
+        out.reserve(count_);
+        for (std::size_t i = 0, at = head_; i < count_; ++i) {
+            out.push_back(ring_[at]);
+            at = next(at);
+        }
+        return out;
+    }
     void
-    restoreState(std::deque<T> buffer, std::uint64_t accepted,
+    restoreState(std::span<const T> buffer, std::uint64_t accepted,
                  std::uint64_t dropped)
     {
-        panicIf(buffer.size() > capacity_,
-                "fifo restore overflows ", name_);
-        buffer_ = std::move(buffer);
+        panicIf(buffer.size() > capacity_, "fifo restore overflows ",
+                trace_.name());
+        std::copy(buffer.begin(), buffer.end(), ring_.get());
+        head_ = 0;
+        count_ = buffer.size();
         accepted_ = accepted;
         dropped_ = dropped;
     }
@@ -306,6 +323,33 @@ class Fifo
         std::optional<T> *slot;
     };
 
+    /** The ring slot after @p i (a compare: the fetch queue runs this
+     *  once per instruction). */
+    std::size_t
+    next(std::size_t i) const
+    {
+        return ++i == capacity_ ? 0 : i;
+    }
+
+    void
+    pushBack(T value)
+    {
+        std::size_t tail = head_ + count_;
+        if (tail >= capacity_)
+            tail -= capacity_;
+        ring_[tail] = std::move(value);
+        ++count_;
+    }
+
+    T
+    popFront()
+    {
+        T v = std::move(ring_[head_]);
+        head_ = next(head_);
+        --count_;
+        return v;
+    }
+
     /**
      * Hand a new value either directly to the oldest waiting receiver
      * (after the op delay — this is the paper's "token propagates
@@ -316,13 +360,13 @@ class Fifo
     {
         if (!recvWaiters_.empty()) {
             RecvWaiter w = recvWaiters_.front();
-            recvWaiters_.pop_front();
+            recvWaiters_.erase(recvWaiters_.begin());
             *w.slot = std::move(value);
             kernel_.scheduleResume(kernel_.now() + delay_, w.h);
             trace_.emit(TraceEvent::FifoWakeup, delay_);
         } else {
-            buffer_.push_back(std::move(value));
-            trace_.emit(TraceEvent::FifoEnqueue, buffer_.size());
+            pushBack(std::move(value));
+            trace_.emit(TraceEvent::FifoEnqueue, count_);
         }
     }
 
@@ -332,22 +376,26 @@ class Fifo
     {
         if (!sendWaiters_.empty() && !full()) {
             SendWaiter w = std::move(sendWaiters_.front());
-            sendWaiters_.pop_front();
+            sendWaiters_.erase(sendWaiters_.begin());
             ++accepted_;
-            buffer_.push_back(std::move(w.value));
+            pushBack(std::move(w.value));
             kernel_.scheduleResume(kernel_.now() + delay_, w.h);
-            trace_.emit(TraceEvent::FifoEnqueue, buffer_.size());
+            trace_.emit(TraceEvent::FifoEnqueue, count_);
         }
     }
 
     Kernel &kernel_;
     std::size_t capacity_;
     Tick delay_;
-    std::string name_;
     TraceScope trace_;
-    std::deque<T> buffer_;
-    std::deque<SendWaiter> sendWaiters_;
-    std::deque<RecvWaiter> recvWaiters_;
+    std::unique_ptr<T[]> ring_;
+    std::size_t head_ = 0;  ///< ring slot of the oldest value
+    std::size_t count_ = 0; ///< values buffered
+    /// Parked waiters, oldest first. Each production FIFO has one
+    /// sending and one receiving process, so these hold a couple of
+    /// entries at most and allocate nothing until someone waits.
+    std::vector<SendWaiter> sendWaiters_;
+    std::vector<RecvWaiter> recvWaiters_;
     std::uint64_t accepted_ = 0;
     std::uint64_t dropped_ = 0;
 };

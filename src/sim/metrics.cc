@@ -103,7 +103,7 @@ MetricHistogram::percentile(double p) const
     const double rank = p / 100.0 * double(count_ - 1);
     std::uint64_t below = 0;
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
-        const std::uint64_t n = buckets_[b];
+        const std::uint64_t n = bucket(b);
         if (n == 0)
             continue;
         if (rank < double(below + n)) {

@@ -39,6 +39,7 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,6 +100,11 @@ class MetricGauge
  * whole uint64 range. Bucketing is integer-only, so two runs that
  * record the same samples produce identical bucket vectors on any
  * host.
+ *
+ * The bucket array is allocated by the first record(), mergeFrom()
+ * or restore() that brings a sample in: most nodes register
+ * histograms they never record into, and an unallocated histogram
+ * reads as all zeros everywhere.
  */
 class MetricHistogram
 {
@@ -132,7 +138,7 @@ class MetricHistogram
     void
     record(std::uint64_t v)
     {
-        ++buckets_[bucketOf(v)];
+        ++ensureBuckets()[bucketOf(v)];
         ++count_;
         sum_ += v;
         if (count_ == 1) {
@@ -151,8 +157,11 @@ class MetricHistogram
     {
         if (o.count_ == 0)
             return;
-        for (std::size_t b = 0; b < kNumBuckets; ++b)
-            buckets_[b] += o.buckets_[b];
+        if (o.buckets_) {
+            Buckets &mine = ensureBuckets();
+            for (std::size_t b = 0; b < kNumBuckets; ++b)
+                mine[b] += (*o.buckets_)[b];
+        }
         if (count_ == 0) {
             min_ = o.min_;
             max_ = o.max_;
@@ -183,15 +192,19 @@ class MetricHistogram
         min_ = min;
         max_ = max;
         for (const auto &[b, n] : buckets)
-            if (b < kNumBuckets)
-                buckets_[b] = n;
+            if (b < kNumBuckets && n != 0)
+                ensureBuckets()[b] = n;
     }
 
     std::uint64_t count() const { return count_; }
     std::uint64_t sum() const { return sum_; }
     std::uint64_t min() const { return count_ ? min_ : 0; }
     std::uint64_t max() const { return max_; }
-    std::uint64_t bucket(std::size_t b) const { return buckets_[b]; }
+    std::uint64_t
+    bucket(std::size_t b) const
+    {
+        return buckets_ ? (*buckets_)[b] : 0;
+    }
 
     double
     mean() const
@@ -208,15 +221,28 @@ class MetricHistogram
      */
     double percentile(double p) const;
 
+    /** Zero every value; an allocated bucket array is kept. */
     void
     reset()
     {
-        buckets_.fill(0);
+        if (buckets_)
+            buckets_->fill(0);
         count_ = sum_ = min_ = max_ = 0;
     }
 
   private:
-    std::array<std::uint64_t, kNumBuckets> buckets_{};
+    using Buckets = std::array<std::uint64_t, kNumBuckets>;
+
+    /** The bucket array, allocated zeroed on first use. */
+    Buckets &
+    ensureBuckets()
+    {
+        if (!buckets_)
+            buckets_ = std::make_unique<Buckets>();
+        return *buckets_;
+    }
+
+    std::unique_ptr<Buckets> buckets_;
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = 0;

@@ -17,7 +17,6 @@
  */
 
 #include <algorithm>
-#include <deque>
 #include <ios>
 #include <type_traits>
 
@@ -33,17 +32,14 @@ template <class T>
 snapshot::FifoState<T>
 captureFifo(const sim::Fifo<T> &f)
 {
-    const std::deque<T> &buf = f.bufferState();
-    return {std::vector<T>(buf.begin(), buf.end()), f.accepted(),
-            f.dropped()};
+    return {f.bufferState(), f.accepted(), f.dropped()};
 }
 
 template <class T>
 void
 restoreFifo(sim::Fifo<T> &f, const snapshot::FifoState<T> &st)
 {
-    f.restoreState(std::deque<T>(st.buffer.begin(), st.buffer.end()),
-                   st.accepted, st.dropped);
+    f.restoreState(st.buffer, st.accepted, st.dropped);
 }
 
 std::vector<std::uint16_t>
@@ -134,7 +130,7 @@ checkKnobs(const node::SnapNode &n, const snapshot::NodeState &ns)
                  ": volts ", sim::formatDouble(ns.volts),
                  " != this network's ", sim::formatDouble(cfg.volts),
                  " (restore with the saving run's knobs)");
-    const std::uint64_t digest = snapshot::classCalDigest(cfg.classCal);
+    const std::uint64_t digest = snapshot::classCalDigest(*cfg.classCal);
     sim::fatalIf(ns.classCalDigest != digest, "snapshot node ",
                  n.name(), ": class-cal table digest 0x", std::hex,
                  ns.classCalDigest, " != this network's 0x", digest,
@@ -196,7 +192,7 @@ ParallelNetwork::captureShard(Shard &s) const
     node::SnapNode &n = s.node;
     ns.core = n.core().saveState(s.halted);
     ns.volts = n.ctx().cfg.volts;
-    ns.classCalDigest = snapshot::classCalDigest(n.ctx().cfg.classCal);
+    ns.classCalDigest = snapshot::classCalDigest(*n.ctx().cfg.classCal);
     ns.imem = captureSram(n.imem());
     ns.dmem = captureSram(n.dmem());
     ns.evq = captureFifo(n.eventQueue());

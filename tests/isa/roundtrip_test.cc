@@ -50,8 +50,9 @@ roundTrip(std::uint16_t w0, std::uint16_t imm = 0, bool two = false)
     auto words = reassemble(text);
     ASSERT_EQ(words.size(), two ? 2u : 1u) << text;
     EXPECT_EQ(words[0], w0) << text;
-    if (two)
+    if (two) {
         EXPECT_EQ(words[1], imm) << text;
+    }
 }
 
 TEST(RoundTripTest, AllAluRegisterForms)
@@ -256,8 +257,9 @@ TEST(IsaFuzzTest, ExhaustiveDecodeSweepMatchesReference)
         EXPECT_EQ(d.rd, (w >> 8) & 0xf);
         EXPECT_EQ(d.rs, (w >> 4) & 0xf);
         EXPECT_EQ(d.fn, w & 0xf);
-        if (isBranch(d.op))
+        if (isBranch(d.op)) {
             EXPECT_EQ(std::uint8_t(d.off8), w & 0xff);
+        }
     }
     // AluR 15*256 + AluI 11*256 + four mem ops 4*4096 + four branch
     // ops 4*4096 + Jmp 4*256 + Bfs 4096 + Timer 3*256 + Event 2*256
@@ -300,16 +302,20 @@ TEST(IsaFuzzTest, SweepReachesAssemblerFixedPoint)
         EXPECT_EQ(d1.readsRd, d.readsRd);
         EXPECT_EQ(d1.readsRs, d.readsRs);
         EXPECT_EQ(d1.writesRd, d.writesRd);
-        if (d.readsRd || d.writesRd)
+        if (d.readsRd || d.writesRd) {
             EXPECT_EQ(d1.rd, d.rd) << "word 0x" << std::hex << w;
-        if (d.readsRs)
+        }
+        if (d.readsRs) {
             EXPECT_EQ(d1.rs, d.rs) << "word 0x" << std::hex << w;
-        if (d.twoWord)
+        }
+        if (d.twoWord) {
             EXPECT_EQ(d1.imm, d.imm);
+        }
         if (d.op != isa::Op::Ldw && d.op != isa::Op::Stw &&
             d.op != isa::Op::Ldi && d.op != isa::Op::Sti &&
-            d.op != isa::Op::Bfs)
+            d.op != isa::Op::Bfs) {
             EXPECT_EQ(d1.fn, d.fn); // fn is semantic outside mem/bfs
+        }
 
         // Second cycle: exact fixed point.
         auto w2 = reassemble(isa::disassemble(d1));

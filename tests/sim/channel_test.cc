@@ -201,4 +201,87 @@ TEST(FifoTest, MultipleWaitingReceiversServedInFifoOrder)
     EXPECT_EQ(got, (std::vector<int>{10, 20, 30}));
 }
 
+Co<void>
+sendOneTo(Fifo<int> &f, int v)
+{
+    co_await f.send(v);
+}
+
+TEST(FifoTest, RingKeepsOrderAcrossTheWrap)
+{
+    Kernel k;
+    Fifo<int> f(k, 3, 0, "ring");
+    std::vector<int> out;
+    int next = 0;
+    // Five rounds of fill-to-full then drain-by-two walk the head
+    // around the three slots several times.
+    for (int round = 0; round < 5; ++round) {
+        while (!f.full())
+            EXPECT_TRUE(f.tryPush(next++));
+        EXPECT_FALSE(f.tryPush(-1));
+        k.spawn(fifoConsumer(k, f, 2, 0, out));
+        k.run();
+        const std::vector<int> left = f.bufferState();
+        ASSERT_EQ(left.size(), 1u);
+        EXPECT_EQ(left[0], next - 1);
+    }
+    // Each round pops the value the last one left and the first new
+    // one, so the pops are exactly 0..9.
+    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+    EXPECT_EQ(f.dropped(), 5u);
+    EXPECT_EQ(f.accepted(), std::uint64_t(next));
+}
+
+TEST(FifoTest, ManyBlockedSendersAreAdmittedInArrivalOrder)
+{
+    // Many parked senders, with new ones arriving while earlier ones
+    // are still parked.
+    Kernel k;
+    Fifo<int> f(k, 1, 0, "busy");
+    std::vector<int> out;
+    for (int i = 0; i < 70; ++i)
+        k.spawn(sendOneTo(f, i));
+    k.runFor(1);
+    k.spawn(fifoConsumer(k, f, 40, 0, out));
+    k.runFor(1);
+    for (int i = 70; i < 140; ++i)
+        k.spawn(sendOneTo(f, i));
+    k.runFor(1);
+    k.spawn(fifoConsumer(k, f, 100, 0, out));
+    k.run();
+    ASSERT_EQ(out.size(), 140u);
+    for (int i = 0; i < 140; ++i)
+        EXPECT_EQ(out[std::size_t(i)], i);
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.accepted(), 140u);
+}
+
+TEST(FifoTest, FullBufferRestoredThroughRestoreStatePopsInOrder)
+{
+    Kernel k;
+    Fifo<int> f(k, 4, 0, "evq");
+    // Move the ring's head off slot 0 first, as a live run would.
+    EXPECT_TRUE(f.tryPush(1));
+    EXPECT_TRUE(f.tryPush(2));
+    std::vector<int> out;
+    k.spawn(fifoConsumer(k, f, 1, 0, out));
+    k.run();
+
+    const std::vector<int> saved = {7, 8, 9, 10};
+    f.restoreState(saved, 12, 3);
+    EXPECT_TRUE(f.full());
+    EXPECT_EQ(f.bufferState(), saved);
+    EXPECT_EQ(f.accepted(), 12u);
+    EXPECT_EQ(f.dropped(), 3u);
+    EXPECT_FALSE(f.tryPush(11));
+    EXPECT_EQ(f.dropped(), 4u);
+
+    out.clear();
+    k.spawn(fifoConsumer(k, f, 4, 0, out));
+    k.run();
+    EXPECT_EQ(out, saved);
+    EXPECT_TRUE(f.empty());
+    EXPECT_THROW(f.restoreState(std::vector<int>(5, 0), 0, 0), PanicError);
+}
+
 } // namespace

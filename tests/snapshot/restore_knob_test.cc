@@ -102,7 +102,7 @@ scenario::RunOptions
 makeOptions(const Knobs &k)
 {
     scenario::RunOptions opt;
-    opt.classCal = k.cal;
+    opt.classCal = std::make_shared<const energy::ClassCal>(k.cal);
     opt.profile = k.profile;
     opt.loadSource = [](const std::string &) {
         return std::string(kBeacon);

@@ -89,8 +89,16 @@ main(int argc, char **argv)
         const bool hasValue = i + 1 < argc;
         if (!std::strcmp(arg, "--seed") && hasValue)
             seed = seedValue(arg, argv[++i]);
-        else if (!std::strcmp(arg, "--count") && hasValue)
+        else if (!std::strcmp(arg, "--count") && hasValue) {
             count = flagValue<std::uint64_t>(arg, argv[++i]);
+            if (count == 0) {
+                // A sweep of no programs would pass like a clean one.
+                std::fprintf(stderr,
+                             "--count: invalid value '0' (expected at "
+                             "least 1 program)\n");
+                return 2;
+            }
+        }
         else if (!std::strcmp(arg, "--replay") && hasValue) {
             replay = true;
             replaySeed = seedValue(arg, argv[++i]);

@@ -86,6 +86,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -422,7 +423,8 @@ main(int argc, char **argv)
         if (!cal_path.empty()) {
             const std::string text = readText(cal_path);
             try {
-                opt.classCal = energy::parseClassCal(text);
+                opt.classCal = std::make_shared<const energy::ClassCal>(
+                    energy::parseClassCal(text));
             } catch (const sim::FatalError &e) {
                 std::fprintf(stderr, "%s: %s\n", cal_path.c_str(),
                              e.what());
