@@ -437,10 +437,11 @@ BENCHMARK(BM_SnapCoreMix);
 void
 BM_SnapCoreMixFast(benchmark::State &state)
 {
-    // The statistical fast tier on the same mix (docs/SIMULATOR.md):
-    // the predecoded interpreter retires instructions from cached
-    // decoded lines and charges time/energy per class at flush
-    // boundaries instead of per CHP rendezvous. The items/s ratio over
+    // The fast tier on the same mix (docs/SIMULATOR.md): the
+    // predecoded interpreter retires instructions from cached decoded
+    // lines, each priced once by the cycle tier's cost function, and
+    // settles time and energy at slice boundaries instead of per CHP
+    // rendezvous. The items/s ratio over
     // BM_SnapCoreMix is the tier's speedup (ROADMAP targets 50-100x).
     // A larger loop count than the cycle bench keeps per-iteration
     // setup (kernel + machine construction) out of the measurement —

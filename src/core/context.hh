@@ -13,13 +13,11 @@
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "energy/calibration.hh"
-#include "energy/class_cal.hh"
 #include "energy/ledger.hh"
 #include "energy/voltage.hh"
 #include "isa/isa.hh"
@@ -66,18 +64,6 @@ struct CoreConfig
      */
     double sizingDelayScale = 1.0;
     double sizingEnergyScale = 1.0;
-
-    /**
-     * Per-instruction-class coefficients for the fast fidelity tier
-     * (nominal units; see energy/class_cal.hh), never null. An
-     * immutable table shared by every node built from this config:
-     * defaults to the process-wide analytic derivation from the cycle
-     * tier's charge sequence; point it at a loaded
-     * `snap-report --calibrate` table to track a measured workload
-     * mix.
-     */
-    std::shared_ptr<const energy::ClassCal> classCal =
-        energy::ClassCal::analyticShared();
 
     /** A preset matching the paper's future-work direction. */
     static CoreConfig
@@ -132,6 +118,14 @@ struct NodeContext
         return op.gd(n * cfg.sizingDelayScale);
     }
 
+    /** @p pj_nominal (a 1.8 V calibration value) at this node's
+     *  supply and sizing, as charge() books it. */
+    double
+    scalePj(double pj_nominal) const
+    {
+        return op.scalePj(pj_nominal) * cfg.sizingEnergyScale;
+    }
+
     /**
      * Charge @p pj_nominal (a 1.8 V calibration value) to @p cat.
      * Returns the actual picojoules charged at this operating point,
@@ -141,7 +135,7 @@ struct NodeContext
     double
     charge(energy::Cat cat, double pj_nominal)
     {
-        const double pj = op.scalePj(pj_nominal) * cfg.sizingEnergyScale;
+        const double pj = scalePj(pj_nominal);
         ledger.add(cat, pj);
         chargedPj_ += pj;
         handlerPj_[handlerSlot()] += pj;

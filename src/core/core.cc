@@ -1,5 +1,7 @@
 #include "core/core.hh"
 
+#include "core/instr_cost.hh"
+
 namespace snaple::core {
 
 using energy::Cat;
@@ -224,72 +226,20 @@ SnapCore::regWriteDelay()
     return ctx_.kernel.delay(ctx_.gd(ctx_.tcal.regWriteGd));
 }
 
-/** Flat-bus ablation (CoreConfig::flatBus): per-transfer latency in
- *  gate delays and energy in pJ on the one heavily loaded bus. */
-constexpr double kFlatBusGd = 6.0;
-constexpr double kFlatBusPj = 9.0;
-
 sim::Kernel::DelayAwaiter
 SnapCore::busTransfer(Unit u)
 {
-    double gd;
-    double pj;
-    if (ctx_.cfg.flatBus) {
-        // Ablation: every unit hangs off one heavily loaded bus.
-        gd = kFlatBusGd;
-        pj = kFlatBusPj;
-    } else if (isa::onFastBus(u)) {
-        gd = ctx_.tcal.busFastGd;
-        pj = ctx_.ecal.busFastPj;
-    } else {
-        // Slow-bus units reach the register file through the fast bus.
-        gd = ctx_.tcal.busFastGd + ctx_.tcal.busSlowGd;
-        pj = ctx_.ecal.busFastPj + ctx_.ecal.busSlowPj;
-    }
-    ctx_.charge(Cat::Datapath, pj);
-    return ctx_.kernel.delay(ctx_.gd(gd));
+    const OpCost c = busCost(ctx_, u);
+    ctx_.charge(Cat::Datapath, c.pj);
+    return ctx_.kernel.delay(ctx_.gd(c.gd));
 }
 
 sim::Kernel::DelayAwaiter
 SnapCore::unitOp(Unit u)
 {
-    double gd = 0;
-    double pj = 0;
-    switch (u) {
-      case Unit::Adder:
-        gd = ctx_.tcal.adderGd;
-        pj = ctx_.ecal.adderPj;
-        break;
-      case Unit::Logic:
-        gd = ctx_.tcal.logicGd;
-        pj = ctx_.ecal.logicPj;
-        break;
-      case Unit::Shifter:
-        gd = ctx_.tcal.shifterGd;
-        pj = ctx_.ecal.shifterPj;
-        break;
-      case Unit::Lfsr:
-        gd = ctx_.tcal.lfsrGd;
-        pj = ctx_.ecal.lfsrPj;
-        break;
-      case Unit::Branch:
-        gd = ctx_.tcal.branchGd;
-        pj = ctx_.ecal.branchPj;
-        break;
-      case Unit::LdStD:
-      case Unit::LdStI:
-        gd = ctx_.tcal.ldstGd;
-        pj = ctx_.ecal.ldstPj;
-        break;
-      case Unit::TimerIf:
-        gd = ctx_.tcal.timerIfGd;
-        pj = ctx_.ecal.timerIfPj;
-        break;
-      default:
-        sim::panic("unitOp on unknown unit");
-    }
-    ctx_.charge(Cat::Datapath, pj);
-    return ctx_.kernel.delay(ctx_.gd(gd));
+    const OpCost c = unitCost(ctx_, u);
+    ctx_.charge(Cat::Datapath, c.pj);
+    return ctx_.kernel.delay(ctx_.gd(c.gd));
 }
 
 Co<void>
@@ -333,10 +283,8 @@ SnapCore::executeProcess()
             }
         }
 
-        const bool usesUnit =
-            !(d.op == Op::Event && d.eventFn() == EventFn::Done) &&
-            !(d.op == Op::Sys);
-        if (usesUnit) {
+        const bool unit = usesUnit(d);
+        if (unit) {
             co_await busTransfer(d.unit); // operands to the unit
             co_await unitOp(d.unit);
         }
@@ -497,7 +445,7 @@ SnapCore::executeProcess()
             sim::panic("unreachable opcode in execute");
         }
 
-        if (usesUnit)
+        if (unit)
             co_await busTransfer(d.unit); // result back / completion
 
         // Result write-back, inlined like the operand reads: r15
@@ -521,9 +469,8 @@ SnapCore::executeProcess()
         ++stats_.perClass[static_cast<std::size_t>(d.cls)];
         {
             // Attribute wall time and dynamic energy since the last
-            // retirement to this instruction's class — the measured
-            // coefficients behind `snap-report --calibrate` — and,
-            // when profiling, to its (pc, handler) cell.
+            // retirement to this instruction's class and, when
+            // profiling, to its (pc, handler) cell.
             const Tick tnow = ctx_.kernel.now();
             const double pjnow = ctx_.chargedPj();
             const Tick dt = tnow - lastRetireTick_;

@@ -46,11 +46,11 @@ namespace snaple::core {
 
 /**
  * Execution fidelity of one core. Cycle is the CHP two-process model
- * with per-operation timing; Fast is the statistical tier: the
- * predecoded engine executing the same architectural semantics,
- * with time and energy charged from per-instruction-class calibration
- * coefficients (energy/class_cal.hh). Chosen per node by start() or
- * restored from a snapshot, and fixed for the core's life.
+ * with per-operation timing; Fast is the predecoded engine executing
+ * the same architectural semantics, each instruction priced with the
+ * cost function the cycle tier's charges follow (core/instr_cost.hh)
+ * and timed by the same fetch/execute recurrence. Chosen per node by
+ * start() or restored from a snapshot, and fixed for the core's life.
  */
 enum class FidelityMode : std::uint8_t
 {
@@ -84,9 +84,11 @@ class SnapCore
     {
         std::uint64_t instructions = 0;
         std::array<std::uint64_t, isa::kNumClasses> perClass{};
-        /** Wall time and dynamic energy attributed per class (cycle
-         *  tier: measured between retirements; fast tier: the charged
-         *  coefficients). Raw material for `snap-report --calibrate`. */
+        /** Per class: the time since the previous retirement (or
+         *  dispatch), at either tier; and dynamic energy, at the cycle
+         *  tier whatever was charged in that interval (fetch-ahead,
+         *  dispatch and coprocessor charges included), at the fast
+         *  tier each instruction's own cost. */
         std::array<sim::Tick, isa::kNumClasses> perClassTicks{};
         std::array<double, isa::kNumClasses> perClassPj{};
         std::uint64_t wordsFetched = 0;
@@ -127,9 +129,9 @@ class SnapCore
 
     /**
      * Spawn the core's processes onto the kernel: the CHP fetch +
-     * execute pair (Cycle) or the statistical fast loop (Fast). Both
-     * modes share all architectural state and counters, so the choice
-     * is invisible to everything but timing/energy exactness. The
+     * execute pair (Cycle) or the predecoded fast loop (Fast). Both
+     * modes share all architectural state, counters and the cost
+     * model; without r15 or timer traffic they agree to the tick. The
      * mode holds for the core's life.
      */
     void start(FidelityMode fidelity = FidelityMode::Cycle);
@@ -403,7 +405,8 @@ class SnapCore
 
     /** Time and charged energy at the previous retirement (reset at
      *  boot and dispatch): the interval the next retirement attributes
-     *  to its class and, when profiling, to its profile cell. */
+     *  to its class and, when profiling, to its profile cell. The fast
+     *  tier reads lastRetirePj_ only when profiling. */
     sim::Tick lastRetireTick_ = 0;
     double lastRetirePj_ = 0.0;
 

@@ -1,34 +1,44 @@
 /**
  * @file
  * The fast fidelity tier: one process executing predecoded
- * instructions natively and charging statistical time/energy.
+ * instructions natively and pricing them exactly.
  *
  * Architectural semantics come from the predecoded engine
  * (ref/predecode.hh), driven here by an Env bound to the live core:
  * real register file, real memories, real coprocessor FIFOs. The CHP
- * fetch/execute pair is replaced by a single coroutine that runs up to
- * kFlushBudget instructions per kernel slice and then settles the
- * books: per-instruction-class counts are converted to one delay and a
- * handful of ledger charges through the CoreConfig calibration table
- * (energy/class_cal.hh). Books are also settled before anything
- * externally visible — an r15 FIFO access, a timer command, the event
- * wait at `done` — so inter-node interactions happen at statistically
- * correct times.
+ * fetch/execute pair is replaced by a single coroutine. Each line is
+ * priced once, when it is predecoded (again after an `sti` over it),
+ * by the cost function the cycle tier's charges follow
+ * (core/instr_cost.hh). Each retirement advances the cycle tier's
+ * two-process recurrence in absolute ticks: fetch runs ahead of
+ * execute through the 2-deep fetch queue and waits for execute's
+ * redirect after a control instruction.
+ *
+ * The process settles the books (energy to the ledger, time to the
+ * kernel clock) after up to kFlushBudget instructions and before
+ * anything externally visible: an r15 FIFO access or a timer command
+ * happens at the tick the cycle tier's execute process would reach
+ * it, and `done` and `halt` at the instruction's retirement. With no
+ * r15 or timer traffic the tier is tick-exact;
+ * tests/core/instr_cost_test.cc holds it to the cycle tier form by
+ * form.
  *
  * With a commit sink attached the core emits the same per-instruction
  * and dispatch ref::CommitRecords as the cycle tier, so the snap_diff
  * lockstep harness checks this Env against the golden model. Env is
- * templated on whether it commits: the instantiation is picked per
- * slice, and a run without a sink compiles the record-building away.
+ * templated on whether it commits and whether it profiles: the
+ * instantiation is picked per slice, and a run without a sink or a
+ * profile compiles that work away.
  *
  * Deliberately not modeled at this tier: per-instruction trace events
- * (CoreFetch/CoreExec) and the per-PC flat profile.
+ * (CoreFetch/CoreExec).
  */
 
 #include "core/core.hh"
 
 #include <algorithm>
 
+#include "core/instr_cost.hh"
 #include "ref/predecode.hh"
 
 namespace snaple::core {
@@ -45,43 +55,82 @@ constexpr std::uint64_t kFlushBudget = 1024;
 /** Depth of the cycle tier's fetch-to-execute instruction queue. */
 constexpr std::size_t kFetchQueueDepth = 2;
 
-/** Statistics class of each fused opcode (PKind order). */
-constexpr isa::InstrClass
-classOfKind(ref::pre::PKind k)
+/**
+ * The cycle tier's fetch/execute recurrence, in absolute ticks: fetch
+ * runs ahead of execute through the fetch queue and, after a control
+ * instruction, waits for execute's redirect. Dead while the core
+ * sleeps, like the fast pc: restart() sets it at boot and at every
+ * dispatch.
+ */
+struct Clock
 {
-    using K = ref::pre::PKind;
-    using C = isa::InstrClass;
-    switch (k) {
-      case K::AddR: case K::SubR: case K::AddcR: case K::SubcR:
-      case K::MovR: case K::NegR:
-        return C::ArithReg;
-      case K::AndR: case K::OrR: case K::XorR: case K::NotR:
-        return C::LogicalReg;
-      case K::SllR: case K::SrlR: case K::SraR:
-        return C::Shift;
-      case K::AddI: case K::SubI: case K::AddcI: case K::SubcI:
-      case K::MovI:
-        return C::ArithImm;
-      case K::AndI: case K::OrI: case K::XorI:
-        return C::LogicalImm;
-      case K::SllI: case K::SrlI: case K::SraI:
-        return C::ShiftImm;
-      case K::Ldw: return C::Load;
-      case K::Stw: return C::Store;
-      case K::Ldi: return C::LoadI;
-      case K::Sti: return C::StoreI;
-      case K::Beqz: case K::Bnez: case K::Bltz: case K::Bgez:
-        return C::Branch;
-      case K::JmpI: case K::Jal: case K::Jr: case K::Jalr:
-        return C::Jump;
-      case K::Bfs: return C::BitField;
-      case K::RandR: case K::SeedR: return C::Rand;
-      case K::Timer: return C::Timer;
-      case K::Done: case K::SetAddr: return C::EventCtl;
-      case K::Nop: case K::Halt: case K::Dbgout: return C::Sys;
-      default: return C::Sys; // AluBad/Invalid never retire
+    Tick fetchFree = 0; ///< fetch may start the next instruction
+    Tick execFree = 0;  ///< execute retired the previous instruction
+    /** When execute took the previous instruction, and the one
+     *  before it, out of the fetch queue. */
+    Tick taken1 = 0;
+    Tick taken2 = 0;
+    /** How far execute has got with the current instruction: when it
+     *  took it, or when its last access completed. */
+    Tick execAt = 0;
+    std::uint8_t accessesDone = 0; ///< of the current instruction
+
+    /** Fetch and execute both idle at @p now. */
+    void
+    restart(Tick now)
+    {
+        fetchFree = execFree = taken1 = taken2 = now;
+        accessesDone = 0;
     }
-}
+
+    /** Fetch the current instruction, queue it and hand it to
+     *  execute; returns when execute takes it. */
+    Tick
+    take(const InstrCost &k)
+    {
+        const Tick fetched = fetchFree + k.fetchTicks();
+        // A full queue holds the deposit until execute takes the
+        // instruction kFetchQueueDepth ahead of this one.
+        static_assert(kFetchQueueDepth == 2);
+        const Tick queued = std::max(fetched, taken2);
+        const Tick start = std::max(execFree, queued);
+        taken2 = taken1;
+        taken1 = start;
+        fetchFree = queued;
+        return start;
+    }
+
+    /** The tick at which execute reaches the current instruction's
+     *  next access. */
+    Tick
+    accessAt(const InstrCost &k)
+    {
+        if (accessesDone == 0)
+            execAt = take(k);
+        return execAt + k.exec[accessesDone];
+    }
+
+    /** The current instruction's pending access completed at @p now. */
+    void
+    accessed(Tick now)
+    {
+        execAt = now;
+        ++accessesDone;
+    }
+
+    /** Retire the current instruction; returns its retirement tick. */
+    Tick
+    retire(const InstrCost &k)
+    {
+        if (accessesDone == 0)
+            execAt = take(k);
+        execFree = execAt + k.exec[accessesDone];
+        if (k.control)
+            fetchFree = execFree;
+        accessesDone = 0;
+        return execFree;
+    }
+};
 
 } // namespace
 
@@ -97,8 +146,27 @@ struct SnapCore::FastTier
         Timer,
     };
 
-    std::vector<ref::pre::PLine> lines;
+    /** One distinct line cost at this node's operating point, with
+     *  what its retirements added up since the last settlement. */
+    struct Price
+    {
+        std::uint64_t retired = 0;
+        Tick ticks = 0; ///< retire-to-retire, as Stats::perClassTicks
+        InstrCost cost;
+        double pj = 0; ///< cost.pj's total as charged
+    };
+
+    std::vector<ref::pre::PLine> lines =
+        std::vector<ref::pre::PLine>(ref::pre::kMemWords);
+    /** Each predecoded line's index into prices. */
+    std::vector<std::uint8_t> priceOf =
+        std::vector<std::uint8_t>(ref::pre::kMemWords, 0);
+    /** The distinct prices of this node's lines, interned: a program
+     *  uses a few dozen forms. prices[0] is the zero price of a line
+     *  that never retires (an illegal encoding). */
+    std::vector<Price> prices = std::vector<Price>(1);
     std::uint16_t pc = 0;
+    Clock clock;
 
     // Stall-stash protocol: the engine mutates no architectural state
     // before a stalled I/O, so the process loop performs the blocking
@@ -112,129 +180,162 @@ struct SnapCore::FastTier
      *  program order; cleared at every retirement. */
     std::vector<std::uint16_t> replay;
     std::size_t replayCursor = 0;
+    /** The commit record being built, when a sink is attached. */
+    ref::CommitRecord rec{};
 
-    // Per-class retirement counts since the last settlement.
-    std::array<std::uint64_t, isa::kNumClasses> counts{};
-    std::uint64_t words = 0;
-    std::uint64_t instrs = 0;
+    /** Price the line just predecoded at @p at. */
+    void
+    price(std::uint16_t at, const ref::pre::PLine &ln,
+          const NodeContext &ctx)
+    {
+        using K = ref::pre::PKind;
+        if (ln.kind == K::Invalid || ln.kind == K::AluBadR ||
+            ln.kind == K::AluBadI) {
+            priceOf[at] = 0;
+            return;
+        }
+        const InstrCost c = instrCost(isa::decodeFirst(ln.word), ctx);
+        std::size_t i = 1;
+        while (i < prices.size() && !(prices[i].cost == c))
+            ++i;
+        if (i == prices.size()) {
+            sim::panicIf(i > 0xff, "fast tier: too many line prices");
+            prices.push_back(Price{0, 0, c, ctx.scalePj(c.pjTotal())});
+        }
+        priceOf[at] = static_cast<std::uint8_t>(i);
+    }
 
     /**
-     * Settle the accumulated counts: charge each class's calibrated
-     * per-category energy, accumulate the Stats mirrors, and return
-     * the total pipeline-occupancy delay to sleep for.
+     * Settle the energy and counts of everything retired since the
+     * last settlement: one ledger charge per category, and the Stats
+     * mirrors. Time is settled by the caller.
      */
-    Tick
-    flush(SnapCore &c)
+    void
+    settle(SnapCore &c)
     {
-        Tick total = 0;
-        for (std::size_t k = 0; k < isa::kNumClasses; ++k) {
-            const std::uint64_t n = counts[k];
+        std::array<double, energy::kNumCats> pj{};
+        std::uint64_t instrs = 0;
+        for (Price &p : prices) {
+            const std::uint64_t n = p.retired;
             if (n == 0)
                 continue;
-            const energy::ClassCost &cc = c.ctx_.cfg.classCal->cost[k];
-            const double before = c.ctx_.chargedPj();
             for (std::size_t cat = 0; cat < energy::kNumCats; ++cat)
-                if (cc.pj[cat] != 0)
-                    c.ctx_.charge(static_cast<Cat>(cat),
-                                  double(n) * cc.pj[cat]);
-            const Tick t = c.ctx_.gd(double(n) * cc.gd);
-            c.stats_.perClass[k] += n;
-            c.stats_.perClassTicks[k] += t;
-            c.stats_.perClassPj[k] += c.ctx_.chargedPj() - before;
-            total += t;
-            counts[k] = 0;
+                pj[cat] += double(n) * p.cost.pj[cat];
+            const auto cls = static_cast<std::size_t>(p.cost.cls);
+            c.stats_.perClass[cls] += n;
+            c.stats_.perClassTicks[cls] += p.ticks;
+            c.stats_.perClassPj[cls] += double(n) * p.pj;
+            c.stats_.wordsFetched += n * p.cost.words;
+            instrs += n;
+            p.retired = 0;
+            p.ticks = 0;
         }
+        for (std::size_t cat = 0; cat < energy::kNumCats; ++cat)
+            if (pj[cat] != 0)
+                c.ctx_.charge(static_cast<Cat>(cat), pj[cat]);
         c.stats_.instructions += instrs;
         if (c.currentEvent_ < isa::kNumEvents)
             c.stats_.perEvent[c.currentEvent_].instructions += instrs;
-        instrs = 0;
-        c.stats_.wordsFetched += words;
-        words = 0;
-        return total;
     }
 
     /**
      * The predecoded engine's environment, bound to the live core.
+     * The recurrence and the last retirement are the Env's own
+     * members: the engine runs on a copy of the Env, so they stay in
+     * registers for the slice, and run() hands them back after it.
      * With Commit set it also builds one ref::CommitRecord per
      * retirement into the core's commit sink; a stalled instruction
-     * rebuilds its record when it re-executes.
+     * rebuilds its record when it re-executes. With Profile set each
+     * retirement also lands in its flat-profile cell.
      */
-    template <bool Commit>
+    template <bool Commit, bool Profile>
     struct Env
     {
-        SnapCore &c;
-        FastTier &t;
-        ref::CommitRecord rec{};
+        SnapCore *cp;
+        FastTier *tp;
+        /** Slice-local copies, written back after the slice. */
+        Clock clock;
+        Tick lastRetire = 0;     ///< SnapCore::lastRetireTick_
+        double lastRetirePj = 0; ///< SnapCore::lastRetirePj_ (Profile)
+        /** Charged-scale energy retired in this slice, which the
+         *  profile's attribution counts as charged (Profile). */
+        double pendingPj = 0;
 
-        std::uint16_t *regs() { return c.regs_.data(); }
-        std::uint16_t *handlers() { return c.handlerTable_.data(); }
-        std::uint16_t *imem() { return c.imem_.data(); }
-        std::uint16_t *dmem() { return c.dmem_.data(); }
-        ref::pre::PLine *lines() { return t.lines.data(); }
-        std::uint16_t pc() { return t.pc; }
-        void setPc(std::uint16_t v) { t.pc = v; }
-        bool carry() { return c.carry_; }
-        void setCarry(bool v) { c.carry_ = v; }
-        std::uint16_t lfsr() { return c.lfsr_.state(); }
-        void setLfsr(std::uint16_t v) { c.lfsr_.seed(v); }
+        std::uint16_t *regs() { return cp->regs_.data(); }
+        std::uint16_t *handlers() { return cp->handlerTable_.data(); }
+        std::uint16_t *imem() { return cp->imem_.data(); }
+        std::uint16_t *dmem() { return cp->dmem_.data(); }
+        ref::pre::PLine *lines() { return tp->lines.data(); }
+        std::uint16_t pc() { return tp->pc; }
+        void setPc(std::uint16_t v) { tp->pc = v; }
+        bool carry() { return cp->carry_; }
+        void setCarry(bool v) { cp->carry_ = v; }
+        std::uint16_t lfsr() { return cp->lfsr_.state(); }
+        void setLfsr(std::uint16_t v) { cp->lfsr_.seed(v); }
+
+        void
+        predecoded(std::uint16_t pc, const ref::pre::PLine &ln)
+        {
+            tp->price(pc, ln, cp->ctx_);
+        }
 
         void
         beginInstr(std::uint16_t pc, const ref::pre::PLine &ln)
         {
-            t.replayCursor = 0;
+            tp->replayCursor = 0;
             if constexpr (Commit) {
-                rec = ref::CommitRecord{};
-                rec.pc = pc;
-                rec.word = ln.word;
-                rec.imm = ln.imm;
+                tp->rec = ref::CommitRecord{};
+                tp->rec.pc = pc;
+                tp->rec.word = ln.word;
+                tp->rec.imm = ln.imm;
             }
         }
 
         bool
         readR15(std::uint16_t &v)
         {
-            if (t.replayCursor < t.replay.size()) {
-                v = t.replay[t.replayCursor++];
+            if (tp->replayCursor < tp->replay.size()) {
+                v = tp->replay[tp->replayCursor++];
                 if constexpr (Commit)
-                    rec.fifoRead[rec.fifoReads++] = v;
+                    tp->rec.fifoRead[tp->rec.fifoReads++] = v;
                 return true;
             }
-            t.stallKind = StallKind::R15Read;
+            tp->stallKind = StallKind::R15Read;
             return false;
         }
 
         bool
         writeR15(std::uint16_t v)
         {
-            if (t.ioDone) {
-                t.ioDone = false;
+            if (tp->ioDone) {
+                tp->ioDone = false;
                 if constexpr (Commit) {
-                    rec.fifoWrite = true;
-                    rec.fifoWriteValue = v;
+                    tp->rec.fifoWrite = true;
+                    tp->rec.fifoWriteValue = v;
                 }
                 return true;
             }
-            t.pendingWord = v;
-            t.stallKind = StallKind::R15Write;
+            tp->pendingWord = v;
+            tp->stallKind = StallKind::R15Write;
             return false;
         }
 
         bool
         timerCmd(std::uint8_t fn, std::uint8_t reg, std::uint16_t v)
         {
-            if (t.ioDone) {
-                t.ioDone = false;
+            if (tp->ioDone) {
+                tp->ioDone = false;
                 if constexpr (Commit) {
-                    rec.timerCmd = true;
-                    rec.timerFn = fn;
-                    rec.timerReg = reg;
-                    rec.timerValue = v;
+                    tp->rec.timerCmd = true;
+                    tp->rec.timerFn = fn;
+                    tp->rec.timerReg = reg;
+                    tp->rec.timerValue = v;
                 }
                 return true;
             }
-            t.pendingTimer =
+            tp->pendingTimer =
                 TimerCmd{static_cast<isa::TimerFn>(fn), reg, v};
-            t.stallKind = StallKind::Timer;
+            tp->stallKind = StallKind::Timer;
             return false;
         }
 
@@ -242,9 +343,9 @@ struct SnapCore::FastTier
         noteRegWrite(unsigned idx, std::uint16_t v)
         {
             if constexpr (Commit) {
-                rec.regWrite = true;
-                rec.regIndex = static_cast<std::uint8_t>(idx);
-                rec.regValue = v;
+                tp->rec.regWrite = true;
+                tp->rec.regIndex = static_cast<std::uint8_t>(idx);
+                tp->rec.regValue = v;
             }
         }
 
@@ -252,29 +353,79 @@ struct SnapCore::FastTier
         noteMemWrite(bool isImem, std::uint16_t a, std::uint16_t v)
         {
             if constexpr (Commit) {
-                rec.memWrite = true;
-                rec.memIsImem = isImem;
-                rec.memAddr = a;
-                rec.memValue = v;
+                tp->rec.memWrite = true;
+                tp->rec.memIsImem = isImem;
+                tp->rec.memAddr = a;
+                tp->rec.memValue = v;
             }
         }
 
-        void dbgout(std::uint16_t v) { c.debugOut_.push_back(v); }
+        void dbgout(std::uint16_t v) { cp->debugOut_.push_back(v); }
 
-        void
-        retire(const ref::pre::PLine &ln, bool carry)
+        /**
+         * Retire at the recurrence's tick and book the time since the
+         * previous retirement (or dispatch) to the line's price. When
+         * profiling, also book it and the energy charged since then,
+         * counting what this slice has not charged yet, to the (pc,
+         * handler) cell, as the cycle tier measures both. Inlined at
+         * every one of the engine's retire sites, so the engine's copy
+         * of the Env never has its address taken and the recurrence
+         * stays in registers.
+         */
+        [[gnu::always_inline]] void
+        retire(std::uint16_t pc, const ref::pre::PLine &, bool carry)
         {
-            ++t.counts[static_cast<std::size_t>(classOfKind(ln.kind))];
-            t.words += ln.len;
-            ++t.instrs;
-            t.replay.clear();
-            t.stallKind = StallKind::None;
+            Price &p = tp->prices[tp->priceOf[pc]];
+            const Tick end = clock.retire(p.cost);
+            const Tick dt = end - lastRetire;
+            ++p.retired;
+            p.ticks += dt;
+            lastRetire = end;
+            if constexpr (Profile) {
+                pendingPj += p.pj;
+                const double pjNow = cp->ctx_.chargedPj() + pendingPj;
+                ProfSlot &s = cp->profile_[
+                    std::size_t(pc) * NodeContext::kHandlerSlots +
+                    cp->slotOf(cp->currentEvent_)];
+                ++s.count;
+                s.ticks += dt;
+                s.pj += pjNow - lastRetirePj;
+                lastRetirePj = pjNow;
+            }
+            tp->replay.clear();
             if constexpr (Commit) {
-                rec.carry = carry;
-                c.commitSink_->commit(rec);
+                tp->rec.carry = carry;
+                cp->commitSink_->commit(tp->rec);
             }
         }
     };
+
+    /** Run one slice of the engine in environment Env<Commit, Profile>. */
+    template <bool Commit, bool Profile>
+    ref::pre::PStop
+    run(SnapCore &c)
+    {
+        Env<Commit, Profile> env{&c, this, clock, c.lastRetireTick_,
+                                 c.lastRetirePj_};
+        const ref::pre::PStop stop =
+            ref::pre::runPredecoded(env, kFlushBudget);
+        clock = env.clock;
+        c.lastRetireTick_ = env.lastRetire;
+        c.lastRetirePj_ = env.lastRetirePj;
+        return stop;
+    }
+
+    /** Run one slice with the environment the core's commit sink and
+     *  profile call for: chosen per slice, so a sink attached mid-run
+     *  takes effect at the next slice. */
+    ref::pre::PStop
+    runSlice(SnapCore &c)
+    {
+        const bool profile = c.profileEnabled();
+        if (c.commitSink_)
+            return profile ? run<true, true>(c) : run<true, false>(c);
+        return profile ? run<false, true>(c) : run<false, false>(c);
+    }
 };
 
 // Constructor and destructor are out of line here because the
@@ -369,10 +520,8 @@ SnapCore::restoreState(const SavedState &s)
                  c.slot] = ProfSlot{c.count, c.ticks, c.pj};
     }
     if (fidelity_ == FidelityMode::Fast) {
-        if (!fast_) {
+        if (!fast_)
             fast_ = std::make_unique<FastTier>();
-            fast_->lines.resize(ref::pre::kMemWords);
-        }
         fast_->pc = s.fastPc;
     }
 }
@@ -395,48 +544,40 @@ SnapCore::fastProcess()
                  "fast fidelity requires the architected ",
                  ref::pre::kMemWords, "-word memory banks (imem ",
                  imem_.words(), ", dmem ", dmem_.words(), ")");
-    // The class-cal table prices the split fast/slow buses; a flat-bus
-    // node would silently run at their cost.
-    sim::fatalIf(ctx_.cfg.flatBus,
-                 "fast fidelity cannot model flatBus; use cycle fidelity");
-    if (!fast_) {
+    if (!fast_)
         fast_ = std::make_unique<FastTier>();
-        fast_->lines.resize(ref::pre::kMemWords);
-    }
     FastTier &ft = *fast_;
     if (restoredAsleep_) {
         // Respawned from a snapshot of a sleeping core: park at the
-        // event wait. ft.pc is dead state while asleep (the dispatch
-        // overwrites it with the handler pc) and the predecoded lines
-        // start empty, rebuilding lazily and deterministically.
+        // event wait. ft.pc and the recurrence are dead state while
+        // asleep (the dispatch overwrites them) and the predecoded
+        // lines start empty, rebuilding lazily and deterministically.
         ft.pc = co_await awaitDispatch();
     } else {
         beginBoot();
     }
-    FastTier::Env<false> env{*this, ft};
-    FastTier::Env<true> commitEnv{*this, ft};
+    ft.clock.restart(ctx_.kernel.now());
     for (;;) {
-        // Chosen per slice: a sink attached mid-run takes effect at
-        // the next slice.
-        const ref::pre::PStop stop =
-            commitSink_ ? ref::pre::runPredecoded(commitEnv, kFlushBudget)
-                        : ref::pre::runPredecoded(env, kFlushBudget);
-        const Tick cost = ft.flush(*this);
-        if (cost)
-            co_await ctx_.kernel.delay(cost);
+        const ref::pre::PStop stop = ft.runSlice(*this);
+        ft.settle(*this);
+        // Settle time: to the tick execute reaches the stalled access,
+        // else to the last retirement. The kernel clock never runs
+        // ahead of the recurrence.
+        const Tick now = ctx_.kernel.now();
+        Tick at = ft.clock.execFree;
+        if (stop == ref::pre::PStop::Stall)
+            at = ft.clock.accessAt(ft.prices[ft.priceOf[ft.pc]].cost);
+        if (at > now)
+            co_await ctx_.kernel.delay(at - now);
         switch (stop) {
           case ref::pre::PStop::StepLimit:
             break; // books settled; keep executing
           case ref::pre::PStop::Stall:
             switch (ft.stallKind) {
-              case FastTier::StallKind::R15Read: {
-                ctx_.charge(Cat::Coproc, ctx_.ecal.msgWordPj);
-                const std::uint16_t w = co_await msgOut_.recv();
-                ft.replay.push_back(w);
+              case FastTier::StallKind::R15Read:
+                ft.replay.push_back(co_await msgOut_.recv());
                 break;
-              }
               case FastTier::StallKind::R15Write:
-                ctx_.charge(Cat::Coproc, ctx_.ecal.msgWordPj);
                 co_await msgIn_.send(ft.pendingWord);
                 ft.ioDone = true;
                 break;
@@ -448,9 +589,11 @@ SnapCore::fastProcess()
                 sim::panic("fast tier: stall without pending I/O");
             }
             ft.stallKind = FastTier::StallKind::None;
+            ft.clock.accessed(ctx_.kernel.now());
             break;
           case ref::pre::PStop::Done:
             ft.pc = co_await awaitDispatch();
+            ft.clock.restart(ctx_.kernel.now());
             break;
           case ref::pre::PStop::Halt:
             enterHalt();

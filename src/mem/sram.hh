@@ -98,7 +98,7 @@ class Sram
     }
 
     /** Raw backing store, for the fast fidelity tier's interpreter
-     *  (which accounts time and energy statistically, not per access). */
+     *  (which prices whole instructions: core/instr_cost.hh). */
     std::uint16_t *data() { return data_.data(); }
 
     /** Host-side read without cost (loaders, tests, benches). */

@@ -7,7 +7,7 @@
  * generated, assembled, and run to completion on the timed machine
  * (core::Machine) with a commit sink attached, at the fidelity the
  * config names: the CHP two-process core (cycle) or the predecoded
- * statistical core (fast), each exactly as production runs it. The
+ * core (fast), each exactly as production runs it. The
  * nondeterministic
  * inputs that run observed — every word dequeued from the r15 FIFO and
  * every event token dispatched at a `done` — are extracted from its

@@ -29,6 +29,7 @@
  *   bool carry();        void setCarry(bool);
  *   std::uint16_t lfsr(); void setLfsr(std::uint16_t);
  *
+ *   void predecoded(std::uint16_t pc, const PLine &ln); // line (re)filled
  *   void beginInstr(std::uint16_t pc, const PLine &ln);
  *   bool readR15(std::uint16_t &v);        // false = stall
  *   bool writeR15(std::uint16_t v);        // false = stall
@@ -36,7 +37,10 @@
  *   void noteRegWrite(unsigned idx, std::uint16_t v);
  *   void noteMemWrite(bool isImem, std::uint16_t a, std::uint16_t v);
  *   void dbgout(std::uint16_t v);
- *   void retire(const PLine &ln, bool carry);
+ *   void retire(std::uint16_t pc, const PLine &ln, bool carry);
+ *
+ * An Env is copy-assignable: runPredecoded() runs on a copy and
+ * assigns it back when it returns.
  *
  * Stall protocol: when readR15 / writeR15 / timerCmd return false the
  * engine returns PStop::Stall with NO architectural state mutated and
@@ -221,11 +225,14 @@ decodeLine(const std::uint16_t *imem, std::uint32_t imemWords,
 #endif
 
 /** Run up to @p maxSteps architectural steps (retired instructions)
- *  against @p env. */
+ *  against @p caller. The engine works on a copy of the Env, so the
+ *  Env's own members can stay in registers for the whole entry, and
+ *  assigns it back on every return. */
 template <class Env>
 PStop
-runPredecoded(Env &env, std::uint64_t maxSteps)
+runPredecoded(Env &caller, std::uint64_t maxSteps)
 {
+    Env env = caller;
     std::uint16_t *const regs = env.regs();
     std::uint16_t *const handlers = env.handlers();
     std::uint16_t *const imem = env.imem();
@@ -245,6 +252,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         env.setPc(pc);                                                 \
         env.setCarry(carry);                                           \
         env.setLfsr(lfsr);                                             \
+        caller = env;                                                  \
         return PStop::code;                                            \
     } while (0)
 
@@ -274,7 +282,7 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
 
 #define PRE_RETIRE()                                                   \
     do {                                                               \
-        env.retire(*ln, carry);                                        \
+        env.retire(pc, *ln, carry);                                    \
         pc = pcNext;                                                   \
     } while (0)
 
@@ -336,8 +344,10 @@ runPredecoded(Env &env, std::uint64_t maxSteps)
         PRE_RET(DecodeError);
     {
         PLine &l = lines[pc];
-        if (l.len == 0)
+        if (l.len == 0) {
             decodeLine(imem, kMemWords, pc, l);
+            env.predecoded(pc, l);
+        }
         ln = &l;
     }
     env.beginInstr(pc, *ln);

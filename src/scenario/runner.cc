@@ -162,8 +162,6 @@ nodeConfig(const Scenario &sc, std::size_t i, const RunOptions &opt)
                                        : ns.fidelityFast.value_or(false);
     cfg.fidelity =
         fast ? node::FidelityMode::Fast : node::FidelityMode::Cycle;
-    if (opt.classCal)
-        cfg.core.classCal = opt.classCal;
     return cfg;
 }
 

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "energy/class_cal.hh"
 #include "radio/medium.hh"
 #include "scenario/scenario.hh"
 #include "sim/ticks.hh"
@@ -75,13 +74,6 @@ struct RunOptions
      */
     std::optional<bool> fidelityFast;
 
-    /**
-     * Fast-tier cost table (`snap-run --cal=FILE`): replaces the
-     * analytic per-class coefficients on every node, which all share
-     * this one table. Null keeps energy::ClassCal::analyticShared().
-     */
-    std::shared_ptr<const energy::ClassCal> classCal;
-
     /** Per-PC flat profiling on every node (`snap-run --profile`):
      *  its rows close the metrics stream. */
     bool profile = false;
@@ -101,10 +93,9 @@ struct RunOptions
 
     /**
      * Resume from this snapshot instead of starting at t=0. The
-     * network must be rebuilt exactly as at save time (same scenario,
-     * fidelity and calibration; a node whose fidelity, volts or
-     * class-cal table differ is a FatalError); the runner restores
-     * every node —
+     * network must be rebuilt exactly as at save time (same scenario
+     * and fidelity; a node whose fidelity, volts or profiling differ
+     * is a FatalError); the runner restores every node —
      * sensor RNG streams included — and only replays the schedule
      * tail past the snapshot barrier. Borrowed for the call.
      */

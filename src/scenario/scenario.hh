@@ -60,7 +60,7 @@ struct NodeSettings
 
     /**
      * Execution fidelity (`fidelity fast|cycle`): true selects the
-     * statistical fast tier (core::FidelityMode::Fast), false the CHP
+     * predecoded fast tier (core::FidelityMode::Fast), false the CHP
      * cycle tier. Unset = cycle.
      */
     std::optional<bool> fidelityFast;

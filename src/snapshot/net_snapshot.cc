@@ -130,11 +130,6 @@ checkKnobs(const node::SnapNode &n, const snapshot::NodeState &ns)
                  ": volts ", sim::formatDouble(ns.volts),
                  " != this network's ", sim::formatDouble(cfg.volts),
                  " (restore with the saving run's knobs)");
-    const std::uint64_t digest = snapshot::classCalDigest(*cfg.classCal);
-    sim::fatalIf(ns.classCalDigest != digest, "snapshot node ",
-                 n.name(), ": class-cal table digest 0x", std::hex,
-                 ns.classCalDigest, " != this network's 0x", digest,
-                 " (restore with the saving run's knobs)");
     const auto onOff = [](bool on) { return on ? "on" : "off"; };
     const bool profiling = n.core().profileEnabled();
     sim::fatalIf(ns.core.profiling != profiling, "snapshot node ",
@@ -192,7 +187,6 @@ ParallelNetwork::captureShard(Shard &s) const
     node::SnapNode &n = s.node;
     ns.core = n.core().saveState(s.halted);
     ns.volts = n.ctx().cfg.volts;
-    ns.classCalDigest = snapshot::classCalDigest(*n.ctx().cfg.classCal);
     ns.imem = captureSram(n.imem());
     ns.dmem = captureSram(n.dmem());
     ns.evq = captureFifo(n.eventQueue());

@@ -286,7 +286,7 @@ io(Ar &ar, NodeState &n)
 {
     fields(ar, n.halted, n.dead, n.deathAt, n.kernelNow,
            n.kernelDispatched, n.traceHash, n.traceCount, n.core, n.volts,
-           n.classCalDigest, n.imem, n.dmem, n.evq, n.msgIn, n.msgOut,
+           n.imem, n.dmem, n.evq, n.msgIn, n.msgOut,
            n.timers, n.timerExpires, n.msg, n.hasRadio, n.radioMode,
            n.radioLastRssi, n.radioRx, n.medium, n.ledgerPj, n.chargedPj,
            n.handlerPj, n.flow, n.energest, n.metrics);
@@ -370,18 +370,6 @@ readSnapshotFile(const std::string &path)
     ss << in.rdbuf();
     sim::fatalIf(!in, "snapshot: read error on ", path);
     return decodeSnapshot(ss.str());
-}
-
-std::uint64_t
-classCalDigest(const energy::ClassCal &cal)
-{
-    Writer w;
-    for (const energy::ClassCost &c : cal.cost) {
-        w.f64(c.gd);
-        for (double pj : c.pj)
-            w.f64(pj);
-    }
-    return sim::fnv1a64(w.bytes().data(), w.bytes().size());
 }
 
 } // namespace snaple::snapshot

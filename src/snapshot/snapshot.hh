@@ -30,7 +30,6 @@
 #include "coproc/timer.hh"
 #include "core/context.hh"
 #include "core/core.hh"
-#include "energy/class_cal.hh"
 #include "energy/ledger.hh"
 #include "obs/energest.hh"
 #include "obs/flow.hh"
@@ -57,8 +56,11 @@ inline constexpr std::uint32_t kMagic = 0x53504e53u;
  *  fidelity byte.
  *  v6: the core records whether its per-PC flat profile is on (a
  *  restore knob) and the profile's non-zero cells, so a profiled run
- *  checkpoints and its profile rows continue bit-exactly. */
-inline constexpr std::uint32_t kFormatVersion = 6;
+ *  checkpoints and its profile rows continue bit-exactly.
+ *  v7: the class-cal digest is gone with the class-cal table: both
+ *  tiers price instructions with one cost function
+ *  (core/instr_cost.hh). Eight bytes fewer per node. */
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /** One hardware FIFO's full state (sim::Fifo buffer plus flow
  *  counters): the event queue and the word FIFOs. */
@@ -86,9 +88,9 @@ struct NodeState
     std::uint64_t traceCount = 0;
 
     core::SnapCore::SavedState core;
-    /** Host knobs restore() checks, with the core's fidelity byte. */
+    /** A host knob restore() checks, with the core's fidelity and
+     *  profiling bytes. */
     double volts = 0.0;
-    std::uint64_t classCalDigest = 0;
     std::vector<std::uint16_t> imem;
     std::vector<std::uint16_t> dmem;
     FifoState<core::EventToken> evq;
@@ -158,10 +160,6 @@ NetworkSnapshot decodeSnapshot(std::string_view bytes);
 void writeSnapshotFile(const NetworkSnapshot &snap,
                        const std::string &path);
 NetworkSnapshot readSnapshotFile(const std::string &path);
-
-/** sim::fnv1a64() over @p cal's coefficients as the codec writes them
- *  (NodeState::classCalDigest): equal tables, equal digests. */
-std::uint64_t classCalDigest(const energy::ClassCal &cal);
 
 } // namespace snaple::snapshot
 

@@ -1,17 +1,21 @@
 /**
  * @file
  * Tests for the fast fidelity tier (docs/SIMULATOR.md): the predecoded
- * statistical interpreter must be architecturally bit-identical to the
- * CHP cycle tier — same registers, same dbgout stream, same message
- * and timer traffic, same instruction counts — with only time and
- * energy modeled statistically. Also pins the `sti` predecode-line
- * invalidation (self-modifying code) and that recording commit records
- * changes nothing about a fast run.
+ * interpreter must be architecturally bit-identical to the CHP cycle
+ * tier — same registers, same dbgout stream, same message and timer
+ * traffic, same instruction counts — and, without r15 or timer
+ * traffic, agree with it to the tick and to 1e-9 in energy
+ * (tests/core/instr_cost_test.cc checks the same form by form). Also
+ * pins the `sti` predecode-line invalidation (self-modifying code),
+ * the per-PC profile, and that recording commit records changes
+ * nothing about a fast run.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,7 +35,7 @@ using core::Machine;
 /** Assemble and run @p src to halt at @p fidelity; returns dbgout. */
 std::vector<std::uint16_t>
 runAt(const std::string &src, FidelityMode fidelity,
-      std::uint64_t *instructions = nullptr)
+      std::uint64_t *instructions = nullptr, sim::Tick *haltAt = nullptr)
 {
     sim::Kernel k;
     Machine m(k);
@@ -41,7 +45,46 @@ runAt(const std::string &src, FidelityMode fidelity,
     EXPECT_TRUE(m.core().halted()) << "program did not halt";
     if (instructions)
         *instructions = m.core().stats().instructions;
+    if (haltAt)
+        *haltAt = k.now();
     return m.core().debugOut();
+}
+
+/** |a - b| within 1e-9 of the larger. */
+bool
+near(double a, double b)
+{
+    return std::fabs(a - b) <= 1e-9 * std::max(std::fabs(a), std::fabs(b));
+}
+
+/** Per-category dynamic energy of @p src run to halt at @p fidelity. */
+std::array<double, energy::kNumCats>
+ledgerAt(const std::string &src, FidelityMode fidelity,
+         const CoreConfig &cfg = {}, sim::Tick *haltAt = nullptr)
+{
+    sim::Kernel k;
+    Machine m(k, cfg);
+    m.load(assembler::assembleSnap(src));
+    m.start(fidelity);
+    k.run(k.now() + 100 * sim::kMillisecond);
+    EXPECT_TRUE(m.core().halted()) << "program did not halt";
+    if (haltAt)
+        *haltAt = k.now();
+    std::array<double, energy::kNumCats> pj{};
+    for (std::size_t c = 0; c < energy::kNumCats; ++c)
+        pj[c] = m.ctx().ledger.pj(static_cast<energy::Cat>(c));
+    return pj;
+}
+
+/** Both tiers' ledgers agree category by category. */
+void
+expectLedgersMatch(const std::array<double, energy::kNumCats> &fast,
+                   const std::array<double, energy::kNumCats> &cycle)
+{
+    for (std::size_t c = 0; c < energy::kNumCats; ++c)
+        EXPECT_TRUE(near(fast[c], cycle[c]))
+            << energy::catName(static_cast<energy::Cat>(c)) << ": fast "
+            << fast[c] << " cycle " << cycle[c];
 }
 
 TEST(FastTierTest, MatchesCycleTierOnComputeMix)
@@ -66,20 +109,21 @@ TEST(FastTierTest, MatchesCycleTierOnComputeMix)
         halt
     )";
     std::uint64_t cycleIns = 0, fastIns = 0;
-    const auto cycle = runAt(src, FidelityMode::Cycle, &cycleIns);
-    const auto fast = runAt(src, FidelityMode::Fast, &fastIns);
+    sim::Tick cycleHalt = 0, fastHalt = 0;
+    const auto cycle = runAt(src, FidelityMode::Cycle, &cycleIns, &cycleHalt);
+    const auto fast = runAt(src, FidelityMode::Fast, &fastIns, &fastHalt);
     EXPECT_EQ(cycle, fast);
     EXPECT_EQ(cycleIns, fastIns);
     EXPECT_GT(cycleIns, 4000u);
+    // No r15 or timer traffic: the recurrence is tick-exact.
+    EXPECT_EQ(fastHalt, cycleHalt);
 }
 
 TEST(FastTierTest, EnergyTracksCycleTierOnComputeMix)
 {
-    // The analytic per-class table is derived from the same
-    // calibration constants the cycle tier charges, so whole-program
-    // energy must land close — energy has no fetch/execute overlap to
-    // blur it, unlike time. (The --calibrate pass closes the residual
-    // gap; here we only pin the analytic table's sanity.)
+    // Both tiers pay the same per-instruction charges
+    // (core/instr_cost.hh); only the order of the floating-point sums
+    // differs.
     const std::string src = R"(
         li  r1, 2000
         li  r2, 3
@@ -91,17 +135,8 @@ TEST(FastTierTest, EnergyTracksCycleTierOnComputeMix)
         bnez r1, loop
         halt
     )";
-    double pj[2] = {0, 0};
-    for (int f = 0; f < 2; ++f) {
-        sim::Kernel k;
-        Machine m(k);
-        m.load(assembler::assembleSnap(src));
-        m.start(f ? FidelityMode::Fast : FidelityMode::Cycle);
-        k.run(k.now() + 100 * sim::kMillisecond);
-        ASSERT_TRUE(m.core().halted());
-        pj[f] = m.ctx().chargedPj();
-    }
-    EXPECT_NEAR(pj[1], pj[0], 0.10 * pj[0]);
+    expectLedgersMatch(ledgerAt(src, FidelityMode::Fast),
+                       ledgerAt(src, FidelityMode::Cycle));
 }
 
 TEST(FastTierTest, StiInvalidatesCachedPredecodedLine)
@@ -190,23 +225,97 @@ TEST(FastTierTest, R15ReadsStallAndResume)
     }
 }
 
-TEST(FastTierTest, RefusesFlatBus)
+TEST(FastTierTest, FlatBusIsPricedExactly)
 {
-    // The class-cal table prices the split buses, so a flat-bus fast
-    // node would run at hierarchical-bus cost: it must refuse instead.
-    sim::Kernel k;
-    CoreConfig cfg;
-    cfg.flatBus = true;
-    Machine m(k, cfg);
-    m.load(assembler::assembleSnap("li r1, 1\n add r1, r1\n halt\n"));
-    m.start(FidelityMode::Fast);
-    try {
-        k.run(k.now() + sim::kMillisecond);
-        FAIL() << "fast flat-bus run was not refused";
-    } catch (const sim::FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("flatBus"), std::string::npos)
-            << e.what();
+    // The flat-bus ablation moves every unit onto one loaded bus; the
+    // cost function reads the same bus costs as the cycle tier, so a
+    // flat-bus fast node runs at the cycle tier's time and energy.
+    const std::string src = R"(
+        li  r1, 300
+        li  r4, 100
+    loop:
+        add r2, r1
+        ldw r5, 0(r4)
+        rand r3
+        xor r5, r3
+        stw r5, 1(r4)
+        dec r1
+        bnez r1, loop
+        halt
+    )";
+    CoreConfig flat;
+    flat.flatBus = true;
+    sim::Tick cycleHalt = 0, fastHalt = 0, splitHalt = 0;
+    const auto cycle = ledgerAt(src, FidelityMode::Cycle, flat, &cycleHalt);
+    const auto fast = ledgerAt(src, FidelityMode::Fast, flat, &fastHalt);
+    expectLedgersMatch(fast, cycle);
+    EXPECT_EQ(fastHalt, cycleHalt);
+    // And the knob is really on: the split-bus run differs.
+    const auto split = ledgerAt(src, FidelityMode::Fast, {}, &splitHalt);
+    EXPECT_NE(split[std::size_t(energy::Cat::Datapath)],
+              fast[std::size_t(energy::Cat::Datapath)]);
+    EXPECT_NE(splitHalt, fastHalt);
+}
+
+TEST(FastTierTest, ProfileMatchesCycleTier)
+{
+    // A stall-free program with a boot segment and two handler
+    // activations: every (pc, handler) cell's count and retire-to-
+    // retire ticks equal the cycle tier's. Energy per cell differs
+    // (the cycle tier books fetch-ahead energy to whichever interval
+    // it falls in), but the cells sum to the same total.
+    const std::string src = R"(
+        li  r1, 4
+        la  r2, h
+        setaddr r1, r2
+        li  r3, 50
+    boot:
+        add r4, r3
+        dec r3
+        bnez r3, boot
+        done
+    h:
+        li  r3, 20
+    hl:
+        xor r4, r3
+        dec r3
+        bnez r3, hl
+        dec r5
+        beqz r5, out
+        done
+    out:
+        halt
+    )";
+    std::vector<sim::ProfileRow> rows[2];
+    for (const FidelityMode f : {FidelityMode::Cycle, FidelityMode::Fast}) {
+        sim::Kernel k;
+        Machine m(k);
+        m.load(assembler::assembleSnap(src));
+        m.core().setReg(5, 2);
+        m.core().enableProfile(true);
+        m.postEvent(isa::EventNum::SensorIrq);
+        m.postEvent(isa::EventNum::SensorIrq);
+        m.start(f);
+        k.run(k.now() + 100 * sim::kMillisecond);
+        ASSERT_TRUE(m.core().halted());
+        rows[f == FidelityMode::Fast] = m.core().profileRows();
     }
+    const auto &cyc = rows[0], &fst = rows[1];
+    ASSERT_EQ(fst.size(), cyc.size());
+    EXPECT_GT(cyc.size(), 10u);
+    double pj[2] = {0, 0};
+    for (std::size_t i = 0; i < cyc.size(); ++i) {
+        EXPECT_EQ(fst[i].handler, cyc[i].handler);
+        EXPECT_EQ(fst[i].pc, cyc[i].pc);
+        EXPECT_EQ(fst[i].count, cyc[i].count) << "pc " << cyc[i].pc;
+        EXPECT_EQ(fst[i].ticks, cyc[i].ticks) << "pc " << cyc[i].pc;
+        pj[0] += cyc[i].pj;
+        pj[1] += fst[i].pj;
+    }
+    EXPECT_TRUE(near(pj[1], pj[0])) << pj[1] << " vs " << pj[0];
+    EXPECT_TRUE(std::any_of(cyc.begin(), cyc.end(), [](const auto &r) {
+        return r.handler == "SensorIrq" && r.count == 2 * 20;
+    }));
 }
 
 /** What a fast run leaves behind, for comparing runs. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Mixed-fidelity determinism: a scenario whose nodes run at different
- * fidelity tiers (fast nodes on the predecoded statistical core,
+ * fidelity tiers (fast nodes on the predecoded core,
  * cycle nodes on the CHP core) must stay bit-identical across any
  * --jobs count, because both tiers meet at the same AirExchange
  * barriers. Also pins the `snap-run --fidelity` host override

@@ -1,9 +1,9 @@
 /**
  * @file
  * Checked restores: a snapshot records the host knobs that change
- * results after a restore (each node's fidelity, supply volts,
- * class-cal table digest and profiling flag). Restoring onto a network built with any
- * other value fails with a FatalError that names the node and the
+ * results after a restore (each node's fidelity, supply volts and
+ * profiling flag). Restoring onto a network built with any other
+ * value fails with a FatalError that names the node and the
  * knob; restoring with the saving run's knobs still continues
  * bit-exactly (docs/CHECKPOINT.md).
  */
@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "energy/class_cal.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
@@ -71,7 +70,6 @@ struct Knobs
     bool fast = false;
     bool profile = false;
     double volts = 1.8;
-    energy::ClassCal cal = energy::ClassCal::analytic();
     std::optional<std::uint32_t> node; ///< override target, if any
     std::optional<bool> nodeFast;
     std::optional<double> nodeVolts;
@@ -102,7 +100,6 @@ scenario::RunOptions
 makeOptions(const Knobs &k)
 {
     scenario::RunOptions opt;
-    opt.classCal = std::make_shared<const energy::ClassCal>(k.cal);
     opt.profile = k.profile;
     opt.loadSource = [](const std::string &) {
         return std::string(kBeacon);
@@ -171,17 +168,6 @@ randomVolts(sim::Rng &rng)
     return 0.6 + 1.2 * rng.uniform01();
 }
 
-/** @p cal with one random coefficient nudged by one ulp. */
-energy::ClassCal
-nudged(energy::ClassCal cal, sim::Rng &rng)
-{
-    energy::ClassCost &c = cal.cost[rng.next() % cal.cost.size()];
-    const std::size_t i = rng.next() % (c.pj.size() + 1);
-    double &v = i == c.pj.size() ? c.gd : c.pj[i];
-    v = std::nextafter(v, 1e300);
-    return cal;
-}
-
 TEST(RestoreKnobs, FidelityMismatchIsRefusedByName)
 {
     // Both directions, on every node in turn: the whole network at
@@ -215,22 +201,6 @@ TEST(RestoreKnobs, VoltsMismatchIsRefusedByName)
         if (*k.nodeVolts == saved.volts)
             k.nodeVolts = std::nextafter(saved.volts, 0.0);
         expectRefused(k, snap, n, "volts");
-    }
-}
-
-TEST(RestoreKnobs, ClassCalMismatchIsRefusedByName)
-{
-    // One coefficient one ulp off is still another table. The table
-    // is global, so the first node is the one named.
-    sim::Rng rng(0xca1);
-    for (int trial = 0; trial < 4; ++trial) {
-        Knobs saved;
-        saved.fast = trial % 2 == 0;
-        saved.cal = nudged(saved.cal, rng);
-        const snapshot::NetworkSnapshot snap = save(saved);
-        Knobs k = saved;
-        k.cal = nudged(saved.cal, rng);
-        expectRefused(k, snap, 0, "class-cal table digest");
     }
 }
 
@@ -282,31 +252,12 @@ TEST(RestoreKnobs, MatchingKnobsContinueBitExactly)
         k.fast = trial == 1;
         k.profile = trial != 1;
         k.volts = randomVolts(rng);
-        k.cal = nudged(k.cal, rng);
         k.node = static_cast<std::uint32_t>(rng.next() % kNodes);
         k.nodeFast = trial != 0;
         k.nodeVolts = randomVolts(rng);
         scenario::RunResult straight;
         const snapshot::NetworkSnapshot snap = save(k, &straight);
         EXPECT_EQ(nodeRows(restore(k, snap)), nodeRows(straight));
-    }
-}
-
-TEST(RestoreKnobs, DigestSeesEveryCoefficient)
-{
-    const energy::ClassCal base = energy::ClassCal::analytic();
-    const std::uint64_t d = snapshot::classCalDigest(base);
-    EXPECT_EQ(snapshot::classCalDigest(energy::ClassCal::analytic()), d);
-    for (std::size_t c = 0; c < base.cost.size(); ++c) {
-        energy::ClassCal cal = base;
-        cal.cost[c].gd = std::nextafter(cal.cost[c].gd, 1e300);
-        EXPECT_NE(snapshot::classCalDigest(cal), d) << "class " << c;
-        for (std::size_t p = 0; p < base.cost[c].pj.size(); ++p) {
-            cal = base;
-            cal.cost[c].pj[p] = std::nextafter(cal.cost[c].pj[p], 1e300);
-            EXPECT_NE(snapshot::classCalDigest(cal), d)
-                << "class " << c << " cat " << p;
-        }
     }
 }
 

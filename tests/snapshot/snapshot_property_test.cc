@@ -142,7 +142,6 @@ fuzzNode(sim::Rng &rng)
                 u16(), std::uint8_t(rng.next()), u64(), tick(), pj()};
         });
     ns.volts = pj();
-    ns.classCalDigest = u64();
 
     for (int i = 0, n = 16 + int(rng.next() % 64); i < n; ++i) {
         ns.imem.push_back(u16());
@@ -367,7 +366,8 @@ TEST_P(SnapshotOldVersion, IsRejected)
     // per node that v4 dropped. v4 carries leakage and listen cursors
     // where v5 records the supply volts and class-cal digest: the
     // same size, so nothing but the version word tells them apart.
-    // v5 has no profiling flag or profile cells. Restamped onto a
+    // v5 has no profiling flag or profile cells. v6 carries the
+    // class-cal digest per node that v7 dropped. Restamped onto a
     // current encoding, only the version word can refuse them.
     const std::uint32_t version = GetParam();
     ASSERT_LT(version, snapshot::kFormatVersion);
@@ -380,7 +380,7 @@ TEST_P(SnapshotOldVersion, IsRejected)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Past, SnapshotOldVersion, ::testing::Values(2u, 3u, 4u, 5u),
+    Past, SnapshotOldVersion, ::testing::Values(2u, 3u, 4u, 5u, 6u),
     [](const ::testing::TestParamInfo<std::uint32_t> &info) {
         return "v" + std::to_string(info.param);
     });

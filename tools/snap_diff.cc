@@ -21,7 +21,7 @@
  * the *reference* (see ref/ref_machine.hh), so a passing sweep under
  * --mutation is itself a failure of the harness. --fidelity picks the
  * core tier under test, in snap-run's vocabulary: cycle (default, the
- * CHP two-process core) or fast (the predecoded statistical core).
+ * CHP two-process core) or fast (the predecoded core).
  * --max-seconds time-boxes long fuzz runs (nightly CI): the sweep
  * stops cleanly after the current program once the budget is spent.
  *

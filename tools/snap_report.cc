@@ -2,8 +2,7 @@
  * @file
  * snap-report: fold a snap-run metrics file into paper-style tables.
  *
- * Usage: snap-report FILE.jsonl [--folded] [--validate] [--calibrate]
- *                               [--energest]
+ * Usage: snap-report FILE.jsonl [--folded] [--validate] [--energest]
  *
  * Reads the JSONL metrics stream written by `snap-run --metrics=FILE`
  * (schema in docs/METRICS.md) and prints:
@@ -31,22 +30,9 @@
  * attributed energy, summed over the nodes at each supply voltage —
  * the energest-style table Contiki prints, rebuilt from the
  * energest.* gauges the simulator streams.
- *
- * --calibrate fits a fast-tier cost table (energy::ClassCal, the
- * format `snap-run --cal=FILE` loads) from the cycle tier's measured
- * per-class retire counters: for every ISA class with samples, the
- * mean retire-to-retire latency becomes the class's gate-delay
- * coefficient (ticks / gateDelay(node volts), so tables fitted at
- * different supplies agree) and the mean charged energy, de-scaled by
- * (V/1.8)^2 back to nominal, becomes its pJ total, distributed over
- * ledger categories in the analytic model's proportions. Classes the
- * run never executed keep their analytic coefficients. The table
- * prints to stdout; feed a cycle-fidelity metrics file, since fast-
- * tier runs would just echo the coefficients they were charged with.
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -56,8 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "energy/class_cal.hh"
-#include "energy/voltage.hh"
 #include "isa/isa.hh"
 #include "sim/metrics.hh"
 #include "sim/ticks.hh"
@@ -487,64 +471,6 @@ printAir(const Report &r)
                 r.value("net", "air.sniff_overwrites"));
 }
 
-/**
- * Fit a ClassCal from the per-class retire counters (file comment has
- * the conversion). Returns the exit status: 1 when the file carries no
- * per-class samples at all (wrong kind of metrics file).
- */
-int
-printCalibration(const Report &r)
-{
-    const energy::VoltageModel vm;
-    energy::ClassCal cal = energy::ClassCal::analytic();
-    bool any = false;
-    for (std::size_t c = 0; c < isa::kNumClasses; ++c) {
-        const std::string base =
-            std::string("core.class.") +
-            isa::classSlug(static_cast<isa::InstrClass>(c));
-        // Sum over real nodes (not the "all" aggregate, which carries
-        // no meta line and hence no voltage to de-scale with).
-        double count = 0.0, gdSum = 0.0, pjSum = 0.0;
-        for (const auto &[name, nd] : r.nodes) {
-            if (!nd.hasMeta)
-                continue;
-            const double n = r.value(name, base);
-            if (n <= 0.0)
-                continue;
-            count += n;
-            gdSum += r.value(name, base + ".ticks") /
-                     double(vm.gateDelay(nd.volts));
-            pjSum += r.value(name, base + ".pj") /
-                     vm.energyFactor(nd.volts);
-        }
-        if (count <= 0.0)
-            continue;
-        any = true;
-        energy::ClassCost &cc = cal.cost[c];
-        const double analyticPj = cc.pjTotal();
-        const double measuredPj = pjSum / count;
-        if (analyticPj > 0.0) {
-            // Keep the analytic split across ledger categories; the
-            // measurement pins only the per-class total.
-            const double scale = measuredPj / analyticPj;
-            for (double &pj : cc.pj)
-                pj *= scale;
-        } else {
-            cc.pj.fill(0.0);
-            cc.pj[std::size_t(energy::Cat::Misc)] = measuredPj;
-        }
-        cc.gd = gdSum / count;
-    }
-    if (!any) {
-        std::fprintf(stderr,
-                     "no core.class.* samples — run snap-run with "
-                     "--metrics= at cycle fidelity first\n");
-        return 1;
-    }
-    std::fputs(energy::serializeClassCal(cal).c_str(), stdout);
-    return 0;
-}
-
 void
 printFolded(const Report &r)
 {
@@ -565,15 +491,12 @@ main(int argc, char **argv)
     const char *path = nullptr;
     bool folded = false;
     bool validate = false;
-    bool calibrate = false;
     bool energest = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--folded"))
             folded = true;
         else if (!std::strcmp(argv[i], "--validate"))
             validate = true;
-        else if (!std::strcmp(argv[i], "--calibrate"))
-            calibrate = true;
         else if (!std::strcmp(argv[i], "--energest"))
             energest = true;
         else if (argv[i][0] == '-') {
@@ -584,8 +507,7 @@ main(int argc, char **argv)
     }
     if (!path) {
         std::fprintf(stderr, "usage: snap-report FILE.jsonl "
-                             "[--folded] [--validate] [--calibrate] "
-                             "[--energest]\n");
+                             "[--folded] [--validate] [--energest]\n");
         return 2;
     }
     std::ifstream in(path);
@@ -619,8 +541,6 @@ main(int argc, char **argv)
                     report.profiles.size());
         return 0;
     }
-    if (calibrate)
-        return printCalibration(report);
     if (energest)
         return printEnergest(report);
     if (folded) {

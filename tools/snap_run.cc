@@ -4,12 +4,12 @@
  *
  * Usage: snap-run FILE.s [--volts V[,V...]] [--ms N] [--stats]
  *                        [--nodes N] [--jobs K] [--seed S]
- *                        [--fidelity fast|cycle] [--cal=FILE]
+ *                        [--fidelity fast|cycle]
  *                        [--trace=FILE] [--trace-format=json|vcd]
  *                        [--metrics=FILE] [--metrics-interval=TICKS]
  *                        [--metrics-format=jsonl|csv] [--profile]
  *        snap-run --scenario=FILE.scn [--jobs K] [--row=FILE]
- *                        [--fidelity fast|cycle] [--cal=FILE]
+ *                        [--fidelity fast|cycle]
  *                        [--metrics=FILE] [--metrics-format=jsonl|csv]
  *                        [--flows=FILE] [--profile]
  *                        [--save-at=MS]... [--save=FILE.snap]
@@ -60,12 +60,10 @@
  * dissemination trees and latency tables.
  *
  * --fidelity selects the execution tier (docs/SIMULATOR.md): `cycle`
- * is the CHP per-access model, `fast` the statistical predecoded
- * interpreter. In scenario mode the flag overrides every node's
- * `fidelity` stanza; without it the scenario decides per node.
- * --cal loads a per-instruction-class cost table (the format
- * `snap-report --calibrate` emits) in place of the analytic fast-tier
- * coefficients.
+ * is the CHP per-access model, `fast` the predecoded interpreter,
+ * which prices each instruction with the cycle tier's cost function.
+ * In scenario mode the flag overrides every node's `fidelity` stanza;
+ * without it the scenario decides per node.
  *
  * Checkpointing (scenario mode only, docs/CHECKPOINT.md): each
  * --save-at=MS schedules a checkpoint; its `checkpoint=` row prints
@@ -73,7 +71,7 @@
  * the byte-stable snapshot there. --restore=FILE resumes a previous
  * snapshot instead of starting at t=0. The scenario and host knobs
  * must match the saving run: a node whose fidelity, volts or
- * class-cal table differ exits 1 naming the knob. The continuation's
+ * profiling differ exits 1 naming the knob. The continuation's
  * rows are byte-identical to the uninterrupted run's.
  */
 
@@ -86,13 +84,11 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "asm/snap_backend.hh"
-#include "energy/class_cal.hh"
 #include "net/parallel_network.hh"
 #include "node/power.hh"
 #include "scenario/runner.hh"
@@ -304,7 +300,6 @@ main(int argc, char **argv)
     std::string row_path;
     std::string save_path;
     std::string restore_path;
-    std::string cal_path;
     sim::Tick metrics_interval = 10 * sim::kMillisecond;
     scenario::RunOptions opt;
     // The run FILE.s describes, as a scenario: --nodes copies of the
@@ -344,7 +339,6 @@ main(int argc, char **argv)
              opt.fidelityFast =
                  choice("fidelity", v, "fast", "cycle") == "fast";
          }},
-        {"--cal", '=', "FILE", kAny, [&](auto v) { cal_path = v; }},
         {"--profile", 0, "", kAny, [&](auto) { opt.profile = true; }},
         {"--metrics", '=', "FILE", kAny, [&](auto v) { metrics_path = v; }},
         {"--metrics-format", '=', "jsonl|csv", kAny,
@@ -420,17 +414,6 @@ main(int argc, char **argv)
 
     std::ofstream metrics_file, flows_file;
     try {
-        if (!cal_path.empty()) {
-            const std::string text = readText(cal_path);
-            try {
-                opt.classCal = std::make_shared<const energy::ClassCal>(
-                    energy::parseClassCal(text));
-            } catch (const sim::FatalError &e) {
-                std::fprintf(stderr, "%s: %s\n", cal_path.c_str(),
-                             e.what());
-                return 1;
-            }
-        }
         if (!metrics_path.empty())
             opt.metricsOut = openOut(metrics_path, metrics_file);
         if (!flows_path.empty())
