@@ -5,9 +5,12 @@
 #
 #   cmake -DFILE=<checked file> -DCOPY=<scratch copy>
 #         -DFROM=<text, once in FILE> -DTO=<replacement>
-#         -DGATE=<gate .cmake> -DDEFS=<-DVAR=value|-DVAR=value...>
+#         -DGATE=<gate .cmake> -DDEFS=<-DVAR=value!-DVAR=value...>
 #         -DMATCH=<regex the gate's message must match, spaces single>
 #         -P must_fail.cmake
+#
+# DEFS is split on '!', which no gate argument holds ('|' is
+# pin.cmake's own ARGS separator).
 file(READ "${FILE}" text)
 string(FIND "${text}" "${FROM}" first)
 string(FIND "${text}" "${FROM}" last REVERSE)
@@ -17,7 +20,7 @@ endif()
 string(REPLACE "${FROM}" "${TO}" planted "${text}")
 file(WRITE "${COPY}" "${planted}")
 
-string(REPLACE "|" ";" defs "${DEFS}")
+string(REPLACE "!" ";" defs "${DEFS}")
 execute_process(COMMAND ${CMAKE_COMMAND} ${defs} -P ${GATE}
                 OUTPUT_VARIABLE out ERROR_VARIABLE err
                 RESULT_VARIABLE rc)

@@ -86,8 +86,10 @@ struct NodeContext
     sim::Kernel &kernel;
     CoreConfig cfg;
     energy::OperatingPoint op;
-    energy::EnergyCal ecal;
-    energy::TimingCal tcal;
+    /** The calibration tables, one copy for every node: nothing sets
+     *  them per node. */
+    static constexpr energy::EnergyCal ecal{};
+    static constexpr energy::TimingCal tcal{};
     /** Dynamic energy only; energy() adds static energy at read time. */
     energy::EnergyLedger ledger;
     /** Duty clocks (src/obs/energest.hh); its RadioListen ticks are the

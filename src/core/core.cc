@@ -1,5 +1,7 @@
 #include "core/core.hh"
 
+#include <cstdio>
+
 #include "core/instr_cost.hh"
 
 namespace snaple::core {
@@ -84,7 +86,7 @@ SnapCore::fetchProcess()
         ++stats_.wordsFetched;
         traceFetch_.emit(sim::TraceEvent::CoreFetch, pc, word);
 
-        DecodedInst d = isa::decodeFirst(word);
+        DecodedInst d = isa::decodeAt(word, pc, imem_.words());
         std::uint16_t pc_next = static_cast<std::uint16_t>(pc + 1);
         if (d.twoWord) {
             co_await ctx_.kernel.delay(ctx_.gd(ctx_.tcal.fetchCycleGd));
@@ -96,7 +98,9 @@ SnapCore::fetchProcess()
             pc_next = static_cast<std::uint16_t>(pc_next + 1);
         }
 
-        const bool control = d.isControl();
+        // Execute rejects an illegal word and never resolves it: fetch
+        // waits as after a control instruction.
+        const bool control = d.isControl() || !d.legal;
         co_await fetchQ_.send(InstPacket{d, pc_next});
         if (!control) {
             pc = pc_next;
@@ -212,6 +216,14 @@ SnapCore::awaitDispatch()
     co_return pc;
 }
 
+void
+SnapCore::illegalInstruction(std::uint16_t pc, std::uint16_t word)
+{
+    char hex[8];
+    std::snprintf(hex, sizeof hex, "0x%04x", word);
+    sim::fatal("illegal instruction at pc ", pc, " (word ", hex, ")");
+}
+
 sim::Kernel::DelayAwaiter
 SnapCore::regReadDelay()
 {
@@ -248,6 +260,8 @@ SnapCore::executeProcess()
     for (;;) {
         InstPacket p = co_await fetchQ_.recv();
         const DecodedInst &d = p.inst;
+        const auto pc =
+            static_cast<std::uint16_t>(p.pcNext - (d.twoWord ? 2 : 1));
 
         co_await ctx_.kernel.delay(ctx_.gd(ctx_.tcal.decodeGd));
         ctx_.charge(Cat::Decode, ctx_.ecal.decodePj);
@@ -282,6 +296,8 @@ SnapCore::executeProcess()
                 vs = regs_[d.rs];
             }
         }
+        if (!d.legal) // after the operand reads, if it has any
+            illegalInstruction(pc, d.word());
 
         const bool unit = usesUnit(d);
         if (unit) {
@@ -477,8 +493,6 @@ SnapCore::executeProcess()
             const double dpj = pjnow - lastRetirePj_;
             stats_.perClassTicks[static_cast<std::size_t>(d.cls)] += dt;
             stats_.perClassPj[static_cast<std::size_t>(d.cls)] += dpj;
-            const auto pc = static_cast<std::uint16_t>(
-                p.pcNext - (d.twoWord ? 2 : 1));
             if (!profile_.empty() && pc < ctx_.cfg.imemWords) {
                 ProfSlot &s = profile_[std::size_t(pc) *
                                            NodeContext::kHandlerSlots +
@@ -492,28 +506,14 @@ SnapCore::executeProcess()
         }
         if (currentEvent_ < isa::kNumEvents)
             ++stats_.perEvent[currentEvent_].instructions;
-        {
-            // Canonical first word (branches keep their displacement).
-            const bool is_branch =
-                d.op == Op::Beqz || d.op == Op::Bnez ||
-                d.op == Op::Bltz || d.op == Op::Bgez;
-            const std::uint16_t low =
-                is_branch ? static_cast<std::uint8_t>(d.off8)
-                          : static_cast<std::uint16_t>(
-                                ((d.rs & 0xf) << 4) | (d.fn & 0xf));
-            const std::uint16_t w = static_cast<std::uint16_t>(
-                (static_cast<std::uint16_t>(d.op) << 12) |
-                ((d.rd & 0xf) << 8) | low);
-            traceExec_.emit(sim::TraceEvent::CoreExec, w,
-                            static_cast<std::uint64_t>(d.cls));
-            if (commitSink_) {
-                rec.pc = static_cast<std::uint16_t>(
-                    p.pcNext - (d.twoWord ? 2 : 1));
-                rec.word = w;
-                rec.imm = d.imm;
-                rec.carry = carry_;
-                commitSink_->commit(rec);
-            }
+        traceExec_.emit(sim::TraceEvent::CoreExec, d.word(),
+                        static_cast<std::uint64_t>(d.cls));
+        if (commitSink_) {
+            rec.pc = pc;
+            rec.word = d.word();
+            rec.imm = d.imm;
+            rec.carry = carry_;
+            commitSink_->commit(rec);
         }
 
         if (send_redirect)

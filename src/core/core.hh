@@ -295,6 +295,13 @@ class SnapCore
     /** The fast tier's single process (core/fast_core.cc). */
     sim::Co<void> fastProcess();
 
+    /** Stop the run on the illegal instruction @p word at @p pc
+     *  (isa::DecodedInst::legal), with the one message both tiers
+     *  print.
+     *  @throws sim::FatalError always. */
+    [[noreturn]] static void illegalInstruction(std::uint16_t pc,
+                                                std::uint16_t word);
+
     /**
      * Shared handler-boundary bookkeeping, used by both executors at
      * `done`: close the current handler segment, sleep if the event

@@ -4,7 +4,7 @@
  * instructions natively and pricing them exactly.
  *
  * Architectural semantics come from the predecoded engine
- * (ref/predecode.hh), driven here by an Env bound to the live core:
+ * (core/predecode.hh), driven here by an Env bound to the live core:
  * real register file, real memories, real coprocessor FIFOs. The CHP
  * fetch/execute pair is replaced by a single coroutine. Each line is
  * priced once, when it is predecoded (again after an `sti` over it),
@@ -39,7 +39,7 @@
 #include <algorithm>
 
 #include "core/instr_cost.hh"
-#include "ref/predecode.hh"
+#include "core/predecode.hh"
 
 namespace snaple::core {
 
@@ -156,11 +156,10 @@ struct SnapCore::FastTier
         double pj = 0; ///< cost.pj's total as charged
     };
 
-    std::vector<ref::pre::PLine> lines =
-        std::vector<ref::pre::PLine>(ref::pre::kMemWords);
+    std::vector<pre::PLine> lines = std::vector<pre::PLine>(isa::kMemWords);
     /** Each predecoded line's index into prices. */
     std::vector<std::uint8_t> priceOf =
-        std::vector<std::uint8_t>(ref::pre::kMemWords, 0);
+        std::vector<std::uint8_t>(isa::kMemWords, 0);
     /** The distinct prices of this node's lines, interned: a program
      *  uses a few dozen forms. prices[0] is the zero price of a line
      *  that never retires (an illegal encoding). */
@@ -183,18 +182,16 @@ struct SnapCore::FastTier
     /** The commit record being built, when a sink is attached. */
     ref::CommitRecord rec{};
 
-    /** Price the line just predecoded at @p at. */
+    /** Price the line just predecoded at @p at from its form @p d. */
     void
-    price(std::uint16_t at, const ref::pre::PLine &ln,
+    price(std::uint16_t at, isa::DecodedInst d,
           const NodeContext &ctx)
     {
-        using K = ref::pre::PKind;
-        if (ln.kind == K::Invalid || ln.kind == K::AluBadR ||
-            ln.kind == K::AluBadI) {
+        if (!d.legal) {
             priceOf[at] = 0;
             return;
         }
-        const InstrCost c = instrCost(isa::decodeFirst(ln.word), ctx);
+        const InstrCost c = instrCost(d, ctx);
         std::size_t i = 1;
         while (i < prices.size() && !(prices[i].cost == c))
             ++i;
@@ -265,7 +262,7 @@ struct SnapCore::FastTier
         std::uint16_t *handlers() { return cp->handlerTable_.data(); }
         std::uint16_t *imem() { return cp->imem_.data(); }
         std::uint16_t *dmem() { return cp->dmem_.data(); }
-        ref::pre::PLine *lines() { return tp->lines.data(); }
+        pre::PLine *lines() { return tp->lines.data(); }
         std::uint16_t pc() { return tp->pc; }
         void setPc(std::uint16_t v) { tp->pc = v; }
         bool carry() { return cp->carry_; }
@@ -274,13 +271,13 @@ struct SnapCore::FastTier
         void setLfsr(std::uint16_t v) { cp->lfsr_.seed(v); }
 
         void
-        predecoded(std::uint16_t pc, const ref::pre::PLine &ln)
+        predecoded(std::uint16_t pc, isa::DecodedInst d)
         {
-            tp->price(pc, ln, cp->ctx_);
+            tp->price(pc, d, cp->ctx_);
         }
 
         void
-        beginInstr(std::uint16_t pc, const ref::pre::PLine &ln)
+        beginInstr(std::uint16_t pc, const pre::PLine &ln)
         {
             tp->replayCursor = 0;
             if constexpr (Commit) {
@@ -373,7 +370,7 @@ struct SnapCore::FastTier
          * stays in registers.
          */
         [[gnu::always_inline]] void
-        retire(std::uint16_t pc, const ref::pre::PLine &, bool carry)
+        retire(std::uint16_t pc, const pre::PLine &, bool carry)
         {
             Price &p = tp->prices[tp->priceOf[pc]];
             const Tick end = clock.retire(p.cost);
@@ -402,13 +399,12 @@ struct SnapCore::FastTier
 
     /** Run one slice of the engine in environment Env<Commit, Profile>. */
     template <bool Commit, bool Profile>
-    ref::pre::PStop
+    pre::PStop
     run(SnapCore &c)
     {
         Env<Commit, Profile> env{&c, this, clock, c.lastRetireTick_,
                                  c.lastRetirePj_};
-        const ref::pre::PStop stop =
-            ref::pre::runPredecoded(env, kFlushBudget);
+        const pre::PStop stop = pre::runPredecoded(env, kFlushBudget);
         clock = env.clock;
         c.lastRetireTick_ = env.lastRetire;
         c.lastRetirePj_ = env.lastRetirePj;
@@ -418,7 +414,7 @@ struct SnapCore::FastTier
     /** Run one slice with the environment the core's commit sink and
      *  profile call for: chosen per slice, so a sink attached mid-run
      *  takes effect at the next slice. */
-    ref::pre::PStop
+    pre::PStop
     runSlice(SnapCore &c)
     {
         const bool profile = c.profileEnabled();
@@ -539,10 +535,10 @@ SnapCore::startRestored()
 Co<void>
 SnapCore::fastProcess()
 {
-    sim::fatalIf(imem_.words() != ref::pre::kMemWords ||
-                     dmem_.words() != ref::pre::kMemWords,
+    sim::fatalIf(imem_.words() != isa::kMemWords ||
+                     dmem_.words() != isa::kMemWords,
                  "fast fidelity requires the architected ",
-                 ref::pre::kMemWords, "-word memory banks (imem ",
+                 isa::kMemWords, "-word memory banks (imem ",
                  imem_.words(), ", dmem ", dmem_.words(), ")");
     if (!fast_)
         fast_ = std::make_unique<FastTier>();
@@ -558,21 +554,21 @@ SnapCore::fastProcess()
     }
     ft.clock.restart(ctx_.kernel.now());
     for (;;) {
-        const ref::pre::PStop stop = ft.runSlice(*this);
+        const pre::PStop stop = ft.runSlice(*this);
         ft.settle(*this);
         // Settle time: to the tick execute reaches the stalled access,
         // else to the last retirement. The kernel clock never runs
         // ahead of the recurrence.
         const Tick now = ctx_.kernel.now();
         Tick at = ft.clock.execFree;
-        if (stop == ref::pre::PStop::Stall)
+        if (stop == pre::PStop::Stall)
             at = ft.clock.accessAt(ft.prices[ft.priceOf[ft.pc]].cost);
         if (at > now)
             co_await ctx_.kernel.delay(at - now);
         switch (stop) {
-          case ref::pre::PStop::StepLimit:
+          case pre::PStop::StepLimit:
             break; // books settled; keep executing
-          case ref::pre::PStop::Stall:
+          case pre::PStop::Stall:
             switch (ft.stallKind) {
               case FastTier::StallKind::R15Read:
                 ft.replay.push_back(co_await msgOut_.recv());
@@ -591,15 +587,17 @@ SnapCore::fastProcess()
             ft.stallKind = FastTier::StallKind::None;
             ft.clock.accessed(ctx_.kernel.now());
             break;
-          case ref::pre::PStop::Done:
+          case pre::PStop::Done:
             ft.pc = co_await awaitDispatch();
             ft.clock.restart(ctx_.kernel.now());
             break;
-          case ref::pre::PStop::Halt:
+          case pre::PStop::Halt:
             enterHalt();
             co_return;
-          case ref::pre::PStop::DecodeError:
-            sim::fatal("fast tier: illegal instruction at pc ", ft.pc,
+          case pre::PStop::Illegal:
+            illegalInstruction(ft.pc, imem_.peek(ft.pc));
+          case pre::PStop::Fault:
+            sim::fatal("fast tier: operand out of range at pc ", ft.pc,
                        " (word ", imem_.peek(ft.pc), ")");
         }
     }

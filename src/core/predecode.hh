@@ -4,10 +4,11 @@
  * tier's interpreter (core/fast_core.cc).
  *
  * A per-PC predecode cache (PLine) is filled lazily the first time a
- * PC executes, and the dispatch loop runs over a dense fused-opcode
- * index (PKind): computed-goto threaded dispatch on GCC/Clang, a dense
- * switch elsewhere. Hot state (pc, carry flag, LFSR) lives in locals
- * for the whole engine entry and is written back on return.
+ * PC executes, from isa::decodeAt() (the decoder the cycle tier's fetch
+ * uses), and the dispatch loop runs over a dense fused-opcode index
+ * (PKind) with computed-goto threaded dispatch (every supported
+ * compiler is GCC or Clang). Hot state (pc, carry flag, LFSR) lives in
+ * locals for the whole engine entry and is written back on return.
  *
  * The engine is semantics-only and time-free. Everything the live core
  * supplies (where the r15 message-FIFO words come from, what a timer
@@ -29,7 +30,8 @@
  *   bool carry();        void setCarry(bool);
  *   std::uint16_t lfsr(); void setLfsr(std::uint16_t);
  *
- *   void predecoded(std::uint16_t pc, const PLine &ln); // line (re)filled
+ *   void predecoded(std::uint16_t pc,      // line (re)filled from d
+ *                   isa::DecodedInst d);
  *   void beginInstr(std::uint16_t pc, const PLine &ln);
  *   bool readR15(std::uint16_t &v);        // false = stall
  *   bool writeR15(std::uint16_t v);        // false = stall
@@ -55,28 +57,24 @@
  * event dispatch and re-enters at the handler.
  */
 
-#ifndef SNAPLE_REF_PREDECODE_HH
-#define SNAPLE_REF_PREDECODE_HH
+#ifndef SNAPLE_CORE_PREDECODE_HH
+#define SNAPLE_CORE_PREDECODE_HH
 
 #include <cstddef>
 #include <cstdint>
 
-namespace snaple::ref::pre {
+#include "core/lfsr.hh"
+#include "isa/instruction.hh"
 
-// Architectural constants, restated from docs/ISA.md like the classic
-// interpreter does (deliberately not shared with core/).
-inline constexpr std::uint16_t kLfsrTaps = 0xB400;
-inline constexpr std::uint16_t kLfsrDefaultSeed = 0xACE1;
-inline constexpr std::uint16_t kMemWords = 2048;
-inline constexpr unsigned kNumEvents = 7;
+namespace snaple::core::pre {
 
 /**
  * Dense fused opcode: one index per (op, fn, addressing-mode)
  * combination so dispatch is a single indexed jump with no secondary
- * fn switch. AluBad{R,I} are the fn=15 encodings whose illegality the
- * classic interpreter only discovers *after* reading operands (so r15
- * reads still pop injected words); Invalid covers every encoding the
- * classic interpreter rejects before any operand read.
+ * fn switch. AluBad{R,I} are the illegal words that read their
+ * operands (ALU fn 15), popping r15 words, before they stop the
+ * engine; Invalid covers every other illegal word, rejected before
+ * any operand read (isa::DecodedInst::legal).
  */
 enum class PKind : std::uint8_t
 {
@@ -88,9 +86,9 @@ enum class PKind : std::uint8_t
     SllI, SrlI, SraI, MovI, AluBadI,
     // Memory.
     Ldw, Ldi, Stw, Sti,
-    // Control transfer.
+    // Control transfer; the jump group in JmpFn order.
     Beqz, Bnez, Bltz, Bgez, JmpI, Jal, Jr, Jalr,
-    // The rest.
+    // The rest; the event and sys groups in EventFn and SysFn order.
     Bfs, Timer, Done, SetAddr, Nop, Halt, Dbgout,
     Invalid,
     NumKinds,
@@ -115,114 +113,61 @@ struct PLine
 /** Why the engine returned. */
 enum class PStop : std::uint8_t
 {
-    Halt,        ///< `halt` retired
-    Done,        ///< `done` retired; the env dispatches the next event
-    Stall,       ///< an Env I/O could not complete (pc unchanged)
-    StepLimit,   ///< step budget spent without another stop
-    DecodeError, ///< illegal encoding reached
+    Halt,      ///< `halt` retired
+    Done,      ///< `done` retired; the env dispatches the next event
+    Stall,     ///< an Env I/O could not complete (pc unchanged)
+    StepLimit, ///< step budget spent without another stop
+    Illegal,   ///< illegal instruction at pc (isa::DecodedInst::legal)
+    Fault,     ///< an address, timer register, event number or the pc
+               ///< itself out of range
 };
 
-/**
- * Decode the instruction starting at @p pc into @p ln. Mirrors the
- * classic interpreter's decode rules exactly: encodings it rejects
- * before reading operands become PKind::Invalid (including a two-word
- * form whose immediate would fall off the end of IMEM); fn = 15 ALU
- * encodings become AluBad{R,I} so operand reads still happen first.
- */
-inline void
-decodeLine(const std::uint16_t *imem, std::uint32_t imemWords,
-           std::uint16_t pc, PLine &ln)
+/** Fill @p ln from the instruction at @p pc; returns its decoded
+ *  form, immediate included. Kept out of the engine's dispatch loop,
+ *  which it would otherwise grow for a path taken once per line. */
+[[gnu::noinline]] inline isa::DecodedInst
+fillLine(const std::uint16_t *imem, std::uint16_t pc, PLine &ln)
 {
-    const std::uint16_t w = imem[pc];
-    ln.word = w;
-    ln.imm = 0;
-    ln.rd = (w >> 8) & 0xf;
-    ln.rs = (w >> 4) & 0xf;
-    ln.fn = w & 0xf;
-    ln.off8 = static_cast<std::int8_t>(w & 0xff);
-    ln.len = 1;
-
-    const unsigned op = (w >> 12) & 0xf;
-    const unsigned fn = ln.fn;
-
-    static constexpr PKind kAluR[16] = {
-        PKind::AddR, PKind::SubR, PKind::AddcR, PKind::SubcR,
-        PKind::AndR, PKind::OrR, PKind::XorR, PKind::NotR,
-        PKind::SllR, PKind::SrlR, PKind::SraR, PKind::MovR,
-        PKind::NegR, PKind::RandR, PKind::SeedR, PKind::AluBadR,
+    using isa::Op;
+    // Each opcode's first kind; the AluR, Jmp, Event and Sys kinds
+    // follow it in fn order. The AluI kinds, with gaps where the
+    // immediate form is illegal, have their own table.
+    static constexpr PKind kFirst[16] = {
+        PKind::AddR, PKind::Invalid, PKind::Ldw,  PKind::Stw,
+        PKind::Ldi,  PKind::Sti,     PKind::Beqz, PKind::Bnez,
+        PKind::Bltz, PKind::Bgez,    PKind::JmpI, PKind::Bfs,
+        PKind::Timer, PKind::Done,   PKind::Nop,  PKind::Invalid,
     };
-    static constexpr PKind kAluI[16] = {
+    static constexpr PKind kAluI[12] = {
         PKind::AddI, PKind::SubI, PKind::AddcI, PKind::SubcI,
-        PKind::AndI, PKind::OrI, PKind::XorI, PKind::Invalid,
-        PKind::SllI, PKind::SrlI, PKind::SraI, PKind::MovI,
-        PKind::Invalid, PKind::Invalid, PKind::Invalid, PKind::AluBadI,
+        PKind::AndI, PKind::OrI,  PKind::XorI,  PKind::Invalid,
+        PKind::SllI, PKind::SrlI, PKind::SraI,  PKind::MovI,
     };
 
-    bool twoWord = false;
-    switch (op) {
-      case 0x0:
-        ln.kind = kAluR[fn];
-        break;
-      case 0x1:
-        ln.kind = kAluI[fn];
-        twoWord = true;
-        break;
-      case 0x2: ln.kind = PKind::Ldw; twoWord = true; break;
-      case 0x3: ln.kind = PKind::Stw; twoWord = true; break;
-      case 0x4: ln.kind = PKind::Ldi; twoWord = true; break;
-      case 0x5: ln.kind = PKind::Sti; twoWord = true; break;
-      case 0x6: ln.kind = PKind::Beqz; break;
-      case 0x7: ln.kind = PKind::Bnez; break;
-      case 0x8: ln.kind = PKind::Bltz; break;
-      case 0x9: ln.kind = PKind::Bgez; break;
-      case 0xA:
-        switch (fn) {
-          case 0: ln.kind = PKind::JmpI; twoWord = true; break;
-          case 1: ln.kind = PKind::Jal; twoWord = true; break;
-          case 2: ln.kind = PKind::Jr; break;
-          case 3: ln.kind = PKind::Jalr; break;
-          default: ln.kind = PKind::Invalid; break;
-        }
-        break;
-      case 0xB: ln.kind = PKind::Bfs; twoWord = true; break;
-      case 0xC:
-        ln.kind = fn <= 2 ? PKind::Timer : PKind::Invalid;
-        break;
-      case 0xD:
-        ln.kind = fn == 0   ? PKind::Done
-                  : fn == 1 ? PKind::SetAddr
-                            : PKind::Invalid;
-        break;
-      case 0xE:
-        ln.kind = fn == 0   ? PKind::Nop
-                  : fn == 1 ? PKind::Halt
-                  : fn == 2 ? PKind::Dbgout
-                            : PKind::Invalid;
-        break;
-      default:
-        ln.kind = PKind::Invalid;
-        break;
+    isa::DecodedInst d = isa::decodeAt(imem[pc], pc, isa::kMemWords);
+    if (d.twoWord)
+        d.imm = imem[pc + 1];
+    ln.word = imem[pc];
+    ln.imm = d.imm;
+    ln.rd = d.rd;
+    ln.rs = d.rs;
+    ln.fn = d.fn;
+    ln.off8 = d.off8;
+    ln.len = d.twoWord ? 2 : 1;
+    if (!d.legal) {
+        ln.kind = !d.readsRd         ? PKind::Invalid
+                  : d.op == Op::AluI ? PKind::AluBadI
+                                     : PKind::AluBadR;
+    } else if (d.op == Op::AluI) {
+        ln.kind = kAluI[d.fn];
+    } else {
+        const bool byFn = d.op == Op::AluR || d.op == Op::Jmp ||
+                          d.op == Op::Event || d.op == Op::Sys;
+        ln.kind = static_cast<PKind>(
+            unsigned(kFirst[unsigned(d.op)]) + (byFn ? d.fn : 0u));
     }
-
-    if (twoWord && ln.kind != PKind::Invalid) {
-        if (std::uint32_t(pc) + 1 >= imemWords) {
-            ln.kind = PKind::Invalid; // immediate falls off IMEM
-        } else {
-            ln.imm = imem[pc + 1];
-            ln.len = 2;
-        }
-    }
+    return d;
 }
-
-// Threaded (computed-goto) dispatch where the extension exists; a
-// dense switch — which good compilers also turn into one indexed
-// jump — everywhere else.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(SNAPLE_PRE_NO_COMPUTED_GOTO)
-#define SNAPLE_PRE_THREADED 1
-#else
-#define SNAPLE_PRE_THREADED 0
-#endif
 
 /** Run up to @p maxSteps architectural steps (retired instructions)
  *  against @p caller. The engine works on a copy of the Env, so the
@@ -313,7 +258,6 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
     PRE_RETIRE();                                                      \
     PRE_NEXT()
 
-#if SNAPLE_PRE_THREADED
     static const void *const kDispatch[] = {
         &&L_AddR, &&L_SubR, &&L_AddcR, &&L_SubcR, &&L_AndR, &&L_OrR,
         &&L_XorR, &&L_NotR, &&L_SllR, &&L_SrlR, &&L_SraR, &&L_MovR,
@@ -331,32 +275,21 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
 #define PRE_CASE(name) L_##name
 #define PRE_NEXT() goto pre_top
   pre_top:
-#else
-#define PRE_CASE(name) case PKind::name
-#define PRE_NEXT() continue
-    for (;;) {
-#endif
     // ---- fetch from the predecode cache ----------------------------
     if (steps == maxSteps)
         PRE_RET(StepLimit);
     ++steps;
-    if (pc >= kMemWords)
-        PRE_RET(DecodeError);
+    if (pc >= isa::kMemWords)
+        PRE_RET(Fault);
     {
         PLine &l = lines[pc];
-        if (l.len == 0) {
-            decodeLine(imem, kMemWords, pc, l);
-            env.predecoded(pc, l);
-        }
+        if (l.len == 0) [[unlikely]]
+            env.predecoded(pc, fillLine(imem, pc, l));
         ln = &l;
     }
     env.beginInstr(pc, *ln);
     pcNext = static_cast<std::uint16_t>(pc + ln->len);
-#if SNAPLE_PRE_THREADED
     goto *kDispatch[static_cast<unsigned>(ln->kind)];
-#else
-    switch (ln->kind) {
-#endif
 
     // ---- ALU, register forms ---------------------------------------
     PRE_CASE(AddR) : {
@@ -421,7 +354,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         const std::uint16_t lsb = nl & 1u;
         nl = static_cast<std::uint16_t>(nl >> 1);
         if (lsb)
-            nl ^= kLfsrTaps;
+            nl ^= Lfsr16::kTaps;
         PRE_WRITE_RD(nl);
         lfsr = nl;
         PRE_RETIRE();
@@ -430,7 +363,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
     PRE_CASE(SeedR) : {
         std::uint16_t b = 0;
         PRE_READ(ln->rs, b);
-        lfsr = b ? b : kLfsrDefaultSeed;
+        lfsr = b ? b : Lfsr16::kDefaultSeed;
         PRE_RETIRE();
         PRE_NEXT();
     }
@@ -442,7 +375,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_READ(ln->rs, b);
         (void)vd;
         (void)b;
-        PRE_RET(DecodeError);
+        PRE_RET(Illegal);
     }
 
     // ---- ALU, immediate forms --------------------------------------
@@ -494,7 +427,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         std::uint16_t vd = 0;
         PRE_READ(ln->rd, vd);
         (void)vd;
-        PRE_RET(DecodeError);
+        PRE_RET(Illegal);
     }
 
     // ---- memory ----------------------------------------------------
@@ -503,8 +436,8 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_READ(ln->rs, vs);
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
-        if (addr >= kMemWords)
-            PRE_RET(DecodeError);
+        if (addr >= isa::kMemWords)
+            PRE_RET(Fault);
         PRE_PLAIN(dmem[addr]);
     }
     PRE_CASE(Ldi) : {
@@ -512,8 +445,8 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_READ(ln->rs, vs);
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
-        if (addr >= kMemWords)
-            PRE_RET(DecodeError);
+        if (addr >= isa::kMemWords)
+            PRE_RET(Fault);
         PRE_PLAIN(imem[addr]);
     }
     PRE_CASE(Stw) : {
@@ -522,8 +455,8 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_READ(ln->rs, vs);
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
-        if (addr >= kMemWords)
-            PRE_RET(DecodeError);
+        if (addr >= isa::kMemWords)
+            PRE_RET(Fault);
         dmem[addr] = vd;
         env.noteMemWrite(false, addr, vd);
         PRE_RETIRE();
@@ -535,8 +468,8 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_READ(ln->rs, vs);
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
-        if (addr >= kMemWords)
-            PRE_RET(DecodeError);
+        if (addr >= isa::kMemWords)
+            PRE_RET(Fault);
         imem[addr] = vd;
         // Self-modifying code: drop the predecoded line at the
         // written address, and the one before it (a two-word line
@@ -623,7 +556,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         if (ln->fn != 2)
             PRE_READ(ln->rs, vs);
         if (vd > 2)
-            PRE_RET(DecodeError);
+            PRE_RET(Fault);
         if (!env.timerCmd(ln->fn, static_cast<std::uint8_t>(vd), vs))
             PRE_RET(Stall);
         PRE_RETIRE();
@@ -637,8 +570,8 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         std::uint16_t vd = 0, vs = 0;
         PRE_READ(ln->rd, vd);
         PRE_READ(ln->rs, vs);
-        if (vd >= kNumEvents)
-            PRE_RET(DecodeError);
+        if (vd >= isa::kNumEvents)
+            PRE_RET(Fault);
         handlers[vd] = vs;
         PRE_RETIRE();
         PRE_NEXT();
@@ -659,15 +592,8 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_NEXT();
     }
     PRE_CASE(Invalid) : {
-        PRE_RET(DecodeError);
+        PRE_RET(Illegal);
     }
-
-#if !SNAPLE_PRE_THREADED
-      default:
-        PRE_RET(DecodeError);
-    }
-    }
-#endif
 
 #undef PRE_RET
 #undef PRE_READ
@@ -681,6 +607,6 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
 #undef PRE_NEXT
 }
 
-} // namespace snaple::ref::pre
+} // namespace snaple::core::pre
 
-#endif // SNAPLE_REF_PREDECODE_HH
+#endif // SNAPLE_CORE_PREDECODE_HH

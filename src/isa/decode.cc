@@ -14,11 +14,35 @@ pack(Op op, std::uint8_t rd, std::uint8_t rs, std::uint8_t fn)
         ((rd & 0xf) << 8) | ((rs & 0xf) << 4) | (fn & 0xf));
 }
 
+/** Mark @p d rejected before any operand read: it reads, writes and
+ *  fetches nothing more. */
+DecodedInst &
+reject(DecodedInst &d)
+{
+    d.legal = false;
+    d.twoWord = d.readsRd = d.readsRs = d.writesRd = false;
+    d.unit = Unit::Logic;
+    d.cls = InstrClass::Sys;
+    return d;
+}
+
 /** Fill in operand-usage / unit / class summary for an ALU operation. */
 void
 summarizeAlu(DecodedInst &d, bool immediate)
 {
     const AluFn fn = d.aluFn();
+    if (d.fn == 15) {
+        // Unassigned, but only noticed after the operand reads.
+        d.legal = false;
+        d.readsRd = true;
+        d.readsRs = !immediate;
+        return;
+    }
+    if (immediate && (fn == AluFn::Not || fn == AluFn::Neg ||
+                      fn == AluFn::Rand || fn == AluFn::Seed)) {
+        reject(d);
+        return;
+    }
     switch (fn) {
       case AluFn::Add:
       case AluFn::Sub:
@@ -59,15 +83,10 @@ summarizeAlu(DecodedInst &d, bool immediate)
         d.unit = Unit::Lfsr;
         d.cls = InstrClass::Rand;
         break;
-      default:
-        sim::fatal("illegal ALU function ", int(d.fn));
     }
     d.writesRd = (fn != AluFn::Seed);
     if (immediate) {
         d.readsRs = false;
-        sim::fatalIf(fn == AluFn::Not || fn == AluFn::Neg ||
-                         fn == AluFn::Rand || fn == AluFn::Seed,
-                     "ALU immediate form invalid for fn ", int(d.fn));
     } else {
         d.readsRs = (fn != AluFn::Rand);
         if (fn == AluFn::Seed)
@@ -148,7 +167,7 @@ decodeFirst(std::uint16_t word)
             d.writesRd = true;
             break;
           default:
-            sim::fatal("illegal jump function ", int(d.fn));
+            return reject(d);
         }
         d.unit = Unit::Branch;
         d.cls = InstrClass::Jump;
@@ -172,7 +191,7 @@ decodeFirst(std::uint16_t word)
             d.readsRd = true;
             break;
           default:
-            sim::fatal("illegal timer function ", int(d.fn));
+            return reject(d);
         }
         d.unit = Unit::TimerIf;
         d.cls = InstrClass::Timer;
@@ -186,7 +205,7 @@ decodeFirst(std::uint16_t word)
             d.readsRs = true;
             break;
           default:
-            sim::fatal("illegal event function ", int(d.fn));
+            return reject(d);
         }
         d.unit = Unit::Branch;
         d.cls = InstrClass::EventCtl;
@@ -200,14 +219,23 @@ decodeFirst(std::uint16_t word)
             d.readsRd = true;
             break;
           default:
-            sim::fatal("illegal sys function ", int(d.fn));
+            return reject(d);
         }
         d.unit = Unit::Logic;
         d.cls = InstrClass::Sys;
         break;
       default:
-        sim::fatal("illegal opcode ", int(word >> 12));
+        return reject(d);
     }
+    return d;
+}
+
+DecodedInst
+decodeAt(std::uint16_t word, std::size_t pc, std::size_t imemWords)
+{
+    DecodedInst d = decodeFirst(word);
+    if (d.twoWord && pc + 1 >= imemWords)
+        reject(d);
     return d;
 }
 

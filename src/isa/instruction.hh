@@ -6,6 +6,7 @@
 #ifndef SNAPLE_ISA_INSTRUCTION_HH
 #define SNAPLE_ISA_INSTRUCTION_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -27,6 +28,12 @@ struct DecodedInst
     std::int8_t off8 = 0;   ///< branch word displacement
     std::uint16_t imm = 0;  ///< trailing immediate (two-word forms)
     bool twoWord = false;
+    /** False for an unassigned encoding (docs/ISA.md, "Illegal
+     *  encodings"; the golden model's rule, ref/ref_machine.cc). One
+     *  that still reads rd (ALU function 15) reads its operands, so
+     *  r15 operands pop message words, before it is rejected; every
+     *  other one reads nothing. */
+    bool legal = true;
 
     // Semantic summary, filled by decodeFirst().
     bool readsRd = false;
@@ -41,6 +48,16 @@ struct DecodedInst
     EventFn eventFn() const { return static_cast<EventFn>(fn); }
     SysFn sysFn() const { return static_cast<SysFn>(fn); }
 
+    /** The first word this was decoded from (a branch's off8 shares
+     *  the rs and fn bits). */
+    std::uint16_t
+    word() const
+    {
+        return static_cast<std::uint16_t>(
+            (static_cast<std::uint16_t>(op) << 12) | ((rd & 0xf) << 8) |
+            ((rs & 0xf) << 4) | (fn & 0xf));
+    }
+
     /** True for control-transfer instructions (fetch must wait). */
     bool
     isControl() const
@@ -54,10 +71,20 @@ struct DecodedInst
 
 /**
  * Decode the first word of an instruction. For two-word forms the
- * caller must fetch the next word and store it into @c imm.
- * @throws sim::FatalError on an illegal encoding.
+ * caller must fetch the next word and store it into @c imm. Never
+ * throws: an unassigned encoding decodes with @c legal false, its
+ * fields extracted and, for ALU function 15, the operands it reads.
  */
 DecodedInst decodeFirst(std::uint16_t word);
+
+/**
+ * decodeFirst() for the word at @p pc of an @p imemWords-word IMEM:
+ * a two-word form whose immediate would lie past the end of IMEM is
+ * illegal, rejected before any operand read. What both fidelity
+ * tiers execute.
+ */
+DecodedInst decodeAt(std::uint16_t word, std::size_t pc,
+                     std::size_t imemWords);
 
 /** @name Encoders (used by the assembler and tests) */
 ///@{

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "isa/instruction.hh"
-#include "sim/logging.hh"
 
 namespace snaple::ref {
 
@@ -41,27 +40,15 @@ decodeListing(const std::vector<std::uint16_t> &imem)
         ListedInstr li;
         li.addr = static_cast<std::uint16_t>(addr);
         li.word = imem[addr];
-        try {
-            isa::DecodedInst d = isa::decodeFirst(li.word);
-            if (d.twoWord) {
-                if (addr + 1 >= imem.size()) {
-                    // Truncated two-word form at the end of the image.
-                    li.valid = false;
-                    char buf[32];
-                    std::snprintf(buf, sizeof buf, ".word 0x%04x",
-                                  li.word);
-                    li.text = buf;
-                    out.push_back(li);
-                    break;
-                }
-                li.twoWord = true;
-                li.imm = imem[addr + 1];
-                d.imm = li.imm;
-            }
+        isa::DecodedInst d = isa::decodeAt(li.word, addr, imem.size());
+        if (d.legal) {
+            li.twoWord = d.twoWord;
+            if (d.twoWord)
+                li.imm = d.imm = imem[addr + 1];
             li.text = sourceLine(d, li.addr);
-        } catch (const sim::FatalError &) {
+        } else {
+            // Includes a two-word form truncated at the image's end.
             li.valid = false;
-            li.twoWord = false;
             char buf[32];
             std::snprintf(buf, sizeof buf, ".word 0x%04x", li.word);
             li.text = buf;
@@ -79,13 +66,6 @@ listingSource(const std::vector<ListedInstr> &listing)
     for (const ListedInstr &li : listing) {
         src += li.text;
         src += '\n';
-        if (li.valid && li.twoWord && li.text.rfind(".word", 0) == 0) {
-            // Defensive: a .word line for a two-word form would drop
-            // its immediate; decodeListing never produces this.
-            char buf[32];
-            std::snprintf(buf, sizeof buf, ".word 0x%04x\n", li.imm);
-            src += buf;
-        }
     }
     return src;
 }

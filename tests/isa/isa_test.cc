@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "isa/instruction.hh"
-#include "sim/logging.hh"
 
 namespace {
 
@@ -76,10 +75,14 @@ TEST(IsaDecodeTest, ImmediateFormsAreTwoWords)
 
 TEST(IsaDecodeTest, IllegalImmediateFormsRejected)
 {
-    EXPECT_THROW(decodeFirst(encodeAluI(AluFn::Not, 1)),
-                 snaple::sim::FatalError);
-    EXPECT_THROW(decodeFirst(encodeAluI(AluFn::Rand, 1)),
-                 snaple::sim::FatalError);
+    // Rejected before any operand read, and one word long: there is
+    // no immediate to fetch for an instruction that does not exist.
+    for (AluFn fn : {AluFn::Not, AluFn::Neg, AluFn::Rand, AluFn::Seed}) {
+        const DecodedInst d = decodeFirst(encodeAluI(fn, 1));
+        EXPECT_FALSE(d.legal) << int(fn);
+        EXPECT_FALSE(d.twoWord);
+        EXPECT_FALSE(d.readsRd || d.readsRs || d.writesRd);
+    }
 }
 
 TEST(IsaDecodeTest, MemoryOpsUsePerBankUnits)
@@ -168,9 +171,35 @@ TEST(IsaDecodeTest, BfsReadsBothAndWrites)
 
 TEST(IsaDecodeTest, IllegalEncodingsAreFatal)
 {
-    EXPECT_THROW(decodeFirst(0xF000), snaple::sim::FatalError);
-    // AluR with fn = 15 is unassigned.
-    EXPECT_THROW(decodeFirst(0x000F), snaple::sim::FatalError);
+    // The reserved opcode keeps its fields and reads nothing.
+    const DecodedInst reserved = decodeFirst(0xF123);
+    EXPECT_FALSE(reserved.legal);
+    EXPECT_EQ(reserved.word(), 0xF123);
+    EXPECT_FALSE(reserved.readsRd || reserved.readsRs);
+    // ALU fn 15 is unassigned but reads its operands first: rd and rs
+    // in the register form, rd alone in the immediate form.
+    const DecodedInst r = decodeFirst(0x0FEF);
+    EXPECT_FALSE(r.legal);
+    EXPECT_TRUE(r.readsRd && r.readsRs);
+    EXPECT_FALSE(r.writesRd || r.twoWord);
+    const DecodedInst i = decodeFirst(encodeAluI(AluFn(15), 15));
+    EXPECT_FALSE(i.legal);
+    EXPECT_TRUE(i.readsRd && i.twoWord);
+    EXPECT_FALSE(i.readsRs || i.writesRd);
+    EXPECT_TRUE(decodeFirst(encodeSys(SysFn::Halt, 0)).legal);
+}
+
+TEST(IsaDecodeTest, ImmediatePastImemEndIsIllegal)
+{
+    const std::uint16_t li = encodeAluI(AluFn::Mov, 1);
+    EXPECT_TRUE(decodeAt(li, kMemWords - 2, kMemWords).legal);
+    const DecodedInst cut = decodeAt(li, kMemWords - 1, kMemWords);
+    EXPECT_FALSE(cut.legal);
+    EXPECT_FALSE(cut.twoWord);
+    // One-word forms fit anywhere.
+    EXPECT_TRUE(decodeAt(encodeSys(SysFn::Nop, 0), kMemWords - 1,
+                         kMemWords)
+                    .legal);
 }
 
 TEST(IsaDisasmTest, RepresentativeForms)

@@ -66,22 +66,22 @@ main(int argc, char **argv)
         while (i < prog.imem.size()) {
             std::uint16_t w = prog.imem[i];
             std::printf("%04zx: %04x", i, w);
-            try {
-                isa::DecodedInst d = isa::decodeFirst(w);
-                std::size_t next = i + 1;
-                if (d.twoWord && next < prog.imem.size()) {
-                    d.imm = prog.imem[next];
-                    std::printf(" %04x", d.imm);
-                    ++next;
-                } else {
-                    std::printf("     ");
-                }
-                std::printf("  %s\n", isa::disassemble(d).c_str());
-                i = next;
-            } catch (const sim::FatalError &) {
+            isa::DecodedInst d = isa::decodeFirst(w);
+            if (!d.legal) {
                 std::printf("       .word 0x%04x\n", w);
                 ++i;
+                continue;
             }
+            std::size_t next = i + 1;
+            if (d.twoWord && next < prog.imem.size()) {
+                d.imm = prog.imem[next];
+                std::printf(" %04x", d.imm);
+                ++next;
+            } else {
+                std::printf("     ");
+            }
+            std::printf("  %s\n", isa::disassemble(d).c_str());
+            i = next;
         }
     } else {
         for (std::size_t i = 0; i < prog.imem.size(); ++i) {
