@@ -224,6 +224,19 @@ SnapCore::illegalInstruction(std::uint16_t pc, std::uint16_t word)
     sim::fatal("illegal instruction at pc ", pc, " (word ", hex, ")");
 }
 
+void
+SnapCore::checkTimerReg(std::uint16_t reg)
+{
+    sim::fatalIf(reg > 2, "timer register out of range: ", reg);
+}
+
+void
+SnapCore::checkEventNum(std::uint16_t event)
+{
+    sim::fatalIf(event >= isa::kNumEvents, "setaddr event out of range: ",
+                 event);
+}
+
 sim::Kernel::DelayAwaiter
 SnapCore::regReadDelay()
 {
@@ -425,7 +438,7 @@ SnapCore::executeProcess()
                                                 (vs & d.imm));
             break;
           case Op::Timer: {
-            sim::fatalIf(vd > 2, "timer register out of range: ", vd);
+            checkTimerReg(vd);
             co_await timerPort_.send(
                 TimerCmd{d.timerFn(), static_cast<std::uint8_t>(vd), vs});
             rec.timerCmd = true;
@@ -439,8 +452,7 @@ SnapCore::executeProcess()
                 redir.kind = Redirect::Kind::Done;
                 send_redirect = true;
             } else {
-                sim::fatalIf(vd >= isa::kNumEvents,
-                             "setaddr event out of range: ", vd);
+                checkEventNum(vd);
                 handlerTable_[vd] = vs;
             }
             break;

@@ -302,6 +302,13 @@ class SnapCore
     [[noreturn]] static void illegalInstruction(std::uint16_t pc,
                                                 std::uint16_t word);
 
+    /** The timer and setaddr operand checks, which both tiers stop
+     *  through (the memories check their own addresses).
+     *  @throws sim::FatalError unless @p reg names a timer or
+     *  @p event an event. */
+    static void checkTimerReg(std::uint16_t reg);
+    static void checkEventNum(std::uint16_t event);
+
     /**
      * Shared handler-boundary bookkeeping, used by both executors at
      * `done`: close the current handler segment, sleep if the event

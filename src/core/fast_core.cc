@@ -181,6 +181,8 @@ struct SnapCore::FastTier
     std::size_t replayCursor = 0;
     /** The commit record being built, when a sink is attached. */
     ref::CommitRecord rec{};
+    /** The out-of-range value the engine last stopped on. */
+    std::uint16_t faultValue = 0;
 
     /** Price the line just predecoded at @p at from its form @p d. */
     void
@@ -359,6 +361,8 @@ struct SnapCore::FastTier
 
         void dbgout(std::uint16_t v) { cp->debugOut_.push_back(v); }
 
+        void fault(std::uint16_t v) { tp->faultValue = v; }
+
         /**
          * Retire at the recurrence's tick and book the time since the
          * previous retirement (or dispatch) to the line's price. When
@@ -396,6 +400,34 @@ struct SnapCore::FastTier
             }
         }
     };
+
+    /** Stop the run on the engine's PStop::Fault through the check
+     *  the cycle tier stops on, so both tiers print one message: the
+     *  memory's address check for a load, a store or the pc itself,
+     *  else the timer register or setaddr event check. */
+    [[noreturn]] void
+    raiseFault(SnapCore &c) const
+    {
+        if (pc < isa::kMemWords) {
+            switch (lines[pc].kind) {
+              case pre::PKind::Ldw:
+              case pre::PKind::Stw:
+                c.dmem_.peek(faultValue);
+                break;
+              case pre::PKind::Timer:
+                checkTimerReg(faultValue);
+                break;
+              case pre::PKind::SetAddr:
+                checkEventNum(faultValue);
+                break;
+              default: // ldi or sti
+                break;
+            }
+        }
+        c.imem_.peek(faultValue);
+        sim::panic("fast tier: fault on in-range value ", faultValue,
+                   " at pc ", pc);
+    }
 
     /** Run one slice of the engine in environment Env<Commit, Profile>. */
     template <bool Commit, bool Profile>
@@ -597,8 +629,7 @@ SnapCore::fastProcess()
           case pre::PStop::Illegal:
             illegalInstruction(ft.pc, imem_.peek(ft.pc));
           case pre::PStop::Fault:
-            sim::fatal("fast tier: operand out of range at pc ", ft.pc,
-                       " (word ", imem_.peek(ft.pc), ")");
+            ft.raiseFault(*this);
         }
     }
 }

@@ -40,6 +40,7 @@
  *   void noteMemWrite(bool isImem, std::uint16_t a, std::uint16_t v);
  *   void dbgout(std::uint16_t v);
  *   void retire(std::uint16_t pc, const PLine &ln, bool carry);
+ *   void fault(std::uint16_t v);           // before PStop::Fault
  *
  * An Env is copy-assignable: runPredecoded() runs on a copy and
  * assigns it back when it returns.
@@ -119,7 +120,7 @@ enum class PStop : std::uint8_t
     StepLimit, ///< step budget spent without another stop
     Illegal,   ///< illegal instruction at pc (isa::DecodedInst::legal)
     Fault,     ///< an address, timer register, event number or the pc
-               ///< itself out of range
+               ///< itself out of range; env.fault() got the value
 };
 
 /** Fill @p ln from the instruction at @p pc; returns its decoded
@@ -201,6 +202,14 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         return PStop::code;                                            \
     } while (0)
 
+    // An out-of-range operand: the Env gets the value, the pc stays
+    // at the faulting instruction.
+#define PRE_FAULT(value)                                               \
+    do {                                                               \
+        env.fault(value);                                              \
+        PRE_RET(Fault);                                                \
+    } while (0)
+
     // Operand read; r15 is the message-FIFO window and may stall.
 #define PRE_READ(idx, var)                                             \
     do {                                                               \
@@ -280,7 +289,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_RET(StepLimit);
     ++steps;
     if (pc >= isa::kMemWords)
-        PRE_RET(Fault);
+        PRE_FAULT(pc);
     {
         PLine &l = lines[pc];
         if (l.len == 0) [[unlikely]]
@@ -437,7 +446,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
         if (addr >= isa::kMemWords)
-            PRE_RET(Fault);
+            PRE_FAULT(addr);
         PRE_PLAIN(dmem[addr]);
     }
     PRE_CASE(Ldi) : {
@@ -446,7 +455,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
         if (addr >= isa::kMemWords)
-            PRE_RET(Fault);
+            PRE_FAULT(addr);
         PRE_PLAIN(imem[addr]);
     }
     PRE_CASE(Stw) : {
@@ -456,7 +465,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
         if (addr >= isa::kMemWords)
-            PRE_RET(Fault);
+            PRE_FAULT(addr);
         dmem[addr] = vd;
         env.noteMemWrite(false, addr, vd);
         PRE_RETIRE();
@@ -469,7 +478,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         const std::uint16_t addr =
             static_cast<std::uint16_t>(vs + ln->imm);
         if (addr >= isa::kMemWords)
-            PRE_RET(Fault);
+            PRE_FAULT(addr);
         imem[addr] = vd;
         // Self-modifying code: drop the predecoded line at the
         // written address, and the one before it (a two-word line
@@ -556,7 +565,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         if (ln->fn != 2)
             PRE_READ(ln->rs, vs);
         if (vd > 2)
-            PRE_RET(Fault);
+            PRE_FAULT(vd);
         if (!env.timerCmd(ln->fn, static_cast<std::uint8_t>(vd), vs))
             PRE_RET(Stall);
         PRE_RETIRE();
@@ -571,7 +580,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
         PRE_READ(ln->rd, vd);
         PRE_READ(ln->rs, vs);
         if (vd >= isa::kNumEvents)
-            PRE_RET(Fault);
+            PRE_FAULT(vd);
         handlers[vd] = vs;
         PRE_RETIRE();
         PRE_NEXT();
@@ -596,6 +605,7 @@ runPredecoded(Env &caller, std::uint64_t maxSteps)
     }
 
 #undef PRE_RET
+#undef PRE_FAULT
 #undef PRE_READ
 #undef PRE_WRITE_RD
 #undef PRE_RETIRE

@@ -124,6 +124,27 @@ MetricHistogram::percentile(double p) const
     return double(max_); // unreachable when counts are consistent
 }
 
+void
+MetricHistogram::checkBuckets(std::string_view name, std::uint64_t count,
+                              const Sparse &buckets)
+{
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        const auto [b, n] = buckets[i];
+        fatalIf(b >= kNumBuckets, "histogram ", name, ": bucket index ", b,
+                " out of range (", kNumBuckets, " buckets)");
+        fatalIf(i > 0 && b <= buckets[i - 1].first, "histogram ", name,
+                ": bucket index ", b, " does not ascend");
+        fatalIf(n == 0, "histogram ", name, ": bucket ", b,
+                " has count 0");
+        fatalIf(n > count - total, "histogram ", name,
+                ": bucket counts exceed the count ", count);
+        total += n;
+    }
+    fatalIf(total != count, "histogram ", name, ": bucket counts sum to ",
+            total, ", not the count ", count);
+}
+
 std::size_t
 MetricsRegistry::lowerBound(std::string_view name) const
 {
@@ -286,7 +307,6 @@ MetricsRegistry::saveState() const
             const MetricGauge &g = gauges_[e.idx];
             si.gaugeV = g.v_;
             si.gaugeMerge = static_cast<std::uint8_t>(g.merge_);
-            si.gaugeMergedN = g.mergedN_;
             break;
           }
           case Kind::Histogram: {
@@ -297,7 +317,8 @@ MetricsRegistry::saveState() const
             si.histMax = h.max();
             for (std::size_t b = 0;
                  b < MetricHistogram::kNumBuckets; ++b)
-                si.buckets[b] = h.bucket(b);
+                if (h.bucket(b))
+                    si.buckets.emplace_back(b, h.bucket(b));
             break;
           }
         }
@@ -325,6 +346,8 @@ MetricsRegistry::restoreState(const std::vector<SavedInstrument> &saved)
                         static_cast<std::uint8_t>(GaugeMerge::Skip),
                 "snapshot: bad gauge merge policy ",
                 unsigned(s.gaugeMerge), " for ", s.name);
+        if (kind == Kind::Histogram)
+            MetricHistogram::checkBuckets(s.name, s.histCount, s.buckets);
         const std::uint32_t idx =
             live ? names_[pos].idx
                  : insert(pos, s.name, kind, GaugeMerge::Sum).idx;
@@ -336,19 +359,13 @@ MetricsRegistry::restoreState(const std::vector<SavedInstrument> &saved)
             MetricGauge &g = gauges_[idx];
             g.v_ = s.gaugeV;
             g.merge_ = static_cast<GaugeMerge>(s.gaugeMerge);
-            g.mergedN_ = s.gaugeMergedN;
+            g.mergedN_ = 0;
             break;
           }
-          case Kind::Histogram: {
-            std::vector<std::pair<std::size_t, std::uint64_t>> b;
-            for (std::size_t i = 0;
-                 i < MetricHistogram::kNumBuckets; ++i)
-                if (s.buckets[i])
-                    b.emplace_back(i, s.buckets[i]);
+          case Kind::Histogram:
             hists_[idx].restore(s.histCount, s.histSum, s.histMin,
-                                s.histMax, b);
+                                s.histMax, s.buckets);
             break;
-          }
         }
     }
 }

@@ -42,6 +42,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -111,6 +112,23 @@ class MetricHistogram
   public:
     static constexpr std::size_t kNumBuckets = 65;
 
+    /**
+     * The non-zero buckets as ascending (index, count) pairs: the one
+     * bucket encoding outside a live histogram, written to the JSONL
+     * stream's `buckets` field and to snapshots.
+     */
+    using Sparse = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+    /**
+     * FatalError naming histogram @p name unless @p buckets is a valid
+     * Sparse list for @p count samples: every index below kNumBuckets
+     * and above the one before it, no zero count, and the counts
+     * summing to @p count. Snapshot restore and snap-report read their
+     * bucket lists through this check.
+     */
+    static void checkBuckets(std::string_view name, std::uint64_t count,
+                             const Sparse &buckets);
+
     static constexpr std::size_t
     bucketOf(std::uint64_t v)
     {
@@ -176,15 +194,14 @@ class MetricHistogram
     }
 
     /**
-     * Reconstruct from serialized fields (snap-report rebuilds
-     * histograms from JSONL sample lines to compute percentiles with
-     * exactly this estimator).
+     * Reconstruct from serialized fields (checkpoint restore, and
+     * snap-report rebuilding histograms from JSONL sample lines to
+     * compute percentiles with exactly this estimator). @p buckets
+     * must have passed checkBuckets().
      */
     void
     restore(std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-            std::uint64_t max,
-            const std::vector<std::pair<std::size_t, std::uint64_t>>
-                &buckets)
+            std::uint64_t max, const Sparse &buckets)
     {
         reset();
         count_ = count;
@@ -192,8 +209,7 @@ class MetricHistogram
         min_ = min;
         max_ = max;
         for (const auto &[b, n] : buckets)
-            if (b < kNumBuckets && n != 0)
-                ensureBuckets()[b] = n;
+            ensureBuckets().at(b) = n;
     }
 
     std::uint64_t count() const { return count_; }
@@ -354,7 +370,9 @@ class MetricsRegistry
     /**
      * Full value dump of one instrument (snapshot support). Fields
      * irrelevant to the instrument's kind stay at their defaults, so
-     * the serialized form is canonical.
+     * the serialized form is canonical. A gauge's merge count is not
+     * saved: only the parallel harness's aggregates are merged into,
+     * and they are rebuilt at every sample, never saved.
      */
     struct SavedInstrument
     {
@@ -363,13 +381,11 @@ class MetricsRegistry
         std::uint64_t counter = 0;
         double gaugeV = 0.0;
         std::uint8_t gaugeMerge = 0;
-        std::uint32_t gaugeMergedN = 0;
         std::uint64_t histCount = 0;
         std::uint64_t histSum = 0;
         std::uint64_t histMin = 0;
         std::uint64_t histMax = 0;
-        std::array<std::uint64_t, MetricHistogram::kNumBuckets>
-            buckets{};
+        MetricHistogram::Sparse buckets;
 
         bool operator==(const SavedInstrument &) const = default;
     };
@@ -382,8 +398,9 @@ class MetricsRegistry
      * instruments keep their addresses — components cache references —
      * and take the saved values; instruments only present in @p saved
      * are created. A record whose kind or gauge merge policy is out of
-     * range, or whose kind disagrees with the live instrument of the
-     * same name, is a FatalError naming the instrument.
+     * range, whose kind disagrees with the live instrument of the same
+     * name, or whose buckets fail MetricHistogram::checkBuckets() is a
+     * FatalError naming the instrument.
      */
     void restoreState(const std::vector<SavedInstrument> &saved);
 

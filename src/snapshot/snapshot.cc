@@ -141,8 +141,7 @@ void
 io(Ar &ar, sim::MetricsRegistry::SavedInstrument &m)
 {
     fields(ar, m.name, m.kind, m.counter, m.gaugeV, m.gaugeMerge,
-           m.gaugeMergedN, m.histCount, m.histSum, m.histMin, m.histMax,
-           m.buckets);
+           m.histCount, m.histSum, m.histMin, m.histMax, m.buckets);
 }
 
 template <class Ar>

@@ -59,8 +59,13 @@ inline constexpr std::uint32_t kMagic = 0x53504e53u;
  *  checkpoints and its profile rows continue bit-exactly.
  *  v7: the class-cal digest is gone with the class-cal table: both
  *  tiers price instructions with one cost function
- *  (core/instr_cost.hh). Eight bytes fewer per node. */
-inline constexpr std::uint32_t kFormatVersion = 7;
+ *  (core/instr_cost.hh). Eight bytes fewer per node.
+ *  v8: a histogram's buckets travel as its non-zero (index, count)
+ *  pairs, the JSONL stream's encoding, not as 65 dense counts, and
+ *  the gauge merge count (always 0 in a snapshot) is gone. Every
+ *  instrument record shrinks by 516 bytes less 16 per recorded
+ *  bucket; a node's snapshot about halves. */
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /** One hardware FIFO's full state (sim::Fifo buffer plus flow
  *  counters): the event queue and the word FIFOs. */

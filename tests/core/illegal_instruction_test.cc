@@ -6,7 +6,10 @@
  * operands (popping r15 message words) before it fails, a two-word
  * form whose immediate would lie past the end of IMEM fails before
  * any operand read, and both tiers stop with the same message naming
- * the pc and the word.
+ * the pc and the word. An operand out of range (a memory address, a
+ * timer register, an event number) and a pc past IMEM stop both tiers
+ * through the same check, with the same message and the same dbgout
+ * words.
  */
 
 #include <gtest/gtest.h>
@@ -162,6 +165,114 @@ TEST(IllegalInstructionTest, ImmediatePastImemEnd)
     )",
                   "illegal instruction at pc 2047 (word 0x1f00)", 2047,
                   {11});
+}
+
+/** Both tiers stop on @p src with @p message, having written dbgout
+ *  words @p dbg and retired as many instructions (the golden model
+ *  has no rule for these faults). */
+void
+expectSameFault(const std::string &src, const std::string &message,
+                const std::vector<std::uint16_t> &dbg)
+{
+    const assembler::Program prog = assembler::assembleSnap(src);
+    const Outcome cycle = runCore(prog, FidelityMode::Cycle);
+    const Outcome fast = runCore(prog, FidelityMode::Fast);
+    for (const Outcome *o : {&cycle, &fast}) {
+        SCOPED_TRACE(o == &cycle ? "cycle" : "fast");
+        EXPECT_EQ(o->error, "fatal: " + message);
+        EXPECT_EQ(o->dbgOut, dbg);
+    }
+    EXPECT_EQ(fast.retired, cycle.retired);
+}
+
+TEST(OperandFaultTest, DmemAddressOutOfRange)
+{
+    expectSameFault(R"(
+        li r1, 3000
+        li r3, 5
+        dbgout r3
+        ldw r2, 0(r1)
+        halt
+    )",
+                    "DMEM address out of range: 3000", {5});
+    expectSameFault(R"(
+        li r1, 2040
+        li r3, 5
+        dbgout r3
+        stw r3, 8(r1)
+        halt
+    )",
+                    "DMEM address out of range: 2048", {5});
+}
+
+TEST(OperandFaultTest, ImemAddressOutOfRange)
+{
+    expectSameFault(R"(
+        li r1, 4095
+        li r3, 6
+        dbgout r3
+        ldi r2, 1(r1)
+        halt
+    )",
+                    "IMEM address out of range: 4096", {6});
+    expectSameFault(R"(
+        li r1, 2048
+        li r3, 6
+        dbgout r3
+        sti r3, 0(r1)
+        halt
+    )",
+                    "IMEM address out of range: 2048", {6});
+}
+
+TEST(OperandFaultTest, TimerRegisterOutOfRange)
+{
+    expectSameFault(R"(
+        li r1, 3
+        li r2, 100
+        dbgout r2
+        schedlo r1, r2
+        halt
+    )",
+                    "timer register out of range: 3", {100});
+}
+
+TEST(OperandFaultTest, SetaddrEventOutOfRange)
+{
+    expectSameFault(R"(
+        li r1, 7
+        li r2, 9
+        dbgout r2
+        setaddr r1, r2
+        halt
+    )",
+                    "setaddr event out of range: 7", {9});
+}
+
+TEST(OperandFaultTest, PcPastImem)
+{
+    // A jump out of IMEM, and straight-line code running off its end.
+    expectSameFault(R"(
+        li r3, 8
+        dbgout r3
+        jmp 3000
+    )",
+                    "IMEM address out of range: 3000", {8});
+    expectSameFault(R"(
+        li r3, 8
+        dbgout r3
+        jmp 2040
+        .org 2040
+        dbgout r3
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+    )",
+                    "IMEM address out of range: 2048", {8, 8});
 }
 
 } // namespace

@@ -133,7 +133,7 @@ TEST(MetricHistogramTest, RestoreReproducesPercentiles)
     MetricHistogram h;
     for (std::uint64_t v : {3u, 19u, 21u, 500u, 8000u})
         h.record(v);
-    std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
+    MetricHistogram::Sparse buckets;
     for (std::size_t b = 0; b < MetricHistogram::kNumBuckets; ++b)
         if (h.bucket(b))
             buckets.emplace_back(b, h.bucket(b));
@@ -347,11 +347,14 @@ TEST(MetricsBytesTest, LateInstrumentJoinsNameOrderAndAggregate)
 
 /**
  * Reference aggregate, by name: fold each source's saved instruments
- * into @p acc with the documented merge rules, one name at a time.
- * restoreState() of the result is the "all" registry.
+ * into @p acc with the documented merge rules, one name at a time,
+ * counting each Mean gauge's contributions in @p meanN. Dividing
+ * those gauges by their count (meanOf) and restoreState() of the
+ * result gives the "all" registry.
  */
 void
 mergeByName(std::map<std::string, MetricsRegistry::SavedInstrument> &acc,
+            std::map<std::string, std::uint32_t> &meanN,
             const MetricsRegistry &src)
 {
     for (const auto &s : src.saveState()) {
@@ -370,7 +373,7 @@ mergeByName(std::map<std::string, MetricsRegistry::SavedInstrument> &acc,
             if (s.gaugeMerge != std::uint8_t(GaugeMerge::Skip))
                 d.gaugeV += s.gaugeV;
             if (s.gaugeMerge == std::uint8_t(GaugeMerge::Mean))
-                ++d.gaugeMergedN;
+                ++meanN[s.name];
             break;
           case 2: {
             if (s.histCount == 0)
@@ -384,12 +387,36 @@ mergeByName(std::map<std::string, MetricsRegistry::SavedInstrument> &acc,
             }
             d.histCount += s.histCount;
             d.histSum += s.histSum;
-            for (std::size_t i = 0; i < s.buckets.size(); ++i)
-                d.buckets[i] += s.buckets[i];
+            for (const auto &[b, n] : s.buckets) {
+                auto at = std::lower_bound(
+                    d.buckets.begin(), d.buckets.end(), b,
+                    [](const auto &p, std::uint64_t i) {
+                        return p.first < i;
+                    });
+                if (at == d.buckets.end() || at->first != b)
+                    at = d.buckets.insert(at, {b, 0});
+                at->second += n;
+            }
             break;
           }
         }
     }
+}
+
+/** @p acc as restoreState() input, each Mean gauge divided by its
+ *  contribution count from @p meanN as MetricGauge::value() does. */
+std::vector<MetricsRegistry::SavedInstrument>
+meanOf(const std::map<std::string, MetricsRegistry::SavedInstrument> &acc,
+       const std::map<std::string, std::uint32_t> &meanN)
+{
+    std::vector<MetricsRegistry::SavedInstrument> saved;
+    for (auto [name, ins] : acc) {
+        const auto n = meanN.find(name);
+        if (n != meanN.end() && n->second > 1)
+            ins.gaugeV /= n->second;
+        saved.push_back(ins);
+    }
+    return saved;
 }
 
 TEST(MetricsBytesTest, MergeOverMixedInstrumentSetsMatchesByName)
@@ -414,15 +441,13 @@ TEST(MetricsBytesTest, MergeOverMixedInstrumentSetsMatchesByName)
             n[i].counter("core.instructions").inc(1);
         all.resetValues();
         std::map<std::string, MetricsRegistry::SavedInstrument> acc;
+        std::map<std::string, std::uint32_t> meanN;
         for (int i = 0; i < 3; ++i) {
             all.mergeFrom(n[i], tables[i]);
-            mergeByName(acc, n[i]);
+            mergeByName(acc, meanN, n[i]);
         }
-        std::vector<MetricsRegistry::SavedInstrument> saved;
-        for (const auto &[name, ins] : acc)
-            saved.push_back(ins);
         MetricsRegistry ref;
-        ref.restoreState(saved);
+        ref.restoreState(meanOf(acc, meanN));
         EXPECT_EQ(jsonl(all, Tick(sample), "all"),
                   jsonl(ref, Tick(sample), "all"))
             << "sample " << sample;
@@ -451,6 +476,56 @@ TEST(MetricsRestoreTest, KindDisagreementIsFatalAndNamed)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(MetricsRestoreTest, SavedHistogramKeepsOnlyRecordedBuckets)
+{
+    MetricsRegistry reg;
+    reg.counter("a.count").inc(2);
+    MetricHistogram &h = reg.histogram("h.wait");
+    for (std::uint64_t v : {0u, 5u, 6u, 300u})
+        h.record(v);
+    const auto saved = reg.saveState();
+    ASSERT_EQ(saved.size(), 2u);
+    EXPECT_TRUE(saved[0].buckets.empty()); // a counter has none
+    EXPECT_EQ(saved[1].buckets,
+              (MetricHistogram::Sparse{{0, 1}, {3, 2}, {9, 1}}));
+    MetricsRegistry back;
+    back.restoreState(saved);
+    EXPECT_EQ(jsonl(back, 1, "n0"), jsonl(reg, 1, "n0"));
+}
+
+/** restoreState() of histogram "h.wait" holding @p buckets for
+ *  @p count samples must throw a FatalError naming it. */
+void
+expectBucketsRefused(std::uint64_t count, MetricHistogram::Sparse buckets)
+{
+    MetricsRegistry reg;
+    MetricsRegistry::SavedInstrument s;
+    s.name = "h.wait";
+    s.kind = 2;
+    s.histCount = count;
+    s.buckets = std::move(buckets);
+    try {
+        reg.restoreState({s});
+        FAIL() << "restoreState accepted bad buckets";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("h.wait"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(MetricsRestoreTest, BadBucketPairsAreFatalAndNamed)
+{
+    expectBucketsRefused(1, {{65, 1}});
+    expectBucketsRefused(~std::uint64_t{0}, {{~std::uint64_t{0}, 1}});
+    expectBucketsRefused(2, {{3, 1}, {3, 1}});          // repeated
+    expectBucketsRefused(2, {{4, 1}, {3, 1}});          // descending
+    expectBucketsRefused(1, {{2, 0}, {3, 1}});          // zero count
+    expectBucketsRefused(3, {{3, 1}, {4, 1}});          // sums short
+    expectBucketsRefused(1, {{3, 1}, {4, 1}});          // sums over
+    expectBucketsRefused(1, {{3, 1}, {4, ~std::uint64_t{0}}}); // wraps
+    expectBucketsRefused(1, {});
 }
 
 TEST(MetricsRestoreTest, OutOfRangeGaugeMergeIsFatalAndNamed)

@@ -5,7 +5,9 @@
  * profiling flag). Restoring onto a network built with any other
  * value fails with a FatalError that names the node and the
  * knob; restoring with the saving run's knobs still continues
- * bit-exactly (docs/CHECKPOINT.md).
+ * bit-exactly (docs/CHECKPOINT.md). Hand-edited records fail the same
+ * way: a profile cell outside the profile, or histogram buckets that
+ * are not a valid sparse list, naming the instrument.
  */
 
 #include <cmath>
@@ -238,6 +240,42 @@ TEST(RestoreKnobs, BadProfileCellsAreRefused)
             ADD_FAILURE() << "restore accepted a bad profile cell";
         } catch (const sim::FatalError &e) {
             EXPECT_NE(std::string(e.what()).find("bad profile cell"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(RestoreKnobs, BadHistogramBucketsAreRefusedByName)
+{
+    // Each edit is encoded, so the file carries a valid checksum and
+    // only restore's bucket check can refuse it.
+    const snapshot::NetworkSnapshot saved = save(Knobs{});
+    std::size_t hist = 0;
+    const auto &metrics = saved.nodes[1].metrics;
+    while (hist < metrics.size() && metrics[hist].histCount == 0)
+        ++hist;
+    ASSERT_LT(hist, metrics.size()) << "no recorded histogram";
+    const std::string name = metrics[hist].name;
+    using Sparse = sim::MetricHistogram::Sparse;
+    const std::pair<std::uint64_t, Sparse> edits[] = {
+        {1, {{65, 1}}},         // index past the 65 buckets
+        {2, {{4, 1}, {4, 1}}},  // repeated index
+        {2, {{5, 1}, {4, 1}}},  // descending
+        {1, {{4, 0}, {5, 1}}},  // zero count
+        {2, {{4, 1}}},          // counts short of the histogram's
+    };
+    for (const auto &[count, buckets] : edits) {
+        snapshot::NetworkSnapshot edited = saved;
+        edited.nodes[1].metrics[hist].histCount = count;
+        edited.nodes[1].metrics[hist].buckets = buckets;
+        const snapshot::NetworkSnapshot snap =
+            snapshot::decodeSnapshot(snapshot::encodeSnapshot(edited));
+        try {
+            restore(Knobs{}, snap);
+            ADD_FAILURE() << "restore accepted bad buckets";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(name),
                       std::string::npos)
                 << e.what();
         }

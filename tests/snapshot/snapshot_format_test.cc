@@ -57,7 +57,7 @@ TEST_P(SnapshotFormat, EncodingAt400MsMatchesThePin)
     scenario::runScenario(sc, opt);
 
     ASSERT_FALSE(enc.empty()) << "no checkpoint at 400 ms";
-    EXPECT_EQ(snapshot::kFormatVersion, 7u);
+    EXPECT_EQ(snapshot::kFormatVersion, 8u);
     EXPECT_EQ(enc.size(), pin.bytes);
     EXPECT_EQ(sim::fnv1a64(enc.data(), enc.size()), pin.fnv)
         << std::hex << "actual 0x" << sim::fnv1a64(enc.data(), enc.size());
@@ -67,9 +67,9 @@ TEST_P(SnapshotFormat, EncodingAt400MsMatchesThePin)
 // ids survive format bumps; the body asserts the current version.
 INSTANTIATE_TEST_SUITE_P(
     V3, SnapshotFormat,
-    ::testing::Values(Pin{"trickle", 187050, 0xbd1d25fda6cb59bdull},
-                      Pin{"rssi_cluster", 232409, 0x57a4c245f285e720ull},
-                      Pin{"trickle_fast", 141514, 0xf7e532e9001edb6bull}),
+    ::testing::Values(Pin{"trickle", 92634, 0x7dbcaa2739ee5081ull},
+                      Pin{"rssi_cluster", 115401, 0xb58af547e17d96d0ull},
+                      Pin{"trickle_fast", 69674, 0xb8e23a4a3032d163ull}),
     [](const ::testing::TestParamInfo<Pin> &info) {
         return std::string(info.param.scenario);
     });

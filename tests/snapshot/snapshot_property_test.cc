@@ -55,12 +55,12 @@ fuzzInstrument(sim::Rng &rng, int i)
     m.counter = rng.next();
     m.gaugeV = rng.uniform01() * 1e9;
     m.gaugeMerge = std::uint8_t(rng.next() % 4);
-    m.gaugeMergedN = std::uint32_t(rng.next());
     m.histCount = rng.next();
     m.histSum = rng.next();
     m.histMin = rng.next();
     m.histMax = rng.next();
-    fill(m.buckets, [&] { return rng.next(); });
+    m.buckets = some<std::pair<std::uint64_t, std::uint64_t>>(
+        rng, 6, [&] { return std::pair(rng.next() % 65, rng.next()); });
     return m;
 }
 
@@ -367,8 +367,10 @@ TEST_P(SnapshotOldVersion, IsRejected)
     // where v5 records the supply volts and class-cal digest: the
     // same size, so nothing but the version word tells them apart.
     // v5 has no profiling flag or profile cells. v6 carries the
-    // class-cal digest per node that v7 dropped. Restamped onto a
-    // current encoding, only the version word can refuse them.
+    // class-cal digest per node that v7 dropped. v7 saves 65 dense
+    // bucket counts and a gauge merge count per instrument where v8
+    // saves the non-zero bucket pairs. Restamped onto a current
+    // encoding, only the version word can refuse them.
     const std::uint32_t version = GetParam();
     ASSERT_LT(version, snapshot::kFormatVersion);
     sim::Rng rng(0x0202);
@@ -380,7 +382,7 @@ TEST_P(SnapshotOldVersion, IsRejected)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Past, SnapshotOldVersion, ::testing::Values(2u, 3u, 4u, 5u, 6u),
+    Past, SnapshotOldVersion, ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u),
     [](const ::testing::TestParamInfo<std::uint32_t> &info) {
         return "v" + std::to_string(info.param);
     });

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "isa/isa.hh"
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/ticks.hh"
 #include "jsonl.hh"
@@ -61,7 +62,7 @@ struct Sample
     std::string type; ///< "counter" | "gauge" | "hist"
     double v = 0.0;
     std::uint64_t count = 0, sum = 0, min = 0, max = 0;
-    std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
+    sim::MetricHistogram::Sparse buckets;
 };
 
 struct NodeData
@@ -99,10 +100,10 @@ getString(const std::string &line, const char *key, std::string &out)
     return false;
 }
 
-/** Parse `"buckets":[[b,n],...]` (possibly empty). */
+/** Parse `"buckets":[[b,n],...]` (possibly empty). The pairs still
+ *  need MetricHistogram::checkBuckets(). */
 bool
-getBuckets(const std::string &line,
-           std::vector<std::pair<std::size_t, std::uint64_t>> &out)
+getBuckets(const std::string &line, sim::MetricHistogram::Sparse &out)
 {
     std::size_t at = valueOffset(line, "buckets");
     if (at == std::string::npos || line[at] != '[')
@@ -117,7 +118,7 @@ getBuckets(const std::string &line,
         if (!parseU64(line.c_str() + i + 1, end, b) || *end != ',' ||
             !parseU64(end + 1, end, n) || *end != ']')
             return false;
-        out.emplace_back(std::size_t(b), n);
+        out.emplace_back(b, n);
         i = std::size_t(end - line.c_str()) + 1;
         if (i < line.size() && line[i] == ',')
             ++i;
@@ -178,6 +179,13 @@ struct Report
                     !getU64(line, "max", s.max) ||
                     !getBuckets(line, s.buckets)) {
                     *err = "hist sample missing fields";
+                    return false;
+                }
+                try {
+                    sim::MetricHistogram::checkBuckets(name, s.count,
+                                                       s.buckets);
+                } catch (const sim::FatalError &e) {
+                    *err = e.what();
                     return false;
                 }
             } else {
@@ -396,10 +404,14 @@ printInstructionMix(const Report &r)
     }
     if (!src)
         return;
+    // Retirements only: core.class.<slug> counters, not their
+    // .ticks and .pj companions.
     double total = 0.0;
     std::vector<std::pair<std::string, double>> classes;
     for (const auto &[metric, s] : src->last)
-        if (metric.rfind("core.class.", 0) == 0 && s.v > 0) {
+        if (metric.rfind("core.class.", 0) == 0 &&
+            metric.find('.', 11) == std::string::npos &&
+            s.type == "counter" && s.v > 0) {
             classes.emplace_back(metric.substr(11), s.v);
             total += s.v;
         }

@@ -332,7 +332,8 @@ main(int argc, char **argv)
         else if (!std::strncmp(argv[i], "--chrome=", 9))
             chrome = argv[i] + 9;
         else if (!std::strncmp(argv[i], "--top=", 6))
-            top = std::strtoull(argv[i] + 6, nullptr, 10);
+            top = snaple::tools::flagValue<std::size_t>("--top",
+                                                        argv[i] + 6);
         else if (argv[i][0] == '-' && std::strcmp(argv[i], "-"))
             path = nullptr, i = argc; // unknown flag -> usage
         else if (!path)

@@ -1,4 +1,6 @@
 # Byte pin of one snap-run output against a file captured earlier.
+# SNAP_RUN may name another tool (snap-report); the comparison is the
+# same.
 #
 #   cmake -DSNAP_RUN=<snap-run> -DARGS=<arg|arg|...> -DGOLDEN=<file>
 #         [-DOUT=<file>] [-DDROP=<regex>] -P pin.cmake
