@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <tuple>
 
 #include "radio/transceiver.hh"
 
@@ -45,7 +47,7 @@ AirExchange::finalizeField()
     sim::fatalIf(field_->cellM <= 0.0, "field cell size must be positive");
     pos_.resize(shards_.size(), {0.0, 0.0});
     cellOf_.resize(shards_.size());
-    cells_.clear();
+    byCell_.clear();
 
     // Cell arithmetic runs in int32: every reach, and every cell
     // coordinate widened by the largest reach, must stay strictly
@@ -83,11 +85,18 @@ AirExchange::finalizeField()
                      "field: node ", id, " at (", pos_[id].first, ", ",
                      pos_[id].second, ") m lies outside the cell grid "
                      "of cell_m ", field_->cellM);
-        const auto cell = std::make_pair(static_cast<std::int32_t>(cx),
-                                         static_cast<std::int32_t>(cy));
-        cellOf_[id] = cell;
-        cells_[cell].push_back(id); // id order within a cell
+        cellOf_[id] = {static_cast<std::int32_t>(cx),
+                       static_cast<std::int32_t>(cy)};
+        byCell_.push_back(CellEntry{cellOf_[id].first,
+                                    cellOf_[id].second, id});
     }
+    // Only occupied cells take space, so neither the index's size nor
+    // a lookup depends on cell_m.
+    std::sort(byCell_.begin(), byCell_.end(),
+              [](const CellEntry &a, const CellEntry &b) {
+                  return std::tie(a.x, a.y, a.id) <
+                         std::tie(b.x, b.y, b.id);
+              });
     fieldFinal_ = true;
 }
 
@@ -96,14 +105,31 @@ AirExchange::fieldCandidates(std::uint32_t node,
                              std::vector<std::uint32_t> &out) const
 {
     out.clear();
+    // finalizeField() keeps every cell coordinate, widened by the
+    // reach, inside int32.
     const auto [cx, cy] = cellOf_[node];
-    for (std::int32_t dx = -cellReach_; dx <= cellReach_; ++dx)
-        for (std::int32_t dy = -cellReach_; dy <= cellReach_; ++dy) {
-            const auto it = cells_.find({cx + dx, cy + dy});
-            if (it != cells_.end())
-                out.insert(out.end(), it->second.begin(),
-                           it->second.end());
-        }
+    const std::int32_t yLo = cy - cellReach_;
+    const std::int32_t yHi = cy + cellReach_;
+    // First entry at or after cell (x, y), searching from @p from.
+    const auto seek = [this](auto from, std::int32_t x, std::int32_t y) {
+        return std::lower_bound(
+            from, byCell_.end(), std::make_pair(x, y),
+            [](const CellEntry &e, const std::pair<std::int32_t,
+                                                   std::int32_t> &k) {
+                return std::tie(e.x, e.y) < std::tie(k.first, k.second);
+            });
+    };
+    // Walk the occupied columns in reach; in each, jump to the cell-y
+    // range and, past it, to the next column.
+    auto e = seek(byCell_.begin(), cx - cellReach_, yLo);
+    while (e != byCell_.end() && e->x <= cx + cellReach_) {
+        if (e->y < yLo)
+            e = seek(e, e->x, yLo);
+        else if (e->y > yHi)
+            e = seek(e, e->x + 1, yLo);
+        else
+            out.push_back((e++)->id);
+    }
 }
 
 void
@@ -467,20 +493,20 @@ AirExchange::exchangeField(sim::Tick barrier, std::size_t firstFresh)
     const double capture = field::dbFactor(cfg.captureDb);
     const double noiseMw = field::dbmToMw(cfg.noiseDbm);
 
-    // Index every pending flight by its transmitter's cell, so the
-    // per-receiver interference sum below walks only the flights
-    // within noise-floor reach instead of the whole pending list.
-    // Per-cell lists are ascending pending indices by construction.
-    flightCells_.clear();
-    for (std::size_t i = 0; i < pending_.size(); ++i)
-        flightCells_[cellOf_[pending_[i].srcNode]].push_back(i);
-
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         AirFlight &f = pending_[i];
         if (f.resolved || f.end > barrier)
             continue;
         f.resolved = true;
         const sim::Tick at = std::max(f.end + propagation_, barrier);
+        // The flights overlapping f's airtime, once per flight: the
+        // pending list is start-sorted, so nothing past the first
+        // start >= f.end overlaps.
+        overlapScratch_.clear();
+        for (std::size_t gi = 0;
+             gi < pending_.size() && pending_[gi].start < f.end; ++gi)
+            if (gi != i && pending_[gi].end > f.start)
+                overlapScratch_.push_back(gi);
         fieldCandidates(f.srcNode, candScratch_);
         for (std::uint32_t r : candScratch_) {
             if (r == f.srcNode)
@@ -510,31 +536,18 @@ AirExchange::exchangeField(sim::Tick barrier, std::size_t firstFresh)
             // every overlapping word's received power by the margin
             // (exactly at the threshold still decodes). A signal
             // below the noise floor does not interfere.
-            // Candidate interferers: flights transmitted within
-            // interfReach_ cells of the receiver. Merging the per-cell
-            // lists and sorting restores global pending order, so the
-            // floating-point sum accumulates in exactly the order the
-            // full-list scan used — bit-identical results.
-            interfScratch_.clear();
+            // Interferers: the overlapping flights transmitted within
+            // interfReach_ cells of the receiver on both axes, summed
+            // in pending-list order — the same set, in the same
+            // floating-point order, at any cell_m.
             const auto [rcx, rcy] = cellOf_[r];
-            for (std::int32_t dx = -interfReach_; dx <= interfReach_;
-                 ++dx)
-                for (std::int32_t dy = -interfReach_;
-                     dy <= interfReach_; ++dy) {
-                    const auto it =
-                        flightCells_.find({rcx + dx, rcy + dy});
-                    if (it != flightCells_.end())
-                        interfScratch_.insert(interfScratch_.end(),
-                                              it->second.begin(),
-                                              it->second.end());
-                }
-            std::sort(interfScratch_.begin(), interfScratch_.end());
             double interfMw = noiseMw;
-            for (const std::size_t gi : interfScratch_) {
+            for (const std::size_t gi : overlapScratch_) {
                 const AirFlight &g = pending_[gi];
-                if (g.start >= f.end)
-                    break; // start-sorted: nothing later overlaps
-                if (&g == &f || g.end <= f.start)
+                const auto [gcx, gcy] = cellOf_[g.srcNode];
+                // int64: two in-grid cells can lie 2^32 cells apart.
+                if (std::abs(std::int64_t{gcx} - rcx) > interfReach_ ||
+                    std::abs(std::int64_t{gcy} - rcy) > interfReach_)
                     continue;
                 const double gDbm = rssiDbm(g.srcNode, r);
                 if (gDbm >= cfg.noiseDbm)

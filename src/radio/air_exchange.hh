@@ -33,11 +33,17 @@
  * resolution — and shards the air by spatial cells: each node is
  * binned into a cell_m-sized grid cell, and a flight's carrier,
  * delivery and interference work touches only nodes in cells within
- * the radio range of its transmitter. That is the node-count unlock:
- * barrier cost per flight is bounded by the cell neighborhood, not
- * the network size. Every field rule is still a pure function of
- * barrier ticks, node ids and (fixed) positions, so jobs-independence
- * holds unchanged.
+ * the radio range of its transmitter. The cells live in a flat index
+ * built once by finalizeField() (node ids sorted by cell, searched
+ * column by column), and a receiver's interferers come from one
+ * in-order walk of the flights overlapping the word, filtered by cell
+ * distance. That is the node-count unlock: barrier cost is
+ * flights x in-range receivers x overlapping flights, not the network
+ * size, and no barrier looks at an empty cell, so cell_m sets only
+ * the index's granularity — it changes neither a result nor, beyond
+ * the cells' occupancy, the cost. Every field rule is still a pure
+ * function of barrier ticks, node ids and (fixed) positions, so
+ * jobs-independence holds unchanged.
  *
  * Delivery acceptance in both modes is counted when the receiver
  * takes the word, not when the exchange offers it: the injected
@@ -57,7 +63,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -287,8 +292,11 @@ class AirExchange
     void exchangeSingleCell(sim::Tick barrier, std::size_t firstFresh);
     void exchangeField(sim::Tick barrier, std::size_t firstFresh);
 
-    /** Field mode: node ids in cells within radio reach of @p node's
-     *  cell, appended to @p out (scratch; cleared first). */
+    /** Field mode: node ids in cells within cellReach_ of @p node's
+     *  cell on both axes, in (cell x, cell y, id) order, written to
+     *  @p out (scratch; cleared first). A few binary searches per
+     *  occupied column in reach: the cost follows the occupied cells,
+     *  not the (2 * cellReach_ + 1)^2 cells of the neighborhood. */
     void fieldCandidates(std::uint32_t node,
                          std::vector<std::uint32_t> &out) const;
 
@@ -316,10 +324,16 @@ class AirExchange
     std::optional<FieldConfig> field_;
     std::vector<std::pair<double, double>> pos_; ///< meters, by node id
     std::vector<std::pair<std::int32_t, std::int32_t>> cellOf_;
-    /** Grid cell -> node ids in it, ascending (built in id order). */
-    std::map<std::pair<std::int32_t, std::int32_t>,
-             std::vector<std::uint32_t>>
-        cells_;
+    /** One node of the flat cell index: its cell and its id. */
+    struct CellEntry
+    {
+        std::int32_t x, y;
+        std::uint32_t id;
+    };
+    /** Flat cell index, built once by finalizeField(): every node,
+     *  sorted by (cell x, cell y, id). Geometry only, so it is
+     *  rebuilt from the scenario, never saved. */
+    std::vector<CellEntry> byCell_;
     std::int32_t cellReach_ = 1; ///< neighborhood radius, in cells
     /** Interference radius, in cells: beyond it a transmitter is out
      *  of noise-floor range of the receiver, so its flight cannot
@@ -327,15 +341,12 @@ class AirExchange
      *  lies below the decode sensitivity). */
     std::int32_t interfReach_ = 1;
     bool fieldFinal_ = false;
-    mutable std::vector<std::uint32_t> candScratch_;
-    /** Per-barrier flight index: transmitter's grid cell -> indices
-     *  into pending_, ascending — i.e. (start, src, seq) order, the
-     *  order the capture rule sums interferers in. Rebuilt by every
-     *  exchangeField(); scratch. */
-    std::map<std::pair<std::int32_t, std::int32_t>,
-             std::vector<std::size_t>>
-        flightCells_;
-    mutable std::vector<std::size_t> interfScratch_;
+    std::vector<std::uint32_t> candScratch_;
+    /** Per resolved flight: indices into pending_ of the flights
+     *  whose airtime overlaps it, ascending — i.e. (start, src, seq)
+     *  order, the order the capture rule sums interferers in.
+     *  Scratch, refilled for every resolved flight. */
+    std::vector<std::size_t> overlapScratch_;
 };
 
 /**

@@ -49,9 +49,9 @@ namespace snaple::radio {
 struct FieldConfig
 {
     /**
-     * Spatial shard cell size, meters (the parallel harness couples
-     * only neighboring cells; pick cell_m >= the sensitivity range so
-     * a transmission reaches at most the 8 surrounding cells).
+     * Spatial index cell size, meters. Only the granularity of
+     * AirExchange's cell index: the ranges below decide who hears
+     * whom, so no cell_m changes a result.
      */
     double cellM = 30.0;
 

@@ -6,9 +6,9 @@
  * invisible (trace hashes and every air counter bit-identical for any
  * --jobs), a receiver sitting exactly on a cell boundary still hears
  * its neighbors, the per-opportunity accounting identity closes at
- * every barrier, idle-listening energy is in every metrics sample
- * without any end-of-run help, and geometry
- * the int32 cell grid cannot index is rejected at start().
+ * every barrier, the cell size changes no result, idle-listening
+ * energy is in every metrics sample without any end-of-run help, and
+ * geometry the int32 cell grid cannot index is rejected at start().
  */
 
 #include <gtest/gtest.h>
@@ -113,7 +113,9 @@ struct FieldRun
  * any worker count.
  */
 FieldRun
-runFieldNet(unsigned jobs, sim::Tick duration = 200 * sim::kMillisecond)
+runFieldNet(unsigned jobs, sim::Tick duration = 200 * sim::kMillisecond,
+            double cellM = radio::FieldConfig{}.cellM,
+            bool transpose = false)
 {
     ParallelNetwork net(1 * sim::kMicrosecond, jobs);
     net.addNode(cfgFor("b0"), assembleSnap(beaconProgram(1200)));
@@ -122,13 +124,13 @@ runFieldNet(unsigned jobs, sim::Tick duration = 200 * sim::kMillisecond)
     net.addNode(cfgFor("l0"), assembleSnap(kListener));
     net.addNode(cfgFor("l1"), assembleSnap(kListener));
     net.addNode(cfgFor("l2"), assembleSnap(kListener));
-    net.setField(radio::FieldConfig{});
-    net.setNodePosition(0, 0, 0);
-    net.setNodePosition(1, 40, 10);
-    net.setNodePosition(2, 80, 0);
-    net.setNodePosition(3, 20, 0);
-    net.setNodePosition(4, 60, 5);
-    net.setNodePosition(5, 100, 0);
+    radio::FieldConfig fc;
+    fc.cellM = cellM;
+    net.setField(fc);
+    const double pos[6][2] = {{0, 0},  {40, 10}, {80, 0},
+                              {20, 0}, {60, 5},  {100, 0}};
+    for (std::size_t i = 0; i < 6; ++i)
+        net.setNodePosition(i, pos[i][transpose], pos[i][!transpose]);
     net.enableTracing(/*record=*/false);
     net.start();
     net.runFor(duration);
@@ -184,6 +186,42 @@ TEST(FieldNetworkTest, FieldCountersReconcilePerOpportunity)
                       r.air.dropsMode + r.air.dropsFifo + r.dropsLink +
                       r.dropsDead + r.pendingRx)
             << "at " << t;
+    }
+}
+
+TEST(FieldNetworkTest, CellSizeDoesNotChangeTheRun)
+{
+    // cell_m only sets the granularity of the exchange's cell index:
+    // the radio ranges, not the cells, decide who hears and who
+    // interferes. At 1e4 m all six nodes share one cell, so that run
+    // is the brute-force reference; 3 m and 1 mm cells put every
+    // node in its own cell, with reaches of 16 and ~46k cells. The
+    // transposed field (x and y swapped) keeps every distance, so it
+    // must run the same too, with the spread on the other axis.
+    const FieldRun ref = runFieldNet(2, 200 * sim::kMillisecond, 1e4);
+    EXPECT_GT(ref.air.wordsDelivered, 0u);
+    EXPECT_GT(ref.air.collisions, 0u);
+    for (const bool transpose : {false, true}) {
+        for (const double cellM : {1e4, 30.0, 3.0, 0.001}) {
+            if (cellM == 1e4 && !transpose)
+                continue; // the reference itself
+            SCOPED_TRACE(testing::Message()
+                         << "cell_m " << cellM
+                         << (transpose ? ", transposed" : ""));
+            const FieldRun r =
+                runFieldNet(2, 200 * sim::kMillisecond, cellM, transpose);
+            EXPECT_EQ(ref.hashes, r.hashes);
+            EXPECT_EQ(ref.dbgCounts, r.dbgCounts);
+            EXPECT_EQ(ref.air.wordsSent, r.air.wordsSent);
+            EXPECT_EQ(ref.air.wordsDelivered, r.air.wordsDelivered);
+            EXPECT_EQ(ref.air.collisions, r.air.collisions);
+            EXPECT_EQ(ref.air.dropsMode, r.air.dropsMode);
+            EXPECT_EQ(ref.air.dropsFifo, r.air.dropsFifo);
+            EXPECT_EQ(ref.rxInRange, r.rxInRange);
+            EXPECT_EQ(ref.dropsLink, r.dropsLink);
+            EXPECT_EQ(ref.dropsDead, r.dropsDead);
+            EXPECT_EQ(ref.pendingRx, r.pendingRx);
+        }
     }
 }
 

@@ -446,9 +446,10 @@ printLatency(const Report &r)
             s.type != "hist" || s.count == 0)
             continue;
         if (!any) {
+            // Ticks are ps; three decimals of ns keep every tick.
             std::printf("handler dispatch latency, enqueue to "
-                        "dispatch (us)\n");
-            std::printf("%-28s %9s %8s %8s %8s %8s\n", "event",
+                        "dispatch (ns)\n");
+            std::printf("%-28s %9s %11s %11s %11s %11s\n", "event",
                         "samples", "p50", "p90", "p99", "max");
             any = true;
         }
@@ -459,11 +460,11 @@ printLatency(const Report &r)
         std::string label = metric == "core.evq_wait_ticks"
                                 ? "(all events)"
                                 : metric.substr(20);
-        std::printf("%-28s %9llu %8.2f %8.2f %8.2f %8.2f\n",
+        std::printf("%-28s %9llu %11.3f %11.3f %11.3f %11.3f\n",
                     label.c_str(),
                     static_cast<unsigned long long>(h.count()),
-                    h.percentile(50) / 1e6, h.percentile(90) / 1e6,
-                    h.percentile(99) / 1e6, double(h.max()) / 1e6);
+                    h.percentile(50) / 1e3, h.percentile(90) / 1e3,
+                    h.percentile(99) / 1e3, double(h.max()) / 1e3);
     }
     if (any)
         std::printf("\n");
